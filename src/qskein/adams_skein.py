@@ -195,7 +195,7 @@ def series_plus(order: int) -> GradedSeries:
 
 def series_minus(order: int) -> GradedSeries:
     """Negative cycle closures at degree m-1."""
-    return GradedSeries(AnnulusElement, [closure_word(a_braid(0, i)) for i in range(order)])
+    return GradedSeries(AnnulusElement, [negative_cycle(m) for m in range(1, order + 1)])
 
 
 def positive_cycle_expansion(m: int) -> AnnulusElement:

@@ -19,14 +19,11 @@ evaluation.
 from __future__ import annotations
 
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
-from .hecke import BraidWord, HeckeElement, alpha, b_element, e_lambda, from_word
-from .linear import FormalSum, add_term, multiset_text
+from .hecke import _XINVZ, _XZ, BraidWord, HeckeElement, alpha, e_lambda
+from .linear import FormalSum, linear_map, multiset_text
 from .partitions import Partition
-from .perms import Perm, reduced_word
-from .scalars import LaurentPoly, Scalar, delta
-
-_XZ = Scalar.from_poly(LaurentPoly({(1, 0, 1): 1, (1, 0, -1): -1}))
-_XINVZ = Scalar.from_poly(LaurentPoly({(-1, 0, 1): 1, (-1, 0, -1): -1}))
+from .perms import Perm, cycles, reduced_word
+from .scalars import Scalar, delta
 
 
 class AnnulusElement(FormalSum):
@@ -80,24 +77,6 @@ def _strand_data(n: int, letters):
     return entrants, endpos
 
 
-def _components(n: int, endpos) -> list[list[int]]:
-    """Cycles of the closed diagram, each listed from its least strand,
-    ordered by least strand."""
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        s = start
-        while not seen[s]:
-            seen[s] = True
-            comp.append(s)
-            s = endpos[s]
-        comps.append(comp)
-    return comps
-
-
 _resolve_cache: dict[tuple[int, tuple[int, ...]], AnnulusElement] = {}
 
 
@@ -108,7 +87,7 @@ def resolve_word(n: int, letters) -> AnnulusElement:
     if out is not None:
         return out
     entrants, endpos = _strand_data(n, letters)
-    comps = _components(n, endpos)
+    comps = cycles(endpos)
     rank = {}
     for comp in comps:
         for s in comp:
@@ -170,11 +149,7 @@ def _closure_basis(pi: Perm) -> AnnulusElement:
 
 def closure(h: HeckeElement) -> AnnulusElement:
     """Close a Hecke element around the annulus."""
-    acc: dict = {}
-    for pi, c in h.terms.items():
-        for key, c2 in _closure_basis(pi).terms.items():
-            add_term(acc, key, c2 * c)
-    return AnnulusElement._from(acc)
+    return linear_map(h, _closure_basis, AnnulusElement)
 
 
 def closure_word(w: BraidWord) -> AnnulusElement:
@@ -206,10 +181,18 @@ _theta_key_cache: dict[tuple[int, ...], AnnulusElement] = {(): AnnulusElement.on
 
 
 def _theta_key(key: tuple[int, ...]) -> AnnulusElement:
+    """theta of one column monomial: from the longest memoised suffix of
+    key, multiply the columns back on and memoise every suffix on the way."""
     out = _theta_key_cache.get(key)
-    if out is None:
-        out = _theta_key(key[1:]) * Q(Partition((1,) * key[0]))
-        _theta_key_cache[key] = out
+    if out is not None:
+        return out
+    start = 1
+    while key[start:] not in _theta_key_cache:
+        start += 1
+    out = _theta_key_cache[key[start:]]
+    for i in range(start - 1, -1, -1):
+        out = out * Q(Partition((1,) * key[i]))
+        _theta_key_cache[key[i:]] = out
     return out
 
 
@@ -218,11 +201,7 @@ def theta(p) -> AnnulusElement:
     extended multiplicatively.  Accepts CPoly or DiagramVector."""
     if isinstance(p, DiagramVector):
         p = phi_inverse(p)
-    acc: dict = {}
-    for key, c in p.terms.items():
-        for k2, c2 in _theta_key(key).terms.items():
-            add_term(acc, k2, c2 * c)
-    return AnnulusElement._from(acc)
+    return linear_map(p, _theta_key, AnnulusElement)
 
 
 _a_in_q_cache: dict[int, CPoly] = {}

@@ -18,7 +18,7 @@ from .adams_skein import P, solve_pattern, torus_invariant
 from .annulus import Q, closure_word, theta
 from .chords import psi_chords
 from .diagram_ring import DiagramVector, psi
-from .hecke import BraidWord, alpha
+from .hecke import alpha
 from .partitions import lr_product
 from .parsing import ParseError, parse_braid_word, parse_cpoly, parse_matching, parse_partition
 from .scalars import PoleError, Scalar, SpecializationError, h_expand, quantum_int
@@ -85,11 +85,7 @@ def _cmd_q(args):
 
 
 def _cmd_closure(args):
-    letters = parse_braid_word(args.word, args.strands)
-    strands = args.strands
-    if strands is None:
-        strands = max((abs(j) for j in letters), default=0) + 1
-    e = closure_word(BraidWord(strands, letters))
+    e = closure_word(parse_braid_word(args.word, args.strands))
     return _emit(args, str(e), jsonio.encode_annulus(e))
 
 
@@ -170,9 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("adams", _cmd_adams, "m-th power sum of the first column generator")
     p.add_argument("m", type=int)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--as-diagrams", action="store_true", help="print the diagram-basis form")
-    g.add_argument("--as-cpoly", action="store_true", help="print the column-generator form (default)")
+    p.add_argument("--as-diagrams", action="store_true", help="print the diagram-basis form")
 
     p = add("theta", _cmd_theta, "annulus image of a column polynomial")
     p.add_argument("cpoly", help='expression, e.g. "c1^2 - 2*c2"')
@@ -221,7 +215,7 @@ def main(argv=None) -> int:
     except (SpecializationError, PoleError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError, RecursionError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

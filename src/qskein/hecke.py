@@ -12,9 +12,8 @@ braids by partitions.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 
-from .linear import SCALAR_LIKE, add_term, as_scalar, format_sum
+from .linear import FormalSum, add_term
 from .partitions import Partition, hook_content_product, transpose_permutation
 from .perms import Perm, all_perms, identity, inverse, inversions, reduced_word, swap_positions
 from .scalars import LaurentPoly, Scalar
@@ -42,20 +41,6 @@ class BraidWord:
                 raise ValueError(f"letter {j} out of range for {strand_count} strands")
         self.strand_count = strand_count
         self.letters = letters
-
-    @classmethod
-    def from_text(cls, text: str, strand_count: int | None = None) -> "BraidWord":
-        parts = text.split()
-        letters = []
-        for p in parts:
-            try:
-                j = int(p)
-            except ValueError:
-                raise ValueError(f"bad braid letter {p!r}") from None
-            letters.append(j)
-        if strand_count is None:
-            strand_count = max((abs(j) for j in letters), default=0) + 1
-        return cls(strand_count, letters)
 
     @property
     def writhe(self) -> int:
@@ -90,20 +75,18 @@ class BraidWord:
         return f"BraidWord({self.strand_count}, {self.letters!r})"
 
 
-class HeckeElement:
-    """Scalar combination of positive permutation braids on n strands."""
+class HeckeElement(FormalSum):
+    """Scalar combination of positive permutation braids on n strands.
 
-    __slots__ = ("n", "terms")
+    The space depends on n: sums and differences need equal strand counts,
+    and zero elements on different strand counts compare unequal.
+    """
+
+    __slots__ = ("n",)
 
     def __init__(self, n: int, terms=None):
-        data = {}
-        if terms:
-            for pi, c in terms.items():
-                c = as_scalar(c)
-                if c:
-                    data[pi] = c
+        super().__init__(terms)
         self.n = n
-        self.terms = data
 
     @classmethod
     def _from(cls, n: int, terms: dict) -> "HeckeElement":
@@ -112,73 +95,32 @@ class HeckeElement:
         obj.terms = terms
         return obj
 
+    def _like(self, terms: dict) -> "HeckeElement":
+        return HeckeElement._from(self.n, terms)
+
+    @property
+    def _unit_key(self) -> Perm:
+        return identity(self.n)
+
+    def _operand(self, other):
+        other = super()._operand(other)
+        if other is not None and other.n != self.n:
+            raise ValueError("strand counts differ")
+        return other
+
     @classmethod
     def unit(cls, n: int) -> "HeckeElement":
         return cls._from(n, {identity(n): Scalar.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def coeff(self, pi: Perm) -> Scalar:
-        c = self.terms.get(pi)
-        return c if c is not None else Scalar.zero()
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, HeckeElement):
-            return self.n == other.n and self.terms == other.terms
-        if isinstance(other, SCALAR_LIKE):
-            c = as_scalar(other)
-            if not c:
-                return not self.terms
-            return self.terms == {identity(self.n): c}
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if isinstance(other, SCALAR_LIKE):
-            other = HeckeElement(self.n, {identity(self.n): other})
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("strand counts differ")
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(acc, k, c)
-        return HeckeElement._from(self.n, acc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, SCALAR_LIKE):
-            other = HeckeElement(self.n, {identity(self.n): other})
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return HeckeElement._from(self.n, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c) -> "HeckeElement":
-        c = as_scalar(c)
-        if not c:
-            return HeckeElement._from(self.n, {})
-        return HeckeElement._from(self.n, {k: v * c for k, v in self.terms.items()})
+        if isinstance(other, HeckeElement) and other.n != self.n:
+            return False
+        return super().__eq__(other)
 
     def __mul__(self, other):
-        if isinstance(other, SCALAR_LIKE):
-            return self.scale(other)
         if isinstance(other, HeckeElement):
             return mul(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, SCALAR_LIKE):
-            return self.scale(other)
-        return NotImplemented
+        return super().__mul__(other)
 
     def right_letter(self, j: int) -> "HeckeElement":
         """Multiply on the right by one braid letter."""
@@ -210,22 +152,16 @@ class HeckeElement:
             out = out.right_letter(j)
         return out
 
-    def sorted_terms(self):
-        return [(k, self.terms[k]) for k in sorted(self.terms)]
-
-    def __str__(self) -> str:
-        return format_sum(self.sorted_terms(), _format_perm)
+    def _format_key(self, pi: Perm) -> str:
+        return "w[" + " ".join(str(p + 1) for p in pi) + "]"
 
     def __repr__(self) -> str:
         return f"HeckeElement({self.n}, {self.terms!r})"
 
 
+# the two smoothing coefficients of the skein relation at a crossing
 _XZ = LaurentPoly({(1, 0, 1): 1, (1, 0, -1): -1})        # x(s - s^-1)
 _XINVZ = LaurentPoly({(-1, 0, 1): 1, (-1, 0, -1): -1})   # x^-1(s - s^-1)
-
-
-def _format_perm(pi: Perm) -> str:
-    return "w[" + " ".join(str(p + 1) for p in pi) + "]"
 
 
 def from_word(w: BraidWord) -> HeckeElement:

@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from .adams_skein import Inconsistent, PatternSystem, Solution
 from .annulus import AnnulusElement, closure, closure_word
-from .chords import ChordDiagram
 from .diagram_ring import CPoly, DiagramVector
 from .hecke import BraidWord, decorate
 from .partitions import Partition
@@ -192,8 +191,7 @@ def decode_pattern_element(obj) -> AnnulusElement:
 
         strands = obj["strands"]
         word = obj["word"]
-        letters = parse_braid_word(word, strands) if isinstance(word, str) else tuple(word)
-        braid = BraidWord(strands, letters)
+        braid = parse_braid_word(word, strands) if isinstance(word, str) else BraidWord(strands, word)
         colour = obj.get("colour")
         if colour is None:
             return closure_word(braid)

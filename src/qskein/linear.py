@@ -42,7 +42,11 @@ class FormalSum:
     """Base class: a finite Scalar-linear combination of basis keys.
 
     Subclasses fix the key type, the unit key, the product of two keys
-    and the print order.  terms maps key -> nonzero Scalar.
+    and the print order.  terms maps key -> nonzero Scalar.  Every result
+    is built through _like, so a space that depends on a parameter (the
+    strand count of the Hecke algebra) overrides that hook and reads its
+    unit key from the instance; the classmethod constructors serve the
+    parameter-free spaces only.
     """
 
     __slots__ = ("terms",)
@@ -65,6 +69,17 @@ class FormalSum:
         obj.terms = terms
         return obj
 
+    def _like(self, terms: dict) -> "FormalSum":
+        """Internal: _from, in the space of self."""
+        return self._from(terms)
+
+    def _operand(self, other):
+        """other as an element of the space of self, or None if it is not one."""
+        if isinstance(other, SCALAR_LIKE):
+            c = as_scalar(other)
+            return self._like({self._unit_key: c} if c else {})
+        return other if type(other) is type(self) else None
+
     @classmethod
     def zero(cls):
         return cls._from({})
@@ -75,7 +90,8 @@ class FormalSum:
 
     @classmethod
     def term(cls, key, coeff=1):
-        return cls({key: coeff})
+        coeff = as_scalar(coeff)
+        return cls._from({key: coeff} if coeff else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -97,52 +113,47 @@ class FormalSum:
             c = as_scalar(other)
             if not c:
                 return not self.terms
-            return self.terms == {type(self)._unit_key: c}
+            return self.terms == {self._unit_key: c}
         return NotImplemented
 
     __hash__ = None
 
     def __add__(self, other):
-        cls = type(self)
-        if isinstance(other, SCALAR_LIKE):
-            other = cls({cls._unit_key: other})
-        if type(other) is not cls:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         acc = dict(self.terms)
         for k, c in other.terms.items():
             add_term(acc, k, c)
-        return cls._from(acc)
+        return self._like(acc)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        cls = type(self)
-        if isinstance(other, SCALAR_LIKE):
-            other = cls({cls._unit_key: other})
-        if type(other) is not cls:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         acc = dict(self.terms)
         for k, c in other.terms.items():
             add_term(acc, k, -c)
-        return cls._from(acc)
+        return self._like(acc)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return type(self)._from({k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "FormalSum":
         c = as_scalar(c)
         if not c:
-            return type(self)._from({})
-        return type(self)._from({k: v * c for k, v in self.terms.items()})
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, SCALAR_LIKE):
             return self.scale(other)
-        cls = type(self)
-        if type(other) is not cls:
+        if type(other) is not type(self):
             return NotImplemented
         acc: dict = {}
         for k1, c1 in self.terms.items():
@@ -150,7 +161,7 @@ class FormalSum:
                 c = c1 * c2
                 for k3, m in self._mul_keys(k1, k2).items():
                     add_term(acc, k3, c if m == 1 else c * m)
-        return cls._from(acc)
+        return self._like(acc)
 
     def __rmul__(self, other):
         if isinstance(other, SCALAR_LIKE):
@@ -166,7 +177,7 @@ class FormalSum:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a formal sum")
-        out = type(self).one()
+        out = self._like({self._unit_key: Scalar.one()})
         base = self
         while n:
             if n & 1:

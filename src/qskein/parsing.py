@@ -1,11 +1,11 @@
 """Parsers for the text formats the command line accepts: scalar and
-column-polynomial expressions, partition literals, braid words, and chord
-matchings.  All errors carry the offending position in the input."""
-
-from fractions import Fraction
+column-polynomial expressions, partition literals, braid words (returned
+as a BraidWord), and chord matchings.  Each literal type has exactly one
+parser here.  All errors carry the offending position in the input."""
 
 from .chords import ChordDiagram
 from .diagram_ring import CPoly, gen
+from .hecke import BraidWord
 from .partitions import Partition
 from .scalars import Scalar
 
@@ -217,13 +217,14 @@ def parse_partition(text: str) -> Partition:
     return Partition(tuple(p for p in parts if p > 0))
 
 
-def parse_braid_word(text: str, strands: int | None = None) -> tuple[int, ...]:
+def parse_braid_word(text: str, strands: int | None = None) -> BraidWord:
     """Parse a braid word: whitespace-separated signed nonzero integers.
 
-    Returns the letters; strand-count validation happens when given.
+    Letters are checked against strands when it is given; otherwise the
+    strand count is the least one that holds every letter.
 
     >>> parse_braid_word("1 2 -1")
-    (1, 2, -1)
+    BraidWord(3, (1, 2, -1))
     """
     sc = _Scanner(text)
     letters = []
@@ -235,7 +236,9 @@ def parse_braid_word(text: str, strands: int | None = None) -> tuple[int, ...]:
         if strands is not None and abs(j) >= strands:
             sc.error("crossing index %d needs at least %d strands" % (j, abs(j) + 1), start)
         letters.append(j)
-    return tuple(letters)
+    if strands is None:
+        strands = max((abs(j) for j in letters), default=0) + 1
+    return BraidWord(strands, letters)
 
 
 def parse_matching(text: str) -> ChordDiagram:

@@ -35,13 +35,6 @@ class Partition:
             raise ValueError("hook needs k, l >= 1")
         return cls((l,) + (1,) * (k - 1))
 
-    @classmethod
-    def from_text(cls, text: str) -> "Partition":
-        text = text.strip()
-        if text in ("", "0", "()", "(0)"):
-            return cls(())
-        return cls(tuple(int(p) for p in text.strip("()").split(",")))
-
     @property
     def size(self) -> int:
         return sum(self.parts)
@@ -70,12 +63,6 @@ class Partition:
     def cells(self) -> list[tuple[int, int]]:
         """Cells (row, col) in row-major order, 0-indexed."""
         return [(r, c) for r, p in enumerate(self.parts) for c in range(p)]
-
-    def contains(self, other: "Partition") -> bool:
-        o = other.parts
-        if len(o) > len(self.parts):
-            return False
-        return all(self.parts[i] >= o[i] for i in range(len(o)))
 
     def hook_length(self, r: int, c: int) -> int:
         """Arm + leg + 1 of the cell (r, c)."""

@@ -38,26 +38,9 @@ def swap_positions(p: Perm, i: int) -> Perm:
     return p[:i] + (p[i + 1], p[i]) + p[i + 2:]
 
 
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Cycle lengths sorted in decreasing order (fixed points included)."""
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
-
-
 def cycles(p: Perm) -> list[tuple[int, ...]]:
-    """Cycle decomposition; each cycle starts at its smallest element."""
+    """Cycle decomposition, ordered by least element; each cycle starts at
+    its least element."""
     seen = [False] * len(p)
     out = []
     for i in range(len(p)):
@@ -71,16 +54,6 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
             j = p[j]
         out.append(tuple(cyc))
     return out
-
-
-def cycle_string(p: Perm) -> str:
-    """Nontrivial cycles, 1-indexed, e.g. '(2 4 7 3 6 5)'; 'id' if none."""
-    parts = [
-        "(" + " ".join(str(i + 1) for i in cyc) + ")"
-        for cyc in cycles(p)
-        if len(cyc) > 1
-    ]
-    return "".join(parts) if parts else "id"
 
 
 def reduced_word(p: Perm) -> tuple[int, ...]:

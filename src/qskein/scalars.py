@@ -224,9 +224,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.terms!r})"
 
 
-X = LaurentPoly.monomial(1, 0, 0)
-V = LaurentPoly.monomial(0, 1, 0)
-S = LaurentPoly.monomial(0, 0, 1)
 ONE_LP = LaurentPoly.one()
 Z_LP = LaurentPoly({(0, 0, 1): 1, (0, 0, -1): -1})  # s - s^-1
 

@@ -100,6 +100,31 @@ def test_parse_error_annotated(capsys):
     assert "^" in err
 
 
+def test_theta_of_a_long_monomial(capsys):
+    # 1500 column factors: deeper than the interpreter recursion limit
+    code, out, err = run(capsys, "theta", "c1^1500")
+    assert code == 0
+    assert out == "A1^1500\n"
+    assert err == ""
+
+
+def test_recursion_error_is_reported(capsys, monkeypatch):
+    def deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("qskein.cli._cmd_qint", deep)
+    code, out, err = run(capsys, "qint", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: maximum recursion depth exceeded\n"
+
+
+def test_adams_as_cpoly_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["adams", "2", "--as-cpoly"])
+    assert exc.value.code == 2
+
+
 def test_partition_parse_error(capsys):
     code, _, err = run(capsys, "alpha", "(1,2)")
     assert code == 2

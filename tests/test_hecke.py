@@ -17,8 +17,9 @@ from qskein.hecke import (
     mul,
     tensor,
 )
+from qskein.parsing import ParseError, parse_braid_word
 from qskein.partitions import Partition, partitions_of
-from qskein.perms import all_perms, reduced_word
+from qskein.perms import all_perms, identity, reduced_word
 from qskein.scalars import Scalar, Z, quantum_int
 
 
@@ -27,7 +28,7 @@ def rand_word(rng, n, length):
 
 
 def test_braid_word_basics():
-    w = BraidWord.from_text("1 -2", 3)
+    w = parse_braid_word("1 -2", 3)
     assert w.letters == (1, -2)
     assert w.writhe == 0
     assert w.inverse().letters == (2, -1)
@@ -38,6 +39,43 @@ def test_braid_word_basics():
         BraidWord(2, (0,))
     with pytest.raises(ValueError):
         BraidWord(2, (2,))
+
+
+def test_parse_braid_word():
+    assert parse_braid_word("1 -2") == BraidWord(3, (1, -2))
+    assert parse_braid_word("") == BraidWord(1, ())
+    with pytest.raises(ParseError) as err:
+        parse_braid_word("3", 3)
+    assert err.value.pos == 0
+
+
+def test_module_operations_and_printing():
+    h = from_word(BraidWord(2, (1,)))
+    assert str(h) == "w[2 1]"
+    assert str(h.scale(2) + 1) == "w[1 2] + 2*w[2 1]"
+    assert str(HeckeElement(2, {})) == "0"
+    assert repr(HeckeElement.unit(2)) == "HeckeElement(2, {(0, 1): Scalar({(0, 0, 0): 1}, {(0, 0, 0): 1})})"
+    assert h + 1 == h + HeckeElement.unit(2)
+    assert 1 + h == h + 1
+    assert (h + 1).coeff(identity(2)) == Scalar.one()
+    assert h - h == 0 and (h - h).n == 2
+    assert -h + h == HeckeElement(2, {})
+    assert h * 3 == 3 * h == h.scale(3)
+    assert h * h == mul(h, h)
+    assert h ** 2 == mul(h, h)
+    assert HeckeElement.unit(3) == 1
+
+
+def test_strand_counts_must_agree():
+    two, three = HeckeElement.unit(2), HeckeElement.unit(3)
+    with pytest.raises(ValueError, match="strand counts differ"):
+        two + three
+    with pytest.raises(ValueError, match="strand counts differ"):
+        two - three
+    with pytest.raises(ValueError, match="strand counts differ"):
+        mul(two, three)
+    assert HeckeElement(2, {}) != HeckeElement(3, {})
+    assert two != three
 
 
 def test_unit_and_basis_round_trip():

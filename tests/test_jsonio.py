@@ -1,0 +1,53 @@
+"""JSON encodings: encode, serialise, parse and decode back to an equal value."""
+
+import json
+from fractions import Fraction
+
+from qskein import jsonio
+from qskein.adams_skein import torus_invariant
+from qskein.chords import CROSSING, PARALLEL, all_diagrams, psi_chords
+from qskein.diagram_ring import DiagramVector, psi
+from qskein.parsing import parse_cpoly
+from qskein.partitions import Partition
+from qskein.scalars import Scalar, h_expand
+
+
+def round_trip(encode, decode, value):
+    return decode(json.loads(json.dumps(encode(value))))
+
+
+def test_cpoly_round_trip():
+    for text in ("0", "1", "c1^2 - 2*c2", "c1*c3 - (s - s^-1)/(s + s^-1)*c2 + 1/3", "x^-2*v*c4^3"):
+        p = parse_cpoly(text)
+        assert round_trip(jsonio.encode_cpoly, jsonio.decode_cpoly, p) == p, text
+
+
+def test_diagrams_round_trip():
+    half = Scalar(Fraction(1, 2))
+    values = [
+        DiagramVector.zero(),
+        psi(4)[1],
+        DiagramVector({Partition((2, 1)): half, Partition(()): Scalar.monomial(1, -1, 2)}),
+    ]
+    for v in values:
+        assert round_trip(jsonio.encode_diagrams, jsonio.decode_diagrams, v) == v, v
+
+
+def test_tfraction_round_trip():
+    for m, p, sl in ((2, 3, 2), (3, 2, 3), (2, 4, 2)):
+        f = torus_invariant(m, p, sl=sl, normalize=True)
+        assert round_trip(jsonio.encode_tfraction, jsonio.decode_tfraction, f) == f, (m, p, sl)
+
+
+def test_hseries_round_trip():
+    for m, p, sl in ((2, 3, 2), (2, 4, 2), (3, 2, 3)):
+        coeffs = h_expand(torus_invariant(m, p, sl=sl, normalize=True), sl, 4)
+        assert round_trip(jsonio.encode_hseries, jsonio.decode_hseries, coeffs) == coeffs
+    assert round_trip(jsonio.encode_hseries, jsonio.decode_hseries, []) == []
+
+
+def test_chord_tally_round_trip():
+    tallies = [psi_chords(CROSSING, 2), psi_chords(PARALLEL, 3), {}]
+    tallies += [psi_chords(dgm, 2) for dgm in all_diagrams(3)]
+    for tally in tallies:
+        assert round_trip(jsonio.encode_chord_tally, jsonio.decode_chord_tally, tally) == tally

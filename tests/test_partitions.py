@@ -8,6 +8,7 @@ pairs pins the product down completely.
 
 import pytest
 
+from qskein.parsing import parse_partition
 from qskein.partitions import (
     EMPTY,
     Partition,
@@ -85,7 +86,7 @@ def test_partition_basics():
     assert lam.size == 7
     assert str(lam) == "(4,2,1)"
     assert str(EMPTY) == "(0)"
-    assert Partition.from_text("4,2,1") == lam
+    assert parse_partition("4,2,1") == lam
     assert lam.transpose() == Partition((3, 2, 1, 1))
     assert lam.transpose().transpose() == lam
     assert Partition.hook(3, 2) == Partition((2, 1, 1))
