@@ -8,15 +8,18 @@ circle in every possible way and tallies the results.
 
 from itertools import product
 
+# Most sheet assignments psi_chords enumerates for one diagram: m^(2n-1) for
+# n chords on the m-fold cover.  It admits n = 5 at m = 5 (5^9), the largest
+# size `verify --suite cd --max 5` reaches.
+LIFT_CAP = 2_000_000
+
 
 def _canonical(pairs, points):
-    best = None
-    for r in range(points):
-        rot = tuple(sorted(
-            tuple(sorted(((a + r) % points, (b + r) % points))) for a, b in pairs))
-        if best is None or rot < best:
-            best = rot
-    return best
+    return min(
+        (tuple(sorted(tuple(sorted(((a + r) % points, (b + r) % points))) for a, b in pairs))
+         for r in range(points)),
+        default=(),
+    )
 
 
 class ChordDiagram:
@@ -98,31 +101,43 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     reordered by (sheet, original position) and the induced matching is
     canonicalized.  The multiplicities total m^(2n).
 
+    Only the assignments with point 0 on sheet 0 are enumerated, each
+    counting m times.  Raising every sheet by one (mod m) is a deck
+    transformation of the cover: it rotates the lifted circle, so it keeps
+    the class of the lift.  It moves point 0 to another sheet, so each of its
+    orbits holds exactly m assignments, and exactly one of them puts point 0
+    on sheet 0.  A lift is keyed by the least rotation of its offset word,
+    the distance mod 2n from each lifted point to its partner: two matchings
+    agree up to rotation exactly when their words do.
+
     >>> psi_chords(ChordDiagram([(0, 1)]), 3)
     {ChordDiagram([(0, 1)]): 9}
+    >>> psi_chords(ChordDiagram([]), 5)
+    {ChordDiagram([]): 1}
     """
     if m < 1:
         raise ValueError("cover index must be positive")
     points = 2 * diagram.chords
-    out: dict[ChordDiagram, int] = {}
-    canonical: dict[tuple, ChordDiagram] = {}
-    for sheets in product(range(m), repeat=points):
-        # stable placement by (sheet, original position) without a sort
-        counts = [0] * m
-        for sh in sheets:
-            counts[sh] += 1
-        start, acc = [0] * m, 0
-        for sh in range(m):
-            start[sh] = acc
-            acc += counts[sh]
-        newpos = [0] * points
-        for p in range(points):
-            sh = sheets[p]
-            newpos[p] = start[sh]
-            start[sh] += 1
-        key = tuple((newpos[a], newpos[b]) for a, b in diagram.pairs)
-        lifted = canonical.get(key)
-        if lifted is None:
-            lifted = canonical[key] = ChordDiagram(key)
-        out[lifted] = out.get(lifted, 0) + 1
-    return out
+    if not points:
+        return {diagram: 1}
+    if m ** (points - 1) > LIFT_CAP:
+        raise ValueError(
+            "lifting %d chords to the %d-fold cover enumerates %d^%d sheet assignments, "
+            "over the cap of %d" % (diagram.chords, m, m, points - 1, LIFT_CAP))
+    partner = [0] * points
+    for a, b in diagram.pairs:
+        partner[a], partner[b] = b, a
+    classes: dict[tuple, int] = {}
+    for sheets in product(range(1), *[range(m)] * (points - 1)):
+        # lifted position -> base point, stable by (sheet, position), and back
+        order = sorted(range(points), key=sheets.__getitem__)
+        lifted = sorted(range(points), key=order.__getitem__)
+        # (partner's lifted position - own lifted position) mod 2n, in lifted order
+        word = tuple((lifted[partner[p]] - k) % points for k, p in enumerate(order))
+        doubled = word + word
+        key = min(doubled[r:r + points] for r in range(points))
+        classes[key] = classes.get(key, 0) + 1
+    return {
+        ChordDiagram((i, i + step) for i, step in enumerate(word) if i + step < points): m * count
+        for word, count in classes.items()
+    }

@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     except (SpecializationError, PoleError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, RecursionError) as err:
+    except (ValueError, ZeroDivisionError, RecursionError, MemoryError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -1,8 +1,64 @@
 """Chord diagrams and their lifts to cyclic covers."""
 
-import pytest
+from itertools import product
 
-from qskein.chords import CROSSING, PARALLEL, ChordDiagram, all_diagrams, psi_chords
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qskein.chords
+from qskein.chords import CROSSING, PARALLEL, LIFT_CAP, ChordDiagram, all_diagrams, psi_chords
+
+
+def _psi_chords_brute(diagram, m):
+    """Every one of the m^(2n) sheet assignments, each lift canonicalised in
+    full by ChordDiagram: the oracle for psi_chords."""
+    if m < 1:
+        raise ValueError("cover index must be positive")
+    points = 2 * diagram.chords
+    out: dict[ChordDiagram, int] = {}
+    canonical: dict[tuple, ChordDiagram] = {}
+    for sheets in product(range(m), repeat=points):
+        # stable placement by (sheet, original position) without a sort
+        counts = [0] * m
+        for sh in sheets:
+            counts[sh] += 1
+        start, acc = [0] * m, 0
+        for sh in range(m):
+            start[sh] = acc
+            acc += counts[sh]
+        newpos = [0] * points
+        for p in range(points):
+            sh = sheets[p]
+            newpos[p] = start[sh]
+            start[sh] += 1
+        key = tuple((newpos[a], newpos[b]) for a, b in diagram.pairs)
+        lifted = canonical.get(key)
+        if lifted is None:
+            lifted = canonical[key] = ChordDiagram(key)
+        out[lifted] = out.get(lifted, 0) + 1
+    return out
+
+
+def _psi_linear(tally, m):
+    """psi_chords extended linearly to a tally of diagrams."""
+    out: dict[ChordDiagram, int] = {}
+    for dg, n in tally.items():
+        for lifted, k in psi_chords(dg, m).items():
+            out[lifted] = out.get(lifted, 0) + n * k
+    return out
+
+
+def _mirrored(dg):
+    points = 2 * dg.chords
+    return ChordDiagram(((-a) % points, (-b) % points) for a, b in dg.pairs)
+
+
+@st.composite
+def matchings(draw, max_chords):
+    n = draw(st.integers(1, max_chords))
+    points = draw(st.permutations(range(2 * n)))
+    return ChordDiagram(zip(points[::2], points[1::2]))
 
 
 def test_canonical_form():
@@ -72,3 +128,54 @@ def test_lift_counts_and_rotation():
                 assert sum(tally.values()) == m ** (2 * n), (dg, m)
                 # lifting commutes with rotating the base diagram
                 assert psi_chords(dg.rotated(1), m) == tally
+
+
+def test_empty_matching():
+    empty = ChordDiagram([])
+    assert empty.pairs == ()
+    assert empty.chords == 0
+    assert str(empty) == ""
+    assert empty.rotated(3) == empty
+    assert all_diagrams(0) == [empty]
+    for m in range(1, 4):
+        # m^0 lifts of nothing
+        assert psi_chords(empty, m) == {empty: 1}
+
+
+def test_matches_brute_force():
+    cases = [(n, m) for n in range(1, 4) for m in range(1, 5)] + [(4, 1), (4, 2)]
+    for n, m in cases:
+        for dg in all_diagrams(n):
+            tally = psi_chords(dg, m)
+            # same classes, counts and first-seen order as the full enumeration
+            assert list(tally.items()) == list(_psi_chords_brute(dg, m).items()), (dg, m)
+
+
+@settings(max_examples=50, deadline=None)
+@given(matchings(4), st.integers(1, 3))
+def test_random_matchings(dg, m):
+    tally = psi_chords(dg, m)
+    assert tally == _psi_chords_brute(dg, m)
+    # lifting commutes with reflecting the circle
+    mirrored = {_mirrored(lifted): k for lifted, k in tally.items()}
+    assert psi_chords(_mirrored(dg), m) == mirrored
+
+
+@pytest.mark.parametrize("m, k, max_chords", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
+def test_composition(m, k, max_chords):
+    # psi_k(psi_m(D)) = psi_mk(D): the mk-fold cover factors through the m-fold one
+    for n in range(1, max_chords + 1):
+        for dg in all_diagrams(n):
+            assert _psi_linear(psi_chords(dg, m), k) == psi_chords(dg, m * k), (dg, m, k)
+
+
+def test_lift_cap(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(qskein.chords, "product", no_enumeration)
+    six = ChordDiagram([(2 * i, 2 * i + 1) for i in range(6)])
+    with pytest.raises(ValueError, match=r"9\^11 sheet assignments, over the cap of %d" % LIFT_CAP):
+        psi_chords(six, 9)
+    # the largest size verify reaches at --max 5 stays admitted
+    assert 5 ** 9 <= LIFT_CAP

@@ -119,6 +119,17 @@ def test_recursion_error_is_reported(capsys, monkeypatch):
     assert err == "error: maximum recursion depth exceeded\n"
 
 
+def test_memory_error_is_reported(capsys, monkeypatch):
+    def huge(args):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr("qskein.cli._cmd_closure", huge)
+    code, out, err = run(capsys, "closure", "1 1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_adams_as_cpoly_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["adams", "2", "--as-cpoly"])
