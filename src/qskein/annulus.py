@@ -182,7 +182,7 @@ _theta_key_cache: dict[tuple[int, ...], AnnulusElement] = {(): AnnulusElement.on
 
 def _theta_key(key: tuple[int, ...]) -> AnnulusElement:
     """theta of one column monomial: from the longest memoised suffix of
-    key, multiply the columns back on and memoise every suffix on the way."""
+    key, multiply the columns back on and memoise the whole key."""
     out = _theta_key_cache.get(key)
     if out is not None:
         return out
@@ -192,7 +192,7 @@ def _theta_key(key: tuple[int, ...]) -> AnnulusElement:
     out = _theta_key_cache[key[start:]]
     for i in range(start - 1, -1, -1):
         out = out * Q(Partition((1,) * key[i]))
-        _theta_key_cache[key[i:]] = out
+    _theta_key_cache[key] = out
     return out
 
 

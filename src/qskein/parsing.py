@@ -84,7 +84,11 @@ class _Scanner:
 # atom   := integer | 'x' | 'v' | 's' | 'c'<digits> | '(' expr ')'
 #
 # Values are carried as column polynomials; purely scalar subexpressions stay
-# invertible, so fractions like (s - s^-1)/(v - v^-1) parse fine.
+# invertible, so fractions like (s - s^-1)/(v - v^-1) parse fine.  An
+# exponent larger than EXPONENT_CAP in absolute value is a parse error, raised
+# before the power is taken.
+
+EXPONENT_CAP = 5000
 
 
 def _atom(sc: _Scanner) -> CPoly:
@@ -119,7 +123,11 @@ def _factor(sc: _Scanner) -> CPoly:
     value = _atom(sc)
     if sc.peek() == "^":
         sc.take()
+        sc.skip_space()
+        at = sc.pos
         n = sc.integer()
+        if abs(n) > EXPONENT_CAP:
+            sc.error("exponent %d is over the cap of %d" % (n, EXPONENT_CAP), at)
         if n < 0:
             return CPoly.one().scale(_scalar_part(sc, value, start) ** n)
         return value ** n

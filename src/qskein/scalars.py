@@ -11,6 +11,14 @@ The quantum integer [i] is (s^i - s^-i)/(s - s^-1), a genuine polynomial,
 and [i]! is the product [1][2]...[i].  delta() is the value of a single
 0-framed loop in the plane, (v^-1 - v)/(s - s^-1).
 
+Scalar denominators built by the skein computations are monomials times
+products of quantum integers, and [k] = s^(1-k) * prod Phi_d(s) over the
+d > 2 dividing 2k.  Each new denominator in s is factored once into
+cyclotomic polynomials Phi_d(s) (cyclotomic_factors, memoised), and a Scalar
+cancels each factor against its numerator by exact trial division.  A
+denominator that is not such a product, or that involves x or v, keeps the
+univariate gcd over Fractions (_s_reduce_gcd) or no cancellation at all.
+
 specialize_sln() substitutes s = t^N, x = t^-1, v = t^(-N^2), collapsing a
 Scalar to a one-variable Laurent fraction in t.  h_expand() then expands
 that fraction around t = e^(h/2N) and returns the Taylor coefficients in h.
@@ -28,7 +36,7 @@ _ZERO3 = (0, 0, 0)
 
 def _ratio(c):
     """Normalise a coefficient: Fractions with denominator 1 become ints."""
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
 
@@ -126,7 +134,7 @@ class LaurentPoly:
         return LaurentPoly._raw({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly and isinstance(other, (int, Fraction)):
             other = _ratio(other)
             if not other:
                 return LaurentPoly._raw({})
@@ -228,10 +236,16 @@ ONE_LP = LaurentPoly.one()
 Z_LP = LaurentPoly({(0, 0, 1): 1, (0, 0, -1): -1})  # s - s^-1
 
 
+# [i] has i terms; a larger i is refused before any term is built.
+QUANTUM_INT_CAP = 100_000
+
+
 def quantum_int(i: int) -> LaurentPoly:
     """[i] = s^(i-1) + s^(i-3) + ... + s^(1-i); [0] = 0."""
     if i < 0:
         raise ValueError("quantum_int needs i >= 0")
+    if i > QUANTUM_INT_CAP:
+        raise ValueError("[%d] has %d terms, over the cap of %d" % (i, i, QUANTUM_INT_CAP))
     return LaurentPoly._raw({(0, 0, e): 1 for e in range(i - 1, -i - 1, -2)})
 
 
@@ -249,25 +263,27 @@ class Scalar:
     """An element of the fraction field of LaurentPoly.
 
     Stored as num/den.  Construction folds any single-term denominator into
-    the numerator and pulls monomial and rational content out of the rest,
-    which keeps denominators small without attempting full gcd reduction.
-    Equality is decided by cross multiplication, so unreduced
-    representations of the same value compare equal.
+    the numerator.  A longer denominator loses its monomial content, then
+    every s-polynomial factor it shares with the numerator: by trial
+    division when it is a product of cyclotomic polynomials, by gcd
+    otherwise (see _s_reduce).  It is then scaled to integer coefficients
+    with gcd 1 and a positive leading coefficient.  A denominator in x or v
+    is not reduced further, so equality is decided by cross
+    multiplication, and unreduced representations of the same value compare
+    equal.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, Scalar) or isinstance(den, Scalar):
-            raise TypeError("Scalar components must be polynomials; divide Scalars instead")
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly.const(num)
+        if type(num) is not LaurentPoly:
+            num = _component(num)
         if den is None:
             self.num = num
             self.den = ONE_LP
             return
-        if isinstance(den, (int, Fraction)):
-            den = LaurentPoly.const(den)
+        if type(den) is not LaurentPoly:
+            den = _component(den)
         if den.is_zero():
             raise ZeroDivisionError("Scalar with zero denominator")
         if num.is_zero():
@@ -345,10 +361,10 @@ class Scalar:
         return bool(self.num.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
         if self.den is other.den or self.den == other.den:
             return self.num == other.num
         return self.num * other.den == other.num * self.den
@@ -357,10 +373,10 @@ class Scalar:
         raise TypeError("Scalar is not hashable (equality is by value, not form)")
 
     def __add__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
         if self.den is other.den or self.den == other.den:
             return Scalar(self.num + other.num, self.den)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -368,10 +384,10 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
         return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
@@ -381,12 +397,13 @@ class Scalar:
         return Scalar._raw(-self.num, self.den)
 
     def __mul__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            return Scalar._raw(self.num * other, self.den)
-        if isinstance(other, LaurentPoly):
-            return Scalar(self.num * other, self.den)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                return Scalar._raw(self.num * other, self.den)
+            if isinstance(other, LaurentPoly):
+                return Scalar(self.num * other, self.den)
+            if not isinstance(other, Scalar):
+                return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return Scalar._raw(self.num * other.num, ONE_LP)
         return Scalar(self.num * other.num, self.den * other.den)
@@ -401,10 +418,10 @@ class Scalar:
         return Scalar._raw(self.num.mul_monomial(ex, ev, es, coeff), self.den)
 
     def __truediv__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return other
         if other.is_zero():
             raise ZeroDivisionError("division of Scalar by zero")
         return Scalar(self.num * other.den, self.den * other.num)
@@ -432,6 +449,24 @@ class Scalar:
         return f"Scalar({self.num.terms!r}, {self.den.terms!r})"
 
 
+def _component(p) -> LaurentPoly:
+    """A numerator or denominator given to Scalar(), as a LaurentPoly."""
+    if isinstance(p, Scalar):
+        raise TypeError("Scalar components must be polynomials; divide Scalars instead")
+    if isinstance(p, (int, Fraction)):
+        return LaurentPoly.const(p)
+    return p
+
+
+def _coerce(other):
+    """other as a Scalar operand, or NotImplemented."""
+    if isinstance(other, (int, Fraction, LaurentPoly)):
+        return Scalar(other)
+    if isinstance(other, Scalar):
+        return other
+    return NotImplemented
+
+
 def _primitive_scale(p: LaurentPoly) -> Fraction:
     """Rational q > 0 such that q*p has integer coefficients with gcd 1."""
     num_gcd = 0
@@ -448,9 +483,70 @@ def _primitive_scale(p: LaurentPoly) -> Fraction:
 def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Cancel the common s-polynomial factor of num and den.
 
-    Denominators arise from quantum-integer products, so they only involve s;
-    a factor divides the numerator exactly when it divides every (x, v)-slice,
-    which reduces the cancellation to univariate gcds.
+    Denominators arise from quantum-integer products, so they only involve s
+    and factor into cyclotomic polynomials Phi_d(s).  Each such factor is
+    cancelled as often as it divides every (x, v)-slice of the numerator,
+    found by exact trial division; Phi_d is irreducible, so this removes the
+    same gcd as _s_reduce_gcd, which handles every other denominator.
+    """
+    if any(e[0] or e[1] for e in den.terms):
+        return num, den
+    dterms = {c: k for (_, _, c), k in den.terms.items()}
+    dlo = min(dterms)
+    dkey = tuple(dterms.get(e, 0) for e in range(dlo, max(dterms) + 1))
+    if dkey in _factor_cache:
+        factors = _factor_cache[dkey]
+    else:
+        factors = _factor_cache[dkey] = cyclotomic_factors(dkey)
+    if factors is None:
+        return _s_reduce_gcd(num, den)
+    slices: dict[tuple[int, int], dict[int, object]] = {}
+    for (a, b, c), k in num.terms.items():
+        slices.setdefault((a, b), {})[c] = k
+    packs = []
+    for ab, sl in slices.items():
+        lo = min(sl)
+        packs.append((ab, [sl.get(e, 0) for e in range(lo, max(sl) + 1)], lo))
+    cancelled = []
+    for d, mult in factors:
+        f = cyclotomic(d)
+        chains = []
+        for _, coe, _ in packs:
+            chain = [coe]
+            while len(chain) <= mult:
+                q = _exact_quo(chain[-1], f)
+                if q is None:
+                    break
+                chain.append(q)
+            mult = len(chain) - 1
+            if not mult:
+                break
+            chains.append(chain)
+        if mult:
+            packs = [(ab, chain[mult], lo) for (ab, _, lo), chain in zip(packs, chains)]
+            cancelled.append((f, mult))
+    if not cancelled:
+        return num, den
+    dq = list(dkey)
+    for f, mult in cancelled:
+        for _ in range(mult):
+            dq = _exact_quo(dq, f)
+    terms = {}
+    for ab, coe, lo in packs:
+        for e, c in enumerate(coe):
+            if c:
+                terms[(ab[0], ab[1], e + lo)] = c
+    new_den = {(0, 0, e + dlo): c for e, c in enumerate(dq) if c}
+    return LaurentPoly(terms), LaurentPoly(new_den)
+
+
+def _s_reduce_gcd(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Cancel the common s-polynomial factor of num and den by univariate gcds.
+
+    A factor divides the numerator exactly when it divides every
+    (x, v)-slice, so the gcd of the denominator with every slice is the
+    factor to cancel.  _s_reduce sends the denominators that are not
+    products of cyclotomic polynomials here.
     """
     if any(e[0] or e[1] for e in den.terms):
         return num, den
@@ -475,6 +571,103 @@ def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
                 terms[(ab[0], ab[1], e + lo)] = _ratio(c)
     new_den = LaurentPoly({(0, 0, e + dlo): _ratio(c) for e, c in enumerate(dq) if c})
     return LaurentPoly(terms), new_den
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic factorisation of denominators in s
+#
+# Dense coefficient lists start at the constant term.  Phi_d is monic with
+# integer coefficients, so dividing by it never divides a coefficient.
+
+# Trial division tries Phi_d for d up to this order.  [k] is s^(1-k) times
+# the Phi_d(s) for the d > 2 dividing 2k, so every product of [1], ..., [32]
+# factors; a denominator with any other factor takes the gcd route.  The cap
+# keeps factoring a new denominator linear in its degree.
+CYCLOTOMIC_ORDER_CAP = 64
+
+_cyclotomic_cache: dict[int, tuple[int, ...]] = {}
+
+# dense denominator -> ((d, multiplicity), ...), or None if not cyclotomic
+_factor_cache: dict[tuple, tuple[tuple[int, int], ...] | None] = {}
+
+
+def _exact_quo(a, b) -> list | None:
+    """a / b for a monic b when b divides a exactly, else None."""
+    nb = len(b) - 1
+    if len(a) <= nb:
+        return None
+    a = list(a)
+    q = [0] * (len(a) - nb)
+    low = b[:nb]
+    for i in range(len(a) - nb - 1, -1, -1):
+        c = a[i + nb]
+        if c:
+            q[i] = c
+            for j, bj in enumerate(low):
+                if bj:
+                    a[i + j] -= c * bj
+    if any(a[:nb]):
+        return None
+    return q
+
+
+def cyclotomic(d: int) -> tuple[int, ...]:
+    """The d-th cyclotomic polynomial Phi_d(s), dense from the constant term.
+
+    >>> cyclotomic(1), cyclotomic(6)
+    ((-1, 1), (1, -1, 1))
+    """
+    out = _cyclotomic_cache.get(d)
+    if out is None:
+        # s^d - 1 is the product of Phi_e over the divisors e of d
+        p = [-1] + [0] * (d - 1) + [1]
+        for e in range(1, d // 2 + 1):
+            if d % e == 0:
+                p = _exact_quo(p, cyclotomic(e))
+        out = _cyclotomic_cache[d] = tuple(p)
+    return out
+
+
+def cyclotomic_factors(coeffs) -> tuple[tuple[int, int], ...] | None:
+    """Factor a polynomial in s, dense from a nonzero constant term, into
+    cyclotomic polynomials.
+
+    Returns the pairs (d, multiplicity) ascending in d when coeffs is a
+    rational multiple of a product of Phi_d(s) with d <= CYCLOTOMIC_ORDER_CAP,
+    and None otherwise.  Such a product is monic up to that multiple, with
+    constant term +-1, and is palindromic or antipalindromic, so most other
+    polynomials are rejected before any division.
+
+    >>> cyclotomic_factors((-1, 0, 0, 0, 1))        # s^4 - 1
+    ((1, 1), (2, 1), (4, 1))
+    >>> cyclotomic_factors((3, 0, 3, 0, 3))         # 3*(s^4 + s^2 + 1)
+    ((3, 1), (6, 1))
+    >>> cyclotomic_factors((1, 3, 1)) is None
+    True
+    """
+    lead = Fraction(coeffs[-1])
+    rest = [Fraction(c) / lead for c in coeffs]
+    if any(c.denominator != 1 for c in rest) or abs(rest[0]) != 1:
+        return None
+    rest = [int(c) for c in rest]
+    mirror = rest[::-1]
+    if mirror != rest and mirror != [-c for c in rest]:
+        return None
+    out = []
+    for d in range(1, CYCLOTOMIC_ORDER_CAP + 1):
+        f = cyclotomic(d)
+        mult = 0
+        while len(rest) >= len(f):
+            q = _exact_quo(rest, f)
+            if q is None:
+                break
+            rest = q
+            mult += 1
+        if mult:
+            out.append((d, mult))
+        if len(rest) == 1:
+            break
+    return tuple(out) if len(rest) == 1 else None
 
 
 def delta() -> Scalar:

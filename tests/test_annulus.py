@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import qskein.annulus
 from qskein.annulus import (
     AnnulusElement,
     Q,
@@ -128,3 +129,9 @@ def test_winding_in_column_basis():
 def test_decorated_closure_matches_plain():
     w = BraidWord(2, (1, -1, 1))
     assert closure(decorate(w, Partition((1,)))) == closure_word(w)
+
+
+def test_theta_memoises_whole_keys_only():
+    before = len(qskein.annulus._theta_key_cache)
+    assert str(theta(gen(1) ** 200)) == "A1^200"
+    assert len(qskein.annulus._theta_key_cache) - before <= 2

@@ -108,6 +108,42 @@ def test_theta_of_a_long_monomial(capsys):
     assert err == ""
 
 
+def test_qint_cap_refuses_before_building(capsys, monkeypatch):
+    from qskein.scalars import QUANTUM_INT_CAP, LaurentPoly
+
+    def no_poly(*args):
+        raise AssertionError("built a polynomial past the cap")
+
+    monkeypatch.setattr(LaurentPoly, "_raw", no_poly)
+    n = QUANTUM_INT_CAP + 1
+    code, out, err = run(capsys, "qint", str(n))
+    assert code == 2
+    assert out == ""
+    assert err == "error: [%d] has %d terms, over the cap of %d\n" % (n, n, QUANTUM_INT_CAP)
+
+
+def test_exponent_cap_refuses_before_the_power(capsys, monkeypatch):
+    from qskein.linear import FormalSum
+    from qskein.parsing import EXPONENT_CAP, parse_scalar
+    from qskein.scalars import Scalar
+
+    assert parse_scalar("s^%d" % EXPONENT_CAP) == Scalar.monomial(0, 0, EXPONENT_CAP)
+    assert parse_scalar("s^-%d" % EXPONENT_CAP) == Scalar.monomial(0, 0, -EXPONENT_CAP)
+
+    def no_power(*args):
+        raise AssertionError("took a power past the cap")
+
+    monkeypatch.setattr(FormalSum, "__pow__", no_power)
+    monkeypatch.setattr(Scalar, "__pow__", no_power)
+    for text, at in (("(s+1)^%d", 6), ("c1 ^ -%d", 5)):
+        text = text % (EXPONENT_CAP + 1)
+        code, out, err = run(capsys, "theta", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: exponent %s is over the cap of %d at position %d\n"
+                              % (text[at:], EXPONENT_CAP, at))
+
+
 def test_recursion_error_is_reported(capsys, monkeypatch):
     def deep(args):
         raise RecursionError("maximum recursion depth exceeded")

@@ -4,14 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qskein.scalars import (
+    CYCLOTOMIC_ORDER_CAP,
     LaurentPoly,
     PoleError,
     Scalar,
     SpecializationError,
     TFraction,
     Z,
+    Z_LP,
+    _s_reduce,
+    _s_reduce_gcd,
+    cyclotomic,
+    cyclotomic_factors,
     delta,
     h_expand,
     quantum_factorial,
@@ -78,6 +86,84 @@ def test_scalar_normalization_folds_denominators():
     # single-term denominators fold into the numerator
     assert str(Scalar(LaurentPoly.one(), LaurentPoly({(0, 0, 2): 2}))) == "1/2*s^-2"
     assert str(Scalar(LaurentPoly.const(Fraction(1, 2)))) == "1/2"
+
+
+def _phi_of_s2(d):
+    """Phi_d(s^2) as a LaurentPoly."""
+    return LaurentPoly({(0, 0, 2 * e): c for e, c in enumerate(cyclotomic(d))})
+
+
+# Denominator factors as the skein computations build them, and s-polynomials
+# that are not products of cyclotomic polynomials.
+CYCLOTOMIC_FACTORS = (
+    [quantum_int(k) for k in range(2, 7)] + [_phi_of_s2(d) for d in range(1, 7)] + [Z_LP]
+)
+OTHER_FACTORS = [
+    LaurentPoly({(0, 0, 2): 1, (0, 0, 1): 3, (0, 0, 0): 1}),
+    LaurentPoly({(0, 0, 3): 1, (0, 0, 1): 1, (0, 0, 0): 1}),
+    LaurentPoly({(0, 0, 1): 2, (0, 0, 0): -1}),
+]
+
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+polys = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3)), coefficients, max_size=4
+).map(LaurentPoly)
+
+
+@st.composite
+def reductions(draw):
+    """(num, den) as Scalar() hands them on: num nonzero, den in s only with
+    its monomial content stripped.  num is a sum of parts that each share a
+    random part of den's factors, so its (x, v)-slices share different ones."""
+    factors = draw(st.lists(st.sampled_from(CYCLOTOMIC_FACTORS), min_size=1, max_size=4))
+    factors += draw(st.lists(st.sampled_from(OTHER_FACTORS), max_size=1))
+    den = LaurentPoly.const(draw(st.sampled_from([1, 2, Fraction(-3, 2)])))
+    for f in factors:
+        den = den * f
+    num = LaurentPoly.zero()
+    for part in draw(st.lists(polys, min_size=1, max_size=2)):
+        for f in factors:
+            if draw(st.booleans()):
+                part = part * f
+        num = num + part
+    assume(num)
+    den = den.mul_monomial(*(-e for e in den.monomial_content()))
+    return num, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(reductions())
+def test_cyclotomic_reduction_matches_gcd(case):
+    num, den = case
+    fast, oracle = _s_reduce(num, den), _s_reduce_gcd(num, den)
+    assert fast[0].terms == oracle[0].terms
+    assert fast[1].terms == oracle[1].terms
+    assert fast[0] * den == num * fast[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(reductions())
+def test_normalisation_is_idempotent(case):
+    sc = Scalar(*case)
+    again = Scalar(sc.num, sc.den)
+    assert again.num.terms == sc.num.terms
+    assert again.den.terms == sc.den.terms
+
+
+def _coefficients(p):
+    """Dense coefficients of a polynomial in s whose lowest exponent is 0."""
+    return tuple(p.terms.get((0, 0, e), 0) for e in range(max(p.terms)[2] + 1))
+
+
+def test_quantum_integers_factor_into_cyclotomics():
+    # (s - s^-1)[k] = s^k - s^-k, and s^2k - 1 is the product of Phi_d(s), d | 2k
+    for k in range(2, 33):
+        dense = _coefficients(quantum_int(k).mul_monomial(0, 0, k - 1))
+        assert cyclotomic_factors(dense) == tuple((d, 1) for d in range(3, 2 * k + 1) if 2 * k % d == 0)
+    assert cyclotomic_factors(cyclotomic(CYCLOTOMIC_ORDER_CAP)) == ((CYCLOTOMIC_ORDER_CAP, 1),)
+    assert cyclotomic_factors(cyclotomic(CYCLOTOMIC_ORDER_CAP + 1)) is None
+    for f in OTHER_FACTORS:
+        assert cyclotomic_factors(_coefficients(f)) is None
 
 
 def test_scalar_equality_across_representatives():
