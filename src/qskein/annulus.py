@@ -1,14 +1,15 @@
 """The skein of the annulus (positive winding part).
 
-Monomials in the winding generators A_m form the basis; closure carries
-Hecke elements here.  The closure of a single braid diagram is computed
-by descending resolution: walk the closed diagram component by
-component, switch or smooth the first crossing whose first visit passes
-under, and evaluate the resulting descending diagrams, where every
-component is an unknotted curve contributing its winding generator times
-a framing monomial.  This keeps closure a skein invariant; in particular
-conjugate braid words close to the same element, which a lookup by cycle
-type alone would not survive.
+Monomials in the winding generators A_m form the basis.  A braid word
+closes through its image in the Hecke algebra, where closure is a trace,
+fixed by its values on the permutation braids T_pi (Geck-Pfeiffer,
+*Characters of finite Coxeter groups and Iwahori-Hecke algebras*, 3.2,
+8.2).  If pi has length n - (number of cycles), it is a product of
+distinct generators and T_pi closes to the product of A_k over its cycle
+lengths k.  Otherwise some u reached from pi by length-preserving cyclic
+shifts u -> s_i u s_i, which keep the closure, has s_i u s_i two shorter,
+and T_i^2 = xz T_i + x^2 gives cl(u) = xz cl(u s_i) + x^2 cl(s_i u s_i).
+The memo is keyed by permutation, so it holds at most n! entries.
 
 On top of the closure sit the normalized idempotent closures Q, the
 column isomorphism theta from the diagram ring, the triangular change of
@@ -19,10 +20,10 @@ evaluation.
 from __future__ import annotations
 
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
-from .hecke import _XINVZ, _XZ, BraidWord, HeckeElement, alpha, e_lambda
+from .hecke import _XZ, BraidWord, HeckeElement, alpha, e_lambda, from_word
 from .linear import FormalSum, linear_map, multiset_text
 from .partitions import Partition
-from .perms import Perm, cycles, reduced_word
+from .perms import Perm, cycles, inversions, swap_positions
 from .scalars import Scalar, delta
 
 
@@ -57,93 +58,48 @@ def a_gen(m: int) -> AnnulusElement:
     return AnnulusElement.term((m,))
 
 
-def _strand_data(n: int, letters):
-    """Simulate the word top to bottom.
-
-    Returns (entrants, endpos): entrants[t] is the pair of strands
-    crossing at letter t, left one first; endpos[s] the bottom position
-    of the strand that started at top position s.
-    """
-    pos = list(range(n))
-    entrants = []
-    for j in letters:
-        i = abs(j) - 1
-        u, w = pos[i], pos[i + 1]
-        entrants.append((u, w))
-        pos[i], pos[i + 1] = w, u
-    endpos = [0] * n
-    for p, s in enumerate(pos):
-        endpos[s] = p
-    return entrants, endpos
-
-
-_resolve_cache: dict[tuple[int, tuple[int, ...]], AnnulusElement] = {}
-
-
-def resolve_word(n: int, letters) -> AnnulusElement:
-    """Closure of a braid word in the annulus, by descending resolution."""
-    letters = tuple(letters)
-    out = _resolve_cache.get((n, letters))
-    if out is not None:
-        return out
-    entrants, endpos = _strand_data(n, letters)
-    comps = cycles(endpos)
-    rank = {}
-    for comp in comps:
-        for s in comp:
-            rank[s] = len(rank)
-    # first crossing, in traversal order, whose first visit goes under
-    bad = None
-    for t, j in enumerate(letters):
-        u, w = entrants[t]
-        over = u if j > 0 else w
-        first = u if rank[u] < rank[w] else w
-        if first != over:
-            visit = (rank[first], t)
-            if bad is None or visit < bad[0]:
-                bad = (visit, t)
-    if bad is None:
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for s in comp:
-                comp_of[s] = ci
-        writhe = [0] * len(comps)
-        for t, j in enumerate(letters):
-            u, w = entrants[t]
-            if comp_of[u] == comp_of[w]:
-                writhe[comp_of[u]] += 1 if j > 0 else -1
-        e = sum(writhe[ci] - (len(comp) - 1) for ci, comp in enumerate(comps))
-        key = tuple(sorted((len(comp) for comp in comps), reverse=True))
-        out = AnnulusElement.term(key, Scalar.monomial(e, -e, 0))
-    else:
-        t = bad[1]
-        j = letters[t]
-        switched = letters[:t] + (-j,) + letters[t + 1 :]
-        smoothed = letters[:t] + letters[t + 1 :]
-        # switching makes this crossing descend without moving any strand,
-        # so the first bad visit moves strictly later and the recursion
-        # bottoms out
-        if j > 0:
-            out = resolve_word(n, switched).scale(Scalar.monomial(2, 0, 0)) + resolve_word(
-                n, smoothed
-            ).scale(_XZ)
-        else:
-            out = resolve_word(n, switched).scale(Scalar.monomial(-2, 0, 0)) - resolve_word(
-                n, smoothed
-            ).scale(_XINVZ)
-    _resolve_cache[(n, letters)] = out
-    return out
-
-
 _ppb_closure_cache: dict[Perm, AnnulusElement] = {}
 
 
+def _shift(u: Perm, i: int) -> Perm:
+    """s_i u s_i: swap the positions i, i+1 and the values i, i+1."""
+    swap = {i: i + 1, i + 1: i}
+    return tuple(swap.get(p, p) for p in swap_positions(u, i))
+
+
+def _walk_to_shorter(pi: Perm, length: int):
+    """Walk the cyclic-shift class of pi, which is not minimal in its
+    conjugacy class, breadth first.  Returns the members visited and the
+    first (u, i) with s_i u s_i two shorter (Geck-Pfeiffer 3.2.9)."""
+    visited = [pi]
+    for u in visited:
+        for i in range(len(pi) - 1):
+            v = _shift(u, i)
+            lv = inversions(v)
+            if lv < length:
+                return visited, u, i
+            if lv == length and v not in visited:
+                visited.append(v)
+
+
 def _closure_basis(pi: Perm) -> AnnulusElement:
+    """Closure of the positive permutation braid T_pi, by the trace
+    recursion in the module docstring."""
     out = _ppb_closure_cache.get(pi)
-    if out is None:
-        word = tuple(i + 1 for i in reduced_word(pi))
-        out = resolve_word(len(pi), word)
-        _ppb_closure_cache[pi] = out
+    if out is not None:
+        return out
+    length = inversions(pi)
+    cyc = cycles(pi)
+    if length == len(pi) - len(cyc):
+        visited = [pi]
+        out = AnnulusElement.term(tuple(sorted(map(len, cyc), reverse=True)))
+    else:
+        visited, u, i = _walk_to_shorter(pi, length)
+        # T_u = T_i T_v T_i for v = s_i u s_i, and T_i^2 = xz T_i + x^2
+        out = _closure_basis(swap_positions(u, i)).scale(_XZ)
+        out = out + _closure_basis(_shift(u, i)).scale(Scalar.monomial(2, 0, 0))
+    for u in visited:
+        _ppb_closure_cache[u] = out
     return out
 
 
@@ -153,8 +109,8 @@ def closure(h: HeckeElement) -> AnnulusElement:
 
 
 def closure_word(w: BraidWord) -> AnnulusElement:
-    """Closure of a braid word directly, bypassing the basis expansion."""
-    return resolve_word(w.strand_count, w.letters)
+    """Closure of a braid word: its image in the Hecke algebra, closed."""
+    return closure(from_word(w))
 
 
 _q_cache: dict[Partition, AnnulusElement] = {}

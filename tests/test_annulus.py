@@ -2,13 +2,16 @@
 column isomorphism."""
 
 import random
+from itertools import permutations
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qskein.annulus
 from qskein.annulus import (
     AnnulusElement,
     Q,
+    _closure_basis,
     a_gen,
     a_in_Q_basis,
     closure,
@@ -18,9 +21,89 @@ from qskein.annulus import (
     theta,
 )
 from qskein.diagram_ring import DiagramVector, d, gen
-from qskein.hecke import BraidWord, decorate, from_word
+from qskein.hecke import _XINVZ, _XZ, BraidWord, decorate, from_word
 from qskein.partitions import Partition, partitions_of
+from qskein.perms import cycles, reduced_word
 from qskein.scalars import Scalar, Z, delta, quantum_int
+
+
+def _strand_data(n: int, letters):
+    """Simulate the word top to bottom.
+
+    Returns (entrants, endpos): entrants[t] is the pair of strands
+    crossing at letter t, left one first; endpos[s] the bottom position
+    of the strand that started at top position s.
+    """
+    pos = list(range(n))
+    entrants = []
+    for j in letters:
+        i = abs(j) - 1
+        u, w = pos[i], pos[i + 1]
+        entrants.append((u, w))
+        pos[i], pos[i + 1] = w, u
+    endpos = [0] * n
+    for p, s in enumerate(pos):
+        endpos[s] = p
+    return entrants, endpos
+
+
+_resolve_cache: dict[tuple[int, tuple[int, ...]], AnnulusElement] = {}
+
+
+def _resolve_word_oracle(n: int, letters) -> AnnulusElement:
+    """Closure of a braid word in the annulus, by descending resolution:
+    the word-level route qskein.annulus replaced, kept as the oracle."""
+    letters = tuple(letters)
+    out = _resolve_cache.get((n, letters))
+    if out is not None:
+        return out
+    entrants, endpos = _strand_data(n, letters)
+    comps = cycles(endpos)
+    rank = {}
+    for comp in comps:
+        for s in comp:
+            rank[s] = len(rank)
+    # first crossing, in traversal order, whose first visit goes under
+    bad = None
+    for t, j in enumerate(letters):
+        u, w = entrants[t]
+        over = u if j > 0 else w
+        first = u if rank[u] < rank[w] else w
+        if first != over:
+            visit = (rank[first], t)
+            if bad is None or visit < bad[0]:
+                bad = (visit, t)
+    if bad is None:
+        comp_of = {}
+        for ci, comp in enumerate(comps):
+            for s in comp:
+                comp_of[s] = ci
+        writhe = [0] * len(comps)
+        for t, j in enumerate(letters):
+            u, w = entrants[t]
+            if comp_of[u] == comp_of[w]:
+                writhe[comp_of[u]] += 1 if j > 0 else -1
+        e = sum(writhe[ci] - (len(comp) - 1) for ci, comp in enumerate(comps))
+        key = tuple(sorted((len(comp) for comp in comps), reverse=True))
+        out = AnnulusElement.term(key, Scalar.monomial(e, -e, 0))
+    else:
+        t = bad[1]
+        j = letters[t]
+        switched = letters[:t] + (-j,) + letters[t + 1 :]
+        smoothed = letters[:t] + letters[t + 1 :]
+        # switching makes this crossing descend without moving any strand,
+        # so the first bad visit moves strictly later and the recursion
+        # bottoms out
+        if j > 0:
+            out = _resolve_word_oracle(n, switched).scale(Scalar.monomial(2, 0, 0)) + _resolve_word_oracle(
+                n, smoothed
+            ).scale(_XZ)
+        else:
+            out = _resolve_word_oracle(n, switched).scale(Scalar.monomial(-2, 0, 0)) - _resolve_word_oracle(
+                n, smoothed
+            ).scale(_XINVZ)
+    _resolve_cache[(n, letters)] = out
+    return out
 
 
 def rand_word(rng, n, length):
@@ -48,12 +131,50 @@ def test_trefoil_closure():
     assert got == want
 
 
-def test_closure_paths_agree():
-    rng = random.Random(17)
-    for n in (2, 3, 4):
-        for _ in range(4):
-            w = BraidWord(n, rand_word(rng, n, rng.randint(1, 5)))
-            assert closure_word(w) == closure(from_word(w)), w
+def _two_strand_closure(k):
+    """closure(sigma_1^k) = a_k*A2 + x^2*a_(k-1)*A1^2, from the eigenvalues
+    xs and -xs^-1 of sigma_1 on two strands: a_k = sum_(i<k) l1^i l2^(k-1-i)."""
+    l1, l2 = Scalar.monomial(1, 0, 1), -Scalar.monomial(1, 0, -1)
+
+    def a(k):
+        return sum((l1 ** i * l2 ** (k - 1 - i) for i in range(k)), Scalar.zero())
+
+    return a_gen(2).scale(a(k)) + (a_gen(1) ** 2).scale(Scalar.monomial(2, 0, 0) * a(k - 1))
+
+
+def test_long_two_strand_powers_match_the_closed_form():
+    for k in list(range(1, 13)) + [600]:
+        assert closure_word(BraidWord(2, (1,) * k)) == _two_strand_closure(k), k
+
+
+def test_long_mixed_word_touches_only_its_permutations(monkeypatch):
+    monkeypatch.setattr(qskein.annulus, "_ppb_closure_cache", {})
+    e = closure_word(BraidWord(3, (1, -2) * 20))
+    assert e.degree() == 3
+    assert closure_word(BraidWord(3, (-2, 1) * 20)) == e
+    assert len(qskein.annulus._ppb_closure_cache) <= 2 + 6
+
+
+def test_basis_closures_match_descending_resolution():
+    for n in range(1, 7):
+        for pi in permutations(range(n)):
+            word = tuple(i + 1 for i in reduced_word(pi))
+            assert _closure_basis(pi) == _resolve_word_oracle(n, word), pi
+
+
+@st.composite
+def mixed_words(draw):
+    n = draw(st.integers(2, 4))
+    letters = draw(
+        st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))), max_size=10)
+    )
+    return BraidWord(n, letters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_words())
+def test_closure_word_matches_descending_resolution(w):
+    assert closure_word(w) == _resolve_word_oracle(w.strand_count, w.letters)
 
 
 def test_closure_is_conjugation_invariant():

@@ -144,6 +144,48 @@ def test_exponent_cap_refuses_before_the_power(capsys, monkeypatch):
                               % (text[at:], EXPONENT_CAP, at))
 
 
+def test_power_size_cap_refuses_before_the_power(capsys, monkeypatch):
+    from qskein.linear import FormalSum
+    from qskein.parsing import POWER_SIZE_CAP
+    from qskein.scalars import LaurentPoly, Scalar
+
+    def no_power(*args):
+        raise AssertionError("took a power past the cap")
+
+    for cls in (FormalSum, Scalar, LaurentPoly):
+        monkeypatch.setattr(cls, "__pow__", no_power)
+    for text, at in (("(x+v+s)^5000", 8), ("(s+1)^5000", 6), ("(s+1)^-5000", 6), ("(c1+c2)^300", 8)):
+        code, out, err = run(capsys, "theta", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the power would hold about ")
+        assert "bits, over the cap of %d at position %d\n" % (POWER_SIZE_CAP, at) in err
+
+
+def test_powers_under_the_size_cap_run(capsys):
+    code, out, err = run(capsys, "theta", "c1^4500")
+    assert (code, out, err) == (0, "A1^4500\n", "")
+    code, out, err = run(capsys, "theta", "(s+1)^1000")
+    assert code == 0
+    assert out.startswith("s^1000 + 1000*s^999 + 499500*s^998 + ")
+    assert run(capsys, "theta", "(s-s)^3") == (0, "0\n", "")
+
+
+@pytest.mark.parametrize("text", ["s+1", "x+v+s", "s+s^-1+2", "2*s+3/7", "c1+s*c2", "c1*c2+x*c3-1", "10^400/3+s"])
+def test_power_size_bounds_the_result(text):
+    from math import log2
+
+    from qskein.parsing import _power_size, parse_cpoly
+
+    base = parse_cpoly(text)
+    for n in (1, 2, 5, 9):
+        bits = 0.0
+        for key, c in (base ** n).terms.items():
+            for k in c.num.terms.values():
+                bits += log2(abs(k.numerator)) + log2(k.denominator) + 64 * len(key)
+        assert bits <= _power_size(base, n), (text, n)
+
+
 def test_recursion_error_is_reported(capsys, monkeypatch):
     def deep(args):
         raise RecursionError("maximum recursion depth exceeded")
