@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         print("error: %s" % err, file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError, RecursionError, MemoryError) as err:
-        print("error: %s" % err, file=sys.stderr)
+        print("error: %s" % (str(err) or type(err).__name__), file=sys.stderr)
         return 2
 
 

@@ -4,14 +4,17 @@ braid basis.
 Basis elements are labelled by permutations in one-line notation; a
 braid word acts on the right one letter at a time through the quadratic
 relation x^-1*s_i - x*s_i^-1 = z.  On top of the algebra sit the full
-symmetrizer-style sums a_n and b_n, the row/column products E, the
-quasi-idempotents e_lambda, and the cabling operations used to decorate
-braids by partitions.
+symmetrizer-style sums a_n and b_n, the quasi-idempotents e_lambda
+(Aiston-Morton 1998), and the cabling used to decorate braids by partitions.
+A product by e_lambda applies a_n = a_(n-1) F_(n-1), F_k = sum_j q^j T_k ...
+T_(k-j+1) over distinguished coset representatives (Dipper-James 1986), with
+q = x^-1 s for a_n and -x^-1 s^-1 for b_n; a_element and b_element enumerate.
 """
 
 from __future__ import annotations
 
 import warnings
+from math import factorial
 
 from .linear import FormalSum, add_term
 from .partitions import Partition, hook_content_product, transpose_permutation
@@ -162,11 +165,19 @@ class HeckeElement(FormalSum):
 # the two smoothing coefficients of the skein relation at a crossing
 _XZ = LaurentPoly({(1, 0, 1): 1, (1, 0, -1): -1})        # x(s - s^-1)
 _XINVZ = LaurentPoly({(-1, 0, 1): 1, (-1, 0, -1): -1})   # x^-1(s - s^-1)
+# the weight per generator of the row sums a_n and the column sums b_n
+_ROW_Q = Scalar.monomial(-1, 0, 1)                        # x^-1 s
+_COL_Q = Scalar.monomial(-1, 0, -1, -1)                   # -x^-1 s^-1
 
 
 def from_word(w: BraidWord) -> HeckeElement:
-    """Image of a braid word in the Hecke algebra."""
-    return HeckeElement.unit(w.strand_count).right_word(w.letters)
+    """Image of a braid word in the Hecke algebra.  Each letter at most doubles
+    the support, which never exceeds n!: refused if min(n!, 2^len) > cap!."""
+    n, length, cap = w.strand_count, len(w.letters), factorial(ENUMERATION_CAP)
+    if n > ENUMERATION_CAP and 2 ** length > cap:
+        raise ValueError(f"a braid word on {n} strands with {length} letters can reach "
+                         f"min({n}!, 2^{length}) Hecke terms, over the cap of {ENUMERATION_CAP}! = {cap}")
+    return HeckeElement.unit(n).right_word(w.letters)
 
 
 def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -227,29 +238,43 @@ def b_element(n: int) -> HeckeElement:
 _e_cache: dict[Partition, HeckeElement] = {}
 
 
+def _right_young(h: HeckeElement, blocks, offset: int, q: Scalar) -> HeckeElement:
+    """h times the Young-subgroup sum over consecutive strand blocks, each
+    block's sum taken as F_1 F_2 ... F_(r-1), F_k = sum_j q^j T_k ... T_(k-j+1)."""
+    for r in blocks:
+        for k in range(offset + 1, offset + r):
+            acc = cur = h
+            for i in range(k, offset, -1):
+                cur = cur.right_letter(i).scale(q)
+                acc = acc + cur
+            h = acc
+        offset += r
+    return h
+
+
+def right_e_lambda(h: HeckeElement, lam: Partition, offset: int) -> HeckeElement:
+    """h times e_lambda on strands offset+1 .. offset+|lam|, in O(|lam|^2) letters."""
+    # Basis labels are position-to-strand maps, so the braid whose strands
+    # carry row cell i to column cell pi(i) is labelled by the inverse.
+    word = [offset + i + 1 for i in reduced_word(inverse(transpose_permutation(lam)))]
+    h = _right_young(h, lam.parts, offset, _ROW_Q).right_word(word)
+    h = _right_young(h, lam.transpose().parts, offset, _COL_Q)
+    return h.right_word(-j for j in reversed(word))
+
+
 def e_lambda(lam: Partition) -> HeckeElement:
-    """The quasi-idempotent for a partition: row sums conjugated against
-    column sums, e^2 = alpha * e."""
+    """The quasi-idempotent a_row T_w b_col T_w^-1 of Aiston-Morton, with
+    e^2 = alpha * e: a_row and b_col are the row and column Young-subgroup
+    sums, each built from its coset factors F_k, not by enumeration."""
     if lam.size < 1:
         raise ValueError("partition must be nonempty")
     out = _e_cache.get(lam)
     if out is not None:
         return out
+    _check_cap(max(lam.parts[0], len(lam.parts)))
     if lam.size > ENUMERATION_CAP:
         warnings.warn(f"e_lambda on {lam.size} strands builds >{ENUMERATION_CAP}! terms")
-    acc = a_element(lam.parts[0])
-    for r in lam.parts[1:]:
-        acc = tensor(acc, a_element(r))
-    cols = lam.transpose().parts
-    bcc = b_element(cols[0])
-    for c in cols[1:]:
-        bcc = tensor(bcc, b_element(c))
-    # Basis labels are position-to-strand maps, so the braid whose strands
-    # carry row cell i to column cell pi(i) is labelled by the inverse.
-    word = [i + 1 for i in reduced_word(inverse(transpose_permutation(lam)))]
-    out = acc.right_word(word)
-    out = mul(out, bcc)
-    out = out.right_word(-j for j in reversed(word))
+    out = right_e_lambda(HeckeElement.unit(lam.size), lam, 0)
     _e_cache[lam] = out
     return out
 
@@ -280,9 +305,8 @@ def decorate(w: BraidWord, lam: Partition) -> HeckeElement:
     k = lam.size
     if k < 1:
         raise ValueError("decoration partition must be nonempty")
-    cab = from_word(cable_word(w, k))
-    block = e_lambda(lam).scale(Scalar.one() / alpha(lam))
-    deco = block
-    for _ in range(w.strand_count - 1):
-        deco = tensor(deco, block)
-    return mul(cab, deco)
+    cab = cable_word(w, k)
+    out = HeckeElement.unit(cab.strand_count).right_word(cab.letters)
+    for b in range(w.strand_count):
+        out = right_e_lambda(out, lam, b * k)
+    return out.scale(Scalar.one() / alpha(lam) ** w.strand_count)

@@ -122,6 +122,35 @@ def test_qint_cap_refuses_before_building(capsys, monkeypatch):
     assert err == "error: [%d] has %d terms, over the cap of %d\n" % (n, n, QUANTUM_INT_CAP)
 
 
+def test_closure_strand_cap_refuses_before_building(capsys, monkeypatch):
+    from math import factorial
+
+    from qskein.hecke import ENUMERATION_CAP, HeckeElement
+
+    def no_letter(*args):
+        raise AssertionError("multiplied by a letter past the cap")
+
+    monkeypatch.setattr(HeckeElement, "right_letter", no_letter)
+    torus_9_9 = " ".join(str(j) for j in list(range(1, 9)) * 9)
+    code, out, err = run(capsys, "closure", torus_9_9)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: a braid word on 9 strands with 72 letters can reach min(9!, 2^72) Hecke terms, "
+        "over the cap of %d! = %d\n" % (ENUMERATION_CAP, factorial(ENUMERATION_CAP))
+    )
+
+
+def test_textless_memory_error_is_named(capsys, monkeypatch):
+    import qskein.cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(qskein.cli, "closure_word", exhausted)
+    assert run(capsys, "closure", "1") == (2, "", "error: MemoryError\n")
+
+
 def test_exponent_cap_refuses_before_the_power(capsys, monkeypatch):
     from qskein.linear import FormalSum
     from qskein.parsing import EXPONENT_CAP, parse_scalar

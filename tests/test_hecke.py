@@ -1,12 +1,20 @@
 """Hecke algebra elements in the permutation-braid basis."""
 
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qskein.hecke import (
+    _COL_Q,
+    _ROW_Q,
+    ENUMERATION_CAP,
     BraidWord,
     HeckeElement,
+    _e_cache,
+    _right_young,
     a_element,
     alpha,
     b_element,
@@ -15,11 +23,12 @@ from qskein.hecke import (
     e_lambda,
     from_word,
     mul,
+    right_e_lambda,
     tensor,
 )
 from qskein.parsing import ParseError, parse_braid_word
-from qskein.partitions import Partition, partitions_of
-from qskein.perms import all_perms, identity, reduced_word
+from qskein.partitions import Partition, partitions_of, transpose_permutation
+from qskein.perms import all_perms, identity, inverse, reduced_word
 from qskein.scalars import Scalar, Z, quantum_int
 
 
@@ -198,3 +207,97 @@ def test_decorate_trivial_colour():
 def test_enumeration_cap_guard():
     with pytest.raises(ValueError):
         a_element(9)
+
+
+def _e_lambda_oracle(lam: Partition) -> HeckeElement:
+    """e_lambda by enumerating a_row and b_col over their Young subgroups
+    and multiplying with mul: the definition, without the memo."""
+    if lam.size < 1:
+        raise ValueError("partition must be nonempty")
+    if lam.size > ENUMERATION_CAP:
+        warnings.warn(f"e_lambda on {lam.size} strands builds >{ENUMERATION_CAP}! terms")
+    acc = a_element(lam.parts[0])
+    for r in lam.parts[1:]:
+        acc = tensor(acc, a_element(r))
+    cols = lam.transpose().parts
+    bcc = b_element(cols[0])
+    for c in cols[1:]:
+        bcc = tensor(bcc, b_element(c))
+    # Basis labels are position-to-strand maps, so the braid whose strands
+    # carry row cell i to column cell pi(i) is labelled by the inverse.
+    word = [i + 1 for i in reduced_word(inverse(transpose_permutation(lam)))]
+    out = acc.right_word(word)
+    out = mul(out, bcc)
+    out = out.right_word(-j for j in reversed(word))
+    return out
+
+
+def _decorate_oracle(w: BraidWord, lam: Partition) -> HeckeElement:
+    """decorate as the product of the cabled braid with the juxtaposed
+    normalized idempotents, through tensor and mul."""
+    k = lam.size
+    if k < 1:
+        raise ValueError("decoration partition must be nonempty")
+    cab = from_word(cable_word(w, k))
+    block = _e_lambda_oracle(lam).scale(Scalar.one() / alpha(lam))
+    deco = block
+    for _ in range(w.strand_count - 1):
+        deco = tensor(deco, block)
+    return mul(cab, deco)
+
+
+def test_e_lambda_matches_the_enumerated_oracle():
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            _e_cache.pop(lam, None)
+            assert e_lambda(lam) == _e_lambda_oracle(lam), lam
+
+
+def test_young_factorisation_of_the_unit():
+    for n in range(1, 7):
+        unit = HeckeElement.unit(n)
+        assert _right_young(unit, (n,), 0, _ROW_Q) == a_element(n), n
+        assert _right_young(unit, (n,), 0, _COL_Q) == b_element(n), n
+    blocks = tensor(tensor(a_element(2), a_element(3)), a_element(1))
+    assert _right_young(HeckeElement.unit(6), (2, 3, 1), 0, _ROW_Q) == blocks
+    shifted = tensor(HeckeElement.unit(1), tensor(b_element(3), HeckeElement.unit(1)))
+    assert _right_young(HeckeElement.unit(5), (3,), 1, _COL_Q) == shifted
+
+
+@st.composite
+def element_and_block(draw):
+    n = draw(st.integers(2, 5))
+    letters = draw(
+        st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))), max_size=6)
+    )
+    m = draw(st.integers(1, n))
+    return from_word(BraidWord(n, letters)), m, draw(st.integers(0, n - m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_and_block())
+def test_right_e_lambda_matches_mul(args):
+    h, m, offset = args
+    for lam in partitions_of(m):
+        placed = _e_lambda_oracle(lam)
+        if offset:
+            placed = tensor(HeckeElement.unit(offset), placed)
+        if h.n > placed.n:
+            placed = tensor(placed, HeckeElement.unit(h.n - placed.n))
+        assert right_e_lambda(h, lam, offset) == mul(h, placed), lam
+
+
+def test_decorate_matches_tensor_and_mul():
+    for w in (BraidWord(2, (1,)), BraidWord(2, (-1,)), BraidWord(2, (1, -1, 1))):
+        for k in range(1, 4):
+            for lam in partitions_of(k):
+                assert decorate(w, lam) == _decorate_oracle(w, lam), (w, lam)
+    for w in (BraidWord(2, (-1, -1)), BraidWord(3, (1, -2))):
+        for lam in partitions_of(2):
+            assert decorate(w, lam) == _decorate_oracle(w, lam), (w, lam)
+
+
+def test_from_word_strand_cap():
+    with pytest.raises(ValueError, match=r"9 strands with 16 letters can reach min\(9!, 2\^16\)"):
+        from_word(BraidWord(9, [1] * 16))
+    assert from_word(BraidWord(9, [1, -1] * 7 + [8])) == from_word(BraidWord(9, [8]))

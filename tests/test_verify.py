@@ -31,3 +31,9 @@ def test_report_at_size_four():
     assert len(rows) == 158
     digest = hashlib.sha256("\n".join(label for _, label in rows).encode()).hexdigest()
     assert digest == "b4ec3f7312fd8099baee1d28309d8948f8150b062fc6e9f294f92e28dc85390f"
+
+
+def test_idempotents_at_size_six():
+    rows = run_suite("idempotents", 6)
+    assert len(rows) == 64
+    assert all(ok for ok, label in rows), [label for ok, label in rows if not ok]
