@@ -41,7 +41,6 @@ from .hecke import (
     e_lambda,
     from_word,
     mul,
-    right_e_lambda,
     tensor,
 )
 from .annulus import (
@@ -84,8 +83,8 @@ __all__ = [
     "e_lambda", "epsilon_plane", "framing_factor", "from_word", "gen",
     "h_expand", "hook_content_closed", "hook_content_product", "lr_product",
     "mul", "partitions_of", "phi", "phi_inverse", "power_sum_image", "psi",
-    "psi_chords", "q_hook", "quantum_factorial", "quantum_int", "right_e_lambda",
-    "rosso_jones", "run_suite", "series_identities", "solve_pattern", "specialize_sln",
+    "psi_chords", "q_hook", "quantum_factorial", "quantum_int", "rosso_jones",
+    "run_suite", "series_identities", "solve_pattern", "specialize_sln",
     "suite_names", "tensor", "theta", "torus_braid", "torus_invariant",
     "transpose_permutation",
 ]

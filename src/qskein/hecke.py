@@ -150,9 +150,14 @@ class HeckeElement(FormalSum):
         return HeckeElement._from(self.n, acc)
 
     def right_word(self, letters) -> "HeckeElement":
+        """Multiply on the right by a word, refused past ENUMERATION_CAP! terms."""
+        cap = factorial(ENUMERATION_CAP)
         out = self
         for j in letters:
             out = out.right_letter(j)
+            if len(out.terms) > cap:
+                raise ValueError(f"a Hecke element on {self.n} strands reached {len(out.terms)} terms, "
+                                 f"over the cap of {ENUMERATION_CAP}! = {cap}")
         return out
 
     def _format_key(self, pi: Perm) -> str:
@@ -171,13 +176,8 @@ _COL_Q = Scalar.monomial(-1, 0, -1, -1)                   # -x^-1 s^-1
 
 
 def from_word(w: BraidWord) -> HeckeElement:
-    """Image of a braid word in the Hecke algebra.  Each letter at most doubles
-    the support, which never exceeds n!: refused if min(n!, 2^len) > cap!."""
-    n, length, cap = w.strand_count, len(w.letters), factorial(ENUMERATION_CAP)
-    if n > ENUMERATION_CAP and 2 ** length > cap:
-        raise ValueError(f"a braid word on {n} strands with {length} letters can reach "
-                         f"min({n}!, 2^{length}) Hecke terms, over the cap of {ENUMERATION_CAP}! = {cap}")
-    return HeckeElement.unit(n).right_word(w.letters)
+    """Image of a braid word in the Hecke algebra."""
+    return HeckeElement.unit(w.strand_count).right_word(w.letters)
 
 
 def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -254,6 +254,9 @@ def _right_young(h: HeckeElement, blocks, offset: int, q: Scalar) -> HeckeElemen
 
 def right_e_lambda(h: HeckeElement, lam: Partition, offset: int) -> HeckeElement:
     """h times e_lambda on strands offset+1 .. offset+|lam|, in O(|lam|^2) letters."""
+    _check_cap(max(lam.parts[0], len(lam.parts)))
+    if lam.size > ENUMERATION_CAP:
+        warnings.warn(f"e_lambda on {lam.size} strands builds >{ENUMERATION_CAP}! terms")
     # Basis labels are position-to-strand maps, so the braid whose strands
     # carry row cell i to column cell pi(i) is labelled by the inverse.
     word = [offset + i + 1 for i in reduced_word(inverse(transpose_permutation(lam)))]
@@ -271,9 +274,6 @@ def e_lambda(lam: Partition) -> HeckeElement:
     out = _e_cache.get(lam)
     if out is not None:
         return out
-    _check_cap(max(lam.parts[0], len(lam.parts)))
-    if lam.size > ENUMERATION_CAP:
-        warnings.warn(f"e_lambda on {lam.size} strands builds >{ENUMERATION_CAP}! terms")
     out = right_e_lambda(HeckeElement.unit(lam.size), lam, 0)
     _e_cache[lam] = out
     return out
@@ -305,8 +305,7 @@ def decorate(w: BraidWord, lam: Partition) -> HeckeElement:
     k = lam.size
     if k < 1:
         raise ValueError("decoration partition must be nonempty")
-    cab = cable_word(w, k)
-    out = HeckeElement.unit(cab.strand_count).right_word(cab.letters)
+    out = from_word(cable_word(w, k))
     for b in range(w.strand_count):
         out = right_e_lambda(out, lam, b * k)
     return out.scale(Scalar.one() / alpha(lam) ** w.strand_count)

@@ -122,23 +122,11 @@ def test_qint_cap_refuses_before_building(capsys, monkeypatch):
     assert err == "error: [%d] has %d terms, over the cap of %d\n" % (n, n, QUANTUM_INT_CAP)
 
 
-def test_closure_strand_cap_refuses_before_building(capsys, monkeypatch):
-    from math import factorial
-
-    from qskein.hecke import ENUMERATION_CAP, HeckeElement
-
-    def no_letter(*args):
-        raise AssertionError("multiplied by a letter past the cap")
-
-    monkeypatch.setattr(HeckeElement, "right_letter", no_letter)
-    torus_9_9 = " ".join(str(j) for j in list(range(1, 9)) * 9)
-    code, out, err = run(capsys, "closure", torus_9_9)
-    assert code == 2
-    assert out == ""
-    assert err == (
-        "error: a braid word on 9 strands with 72 letters can reach min(9!, 2^72) Hecke terms, "
-        "over the cap of %d! = %d\n" % (ENUMERATION_CAP, factorial(ENUMERATION_CAP))
-    )
+def test_closure_support_cap(capsys, monkeypatch):
+    monkeypatch.setattr("qskein.hecke.ENUMERATION_CAP", 3)
+    code, out, err = run(capsys, "closure", "-1 -3 -5")
+    assert (code, out) == (2, "")
+    assert err == "error: a Hecke element on 6 strands reached 8 terms, over the cap of 3! = 6\n"
 
 
 def test_textless_memory_error_is_named(capsys, monkeypatch):
@@ -318,6 +306,18 @@ def test_solve_pattern_inconsistent_json(tmp_path, capsys):
     assert code == 0
     outcome = decode_outcome(json.loads(out))
     assert isinstance(outcome, Inconsistent)
+
+
+def test_solve_pattern_refuses_a_colour_past_the_cap(tmp_path, capsys):
+    payload = {
+        "target": {"word": [], "strands": 1},
+        "patterns": [{"word": [], "strands": 1, "colour": [9]}],
+    }
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "solve-pattern", str(path))
+    assert (code, out) == (2, "")
+    assert "exceeds the cap 8" in err
 
 
 def test_solve_pattern_missing_file(capsys):

@@ -297,7 +297,16 @@ def test_decorate_matches_tensor_and_mul():
             assert decorate(w, lam) == _decorate_oracle(w, lam), (w, lam)
 
 
-def test_from_word_strand_cap():
-    with pytest.raises(ValueError, match=r"9 strands with 16 letters can reach min\(9!, 2\^16\)"):
-        from_word(BraidWord(9, [1] * 16))
-    assert from_word(BraidWord(9, [1, -1] * 7 + [8])) == from_word(BraidWord(9, [8]))
+def test_word_support_cap(monkeypatch):
+    # (1 2 ... 8)^2 on 9 strands keeps two terms, so the cap leaves it alone
+    assert len(from_word(BraidWord(9, list(range(1, 9)) * 2)).terms) == 2
+    monkeypatch.setattr("qskein.hecke.ENUMERATION_CAP", 2)
+    assert len(from_word(BraidWord(3, [-1, -1])).terms) == 2
+    with pytest.raises(ValueError, match=r"on 3 strands reached 4 terms, over the cap of 2! = 2"):
+        from_word(BraidWord(3, [-1, -2]))
+
+
+def test_decorate_refuses_a_colour_past_the_cap():
+    for colour in ((9,), (1,) * 9):
+        with pytest.raises(ValueError, match="exceeds the cap 8"):
+            decorate(BraidWord(1, ()), Partition(colour))
