@@ -8,7 +8,7 @@ order and compared coefficient by coefficient.
 """
 
 import math
-from functools import lru_cache
+from functools import cache
 
 from .annulus import AnnulusElement, closure, closure_word, epsilon_plane, Q, theta
 from .diagram_ring import CPoly, d, gen, psi
@@ -33,7 +33,7 @@ def a_braid(i: int, j: int) -> BraidWord:
     return BraidWord(i + j + 1, letters)
 
 
-@lru_cache(maxsize=None)
+@cache
 def P(m: int) -> AnnulusElement:
     """Alternating-weight sum of the m-string cycle closures.
 

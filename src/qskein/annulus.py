@@ -19,6 +19,8 @@ evaluation.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
 from .hecke import _XZ, BraidWord, HeckeElement, alpha, e_lambda, from_word
 from .linear import FormalSum, linear_map, multiset_text
@@ -58,6 +60,8 @@ def a_gen(m: int) -> AnnulusElement:
     return AnnulusElement.term((m,))
 
 
+# A dict, not functools.cache: one walk stores every member of the shift
+# class it visits.
 _ppb_closure_cache: dict[Perm, AnnulusElement] = {}
 
 
@@ -113,19 +117,12 @@ def closure_word(w: BraidWord) -> AnnulusElement:
     return closure(from_word(w))
 
 
-_q_cache: dict[Partition, AnnulusElement] = {}
-
-
+@cache
 def Q(lam: Partition) -> AnnulusElement:
     """Normalized closure of the quasi-idempotent for lam."""
-    out = _q_cache.get(lam)
-    if out is None:
-        if lam.size == 0:
-            out = AnnulusElement.one()
-        else:
-            out = closure(e_lambda(lam)).scale(Scalar.one() / alpha(lam))
-        _q_cache[lam] = out
-    return out
+    if lam.size == 0:
+        return AnnulusElement.one()
+    return closure(e_lambda(lam)).scale(Scalar.one() / alpha(lam))
 
 
 def q_hook(k: int, l: int) -> AnnulusElement:
@@ -133,6 +130,8 @@ def q_hook(k: int, l: int) -> AnnulusElement:
     return Q(Partition.hook(k, l))
 
 
+# A dict, not functools.cache: suffixes are looked up but only whole keys
+# are stored, which bounds its memory.
 _theta_key_cache: dict[tuple[int, ...], AnnulusElement] = {(): AnnulusElement.one()}
 
 
@@ -160,9 +159,7 @@ def theta(p) -> AnnulusElement:
     return linear_map(p, _theta_key, AnnulusElement)
 
 
-_a_in_q_cache: dict[int, CPoly] = {}
-
-
+@cache
 def a_in_Q_basis(n: int) -> CPoly:
     """Express the winding generator A_n in the column generators, so
     that theta of the result is exactly A_n.
@@ -173,9 +170,6 @@ def a_in_Q_basis(n: int) -> CPoly:
     """
     if n < 1:
         raise ValueError("winding index must be positive")
-    out = _a_in_q_cache.get(n)
-    if out is not None:
-        return out
     qn = _theta_key((n,))
     lead = qn.coeff((n,))
     acc = gen(n)
@@ -186,9 +180,7 @@ def a_in_Q_basis(n: int) -> CPoly:
         for m in key:
             correction = correction * a_in_Q_basis(m)
         acc = acc - correction * c
-    out = acc.scale(Scalar.one() / lead)
-    _a_in_q_cache[n] = out
-    return out
+    return acc.scale(Scalar.one() / lead)
 
 
 def epsilon_plane(e: AnnulusElement) -> Scalar:

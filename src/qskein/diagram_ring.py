@@ -10,6 +10,8 @@ presentations.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .linear import FormalSum, add_term, linear_map, multiset_text
 from .partitions import EMPTY, Partition, lr_product
 from .scalars import Scalar
@@ -54,20 +56,12 @@ def gen(k: int) -> CPoly:
     return CPoly.term((k,))
 
 
-_column_cache: dict[tuple[int, ...], DiagramVector] = {
-    (): DiagramVector.one(),
-}
-
-
+@cache
 def _column_product(key: tuple[int, ...]) -> DiagramVector:
     """Image of the monomial with index multiset `key` under phi."""
-    out = _column_cache.get(key)
-    if out is None:
-        rest = _column_product(key[1:])
-        col = DiagramVector.term(Partition((1,) * key[0]))
-        out = rest * col
-        _column_cache[key] = out
-    return out
+    if not key:
+        return DiagramVector.one()
+    return _column_product(key[1:]) * DiagramVector.term(Partition((1,) * key[0]))
 
 
 def phi(p: CPoly) -> DiagramVector:
@@ -75,28 +69,21 @@ def phi(p: CPoly) -> DiagramVector:
     return linear_map(p, _column_product, DiagramVector)
 
 
-_phi_inv_cache: dict[Partition, CPoly] = {}
-
-
+@cache
 def _phi_inverse_partition(lam: Partition) -> CPoly:
-    out = _phi_inv_cache.get(lam)
-    if out is not None:
-        return out
     if lam.size == 0:
-        out = CPoly.one()
-    else:
-        cols = tuple(lam.transpose().parts)
-        expansion = _column_product(cols)
-        assert expansion.coeff(lam) == 1
-        out = CPoly.term(cols)
-        for mu, c in expansion.terms.items():
-            if mu == lam:
-                continue
-            # every correction lies strictly below lam, so this recursion
-            # bottoms out
-            assert mu < lam
-            out = out - _phi_inverse_partition(mu) * c
-    _phi_inv_cache[lam] = out
+        return CPoly.one()
+    cols = tuple(lam.transpose().parts)
+    expansion = _column_product(cols)
+    assert expansion.coeff(lam) == 1
+    out = CPoly.term(cols)
+    for mu, c in expansion.terms.items():
+        if mu == lam:
+            continue
+        # every correction lies strictly below lam, so this recursion
+        # bottoms out
+        assert mu < lam
+        out = out - _phi_inverse_partition(mu) * c
     return out
 
 
@@ -105,9 +92,7 @@ def phi_inverse(v: DiagramVector) -> CPoly:
     return linear_map(v, _phi_inverse_partition, CPoly)
 
 
-_d_cache: dict[int, CPoly] = {}
-
-
+@cache
 def d(l: int) -> CPoly:
     """The single-row element of length l, as a polynomial in the c_k.
 
@@ -116,21 +101,41 @@ def d(l: int) -> CPoly:
     """
     if l < 0:
         raise ValueError("row length must be nonnegative")
-    out = _d_cache.get(l)
-    if out is not None:
-        return out
     if l == 0:
-        out = CPoly.one()
-    else:
-        acc = CPoly.zero()
-        sign = 1
-        for k in range(1, l + 1):
-            piece = gen(k) * d(l - k)
-            acc = acc + piece if sign > 0 else acc - piece
-            sign = -sign
-        out = acc
-    _d_cache[l] = out
-    return out
+        return CPoly.one()
+    acc = CPoly.zero()
+    sign = 1
+    for k in range(1, l + 1):
+        piece = gen(k) * d(l - k)
+        acc = acc + piece if sign > 0 else acc - piece
+        sign = -sign
+    return acc
+
+
+# psi(m) has one c-monomial per partition of m; past this many terms it is
+# refused before any is built.  It admits m <= 32: p(32) = 8,349 terms take
+# about 2 s, and the time and memory grow faster than the count.
+PSI_TERM_CAP = 10_000
+
+
+def _over_term_cap(m: int) -> bool:
+    """Whether m has more than PSI_TERM_CAP partitions.  The counts p(n)
+    follow Euler's pentagonal recurrence up from p(0) and stop at the first
+    one over the cap, so a huge m costs no more than m = 33."""
+    p = [1]
+    for n in range(1, m + 1):
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        if total > PSI_TERM_CAP:
+            return True
+        p.append(total)
+    return False
 
 
 def psi(m: int) -> tuple[CPoly, DiagramVector]:
@@ -142,6 +147,9 @@ def psi(m: int) -> tuple[CPoly, DiagramVector]:
     """
     if m < 1:
         raise ValueError("power sum index must be positive")
+    if _over_term_cap(m):
+        raise ValueError("psi_%d has one term per partition of %d, more than the cap of %d"
+                         % (m, m, PSI_TERM_CAP))
     cp = CPoly.zero()
     dv_terms: dict[Partition, Scalar] = {}
     sign = 1

@@ -14,6 +14,7 @@ q = x^-1 s for a_n and -x^-1 s^-1 for b_n; a_element and b_element enumerate.
 from __future__ import annotations
 
 import warnings
+from functools import cache
 from math import factorial
 
 from .linear import FormalSum, add_term
@@ -235,9 +236,6 @@ def b_element(n: int) -> HeckeElement:
     return HeckeElement._from(n, terms)
 
 
-_e_cache: dict[Partition, HeckeElement] = {}
-
-
 def _right_young(h: HeckeElement, blocks, offset: int, q: Scalar) -> HeckeElement:
     """h times the Young-subgroup sum over consecutive strand blocks, each
     block's sum taken as F_1 F_2 ... F_(r-1), F_k = sum_j q^j T_k ... T_(k-j+1)."""
@@ -265,18 +263,14 @@ def right_e_lambda(h: HeckeElement, lam: Partition, offset: int) -> HeckeElement
     return h.right_word(-j for j in reversed(word))
 
 
+@cache
 def e_lambda(lam: Partition) -> HeckeElement:
     """The quasi-idempotent a_row T_w b_col T_w^-1 of Aiston-Morton, with
     e^2 = alpha * e: a_row and b_col are the row and column Young-subgroup
     sums, each built from its coset factors F_k, not by enumeration."""
     if lam.size < 1:
         raise ValueError("partition must be nonempty")
-    out = _e_cache.get(lam)
-    if out is not None:
-        return out
-    out = right_e_lambda(HeckeElement.unit(lam.size), lam, 0)
-    _e_cache[lam] = out
-    return out
+    return right_e_lambda(HeckeElement.unit(lam.size), lam, 0)
 
 
 def alpha(lam: Partition) -> Scalar:

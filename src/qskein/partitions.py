@@ -9,7 +9,7 @@ attached to each diagram, and the framing factors of decorated loops.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .perms import Perm
 from .scalars import LaurentPoly, quantum_int, quantum_factorial
@@ -170,7 +170,7 @@ def _is_strict(shape: tuple[int, ...], labels: dict[tuple[int, int], int], nlabe
     return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def _lr_cached(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> tuple:
     states = [(lam_parts, {})]
     for t, strip in enumerate(mu_parts, start=1):

@@ -6,11 +6,10 @@ the adjacent transposition s_i swaps the entries at positions i and i+1.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations as _permutations
 
 Perm = tuple[int, ...]
-
-_word_cache: dict[Perm, tuple[int, ...]] = {}
 
 
 def identity(n: int) -> Perm:
@@ -56,15 +55,13 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
     return out
 
 
+@cache
 def reduced_word(p: Perm) -> tuple[int, ...]:
     """A reduced word (i_1, ..., i_k) with p = s_{i_1} ... s_{i_k}.
 
     Generated by insertion sort on the one-line notation, always swapping at
     the leftmost descent, so the word is canonical for each permutation.
     """
-    w = _word_cache.get(p)
-    if w is not None:
-        return w
     work = list(p)
     rev = []
     n = len(work)
@@ -77,9 +74,7 @@ def reduced_word(p: Perm) -> tuple[int, ...]:
                 rev.append(i)
                 done = False
                 break
-    w = tuple(reversed(rev))
-    _word_cache[p] = w
-    return w
+    return tuple(reversed(rev))
 
 
 def all_perms(n: int):

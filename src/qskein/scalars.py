@@ -11,23 +11,27 @@ The quantum integer [i] is (s^i - s^-i)/(s - s^-1), a genuine polynomial,
 and [i]! is the product [1][2]...[i].  delta() is the value of a single
 0-framed loop in the plane, (v^-1 - v)/(s - s^-1).
 
-Scalar denominators built by the skein computations are monomials times
-products of quantum integers, and [k] = s^(1-k) * prod Phi_d(s) over the
-d > 2 dividing 2k.  Each new denominator in s is factored once into
-cyclotomic polynomials Phi_d(s) (cyclotomic_factors, memoised), and a Scalar
-cancels each factor against its numerator by exact trial division.  A
-denominator that is not such a product, or that involves x or v, keeps the
-univariate gcd over Fractions (_s_reduce_gcd) or no cancellation at all.
+A Scalar is a fraction in one normal form (see Scalar).  Denominators
+built by the skein computations are monomials times products of quantum
+integers, and [k] = s^(1-k) * prod Phi_d(s) over the d > 2 dividing 2k.
+Each new denominator in s is factored once into cyclotomic polynomials
+Phi_d(s) (cyclotomic_factors, memoised), and a Scalar cancels each factor
+against its numerator by exact trial division.  A denominator that is not
+such a product, or that involves x or v, keeps the univariate gcd over
+Fractions (_s_reduce_gcd) or no cancellation at all.
 
 specialize_sln() substitutes s = t^N, x = t^-1, v = t^(-N^2), collapsing a
-Scalar to a one-variable Laurent fraction in t.  h_expand() then expands
-that fraction around t = e^(h/2N) and returns the Taylor coefficients in h.
+Scalar to a one-variable Laurent fraction in t, a TFraction.  A TFraction
+holds a Scalar in s alone with t in the place of s, so it shares the Scalar
+normal form, arithmetic and printer.  h_expand() then expands that fraction
+around t = e^(h/2N) and returns the Taylor coefficients in h.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd
 
 Triple = tuple[int, int, int]
 
@@ -286,38 +290,25 @@ class Scalar:
             den = _component(den)
         if den.is_zero():
             raise ZeroDivisionError("Scalar with zero denominator")
-        if num.is_zero():
+        if num.is_zero() or den.is_one():
             self.num = num
             self.den = ONE_LP
             return
-        if den.is_one():
-            self.num = num
-            self.den = ONE_LP
-            return
+        if len(den.terms) > 1:
+            # strip the monomial content from both sides, then cancel any
+            # common s-polynomial factor
+            a, b, c = den.monomial_content()
+            if (a, b, c) != _ZERO3:
+                den = den.mul_monomial(-a, -b, -c)
+                num = num.mul_monomial(-a, -b, -c)
+            num, den = _s_reduce(num, den)
         if len(den.terms) == 1:
             ((a, b, c), k), = den.terms.items()
-            inv = Fraction(1, 1) / k
-            self.num = num.mul_monomial(-a, -b, -c, inv)
+            self.num = num.mul_monomial(-a, -b, -c, Fraction(1, 1) / k)
             self.den = ONE_LP
             return
-        # multi-term denominator: strip its monomial content from both sides,
-        # cancel any common s-polynomial factor, then scale so the denominator
-        # has integer coefficients with positive leading coefficient, content 1
-        a, b, c = den.monomial_content()
-        if (a, b, c) != _ZERO3:
-            den = den.mul_monomial(-a, -b, -c)
-            num = num.mul_monomial(-a, -b, -c)
-        num, den = _s_reduce(num, den)
-        if den.is_one():
-            self.num = num
-            self.den = ONE_LP
-            return
-        if len(den.terms) == 1:
-            ((a, b, c), k), = den.terms.items()
-            inv = Fraction(1, 1) / k
-            self.num = num.mul_monomial(-a, -b, -c, inv)
-            self.den = ONE_LP
-            return
+        # scale so the denominator has integer coefficients with positive
+        # leading coefficient, content 1
         scale = _primitive_scale(den)
         if scale != 1:
             den = den * scale
@@ -438,10 +429,6 @@ class Scalar:
             return Scalar(self.den, self.num) ** (-n)
         return Scalar(self.num**n, self.den**n)
 
-    def invert_variables(self) -> "Scalar":
-        """Substitute x -> x^-1, v -> v^-1, s -> s^-1."""
-        return Scalar(self.num.invert_variables(), self.den.invert_variables())
-
     def __str__(self) -> str:
         return format_scalar(self)
 
@@ -494,10 +481,7 @@ def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
     dterms = {c: k for (_, _, c), k in den.terms.items()}
     dlo = min(dterms)
     dkey = tuple(dterms.get(e, 0) for e in range(dlo, max(dterms) + 1))
-    if dkey in _factor_cache:
-        factors = _factor_cache[dkey]
-    else:
-        factors = _factor_cache[dkey] = cyclotomic_factors(dkey)
+    factors = cyclotomic_factors(dkey)
     if factors is None:
         return _s_reduce_gcd(num, den)
     slices: dict[tuple[int, int], dict[int, object]] = {}
@@ -562,10 +546,10 @@ def _s_reduce_gcd(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
         g = _poly_gcd(g, coe)
         if len(g) == 1:
             return num, den
-    dq = _poly_quo(dcoe, g)
+    dq = _exact_quo(dcoe, g)
     terms = {}
     for ab, coe, lo in packs:
-        q = _poly_quo(coe, g)
+        q = _exact_quo(coe, g)
         for e, c in enumerate(q):
             if c:
                 terms[(ab[0], ab[1], e + lo)] = _ratio(c)
@@ -584,11 +568,6 @@ def _s_reduce_gcd(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
 # factors; a denominator with any other factor takes the gcd route.  The cap
 # keeps factoring a new denominator linear in its degree.
 CYCLOTOMIC_ORDER_CAP = 64
-
-_cyclotomic_cache: dict[int, tuple[int, ...]] = {}
-
-# dense denominator -> ((d, multiplicity), ...), or None if not cyclotomic
-_factor_cache: dict[tuple, tuple[tuple[int, int], ...] | None] = {}
 
 
 def _exact_quo(a, b) -> list | None:
@@ -611,23 +590,22 @@ def _exact_quo(a, b) -> list | None:
     return q
 
 
+@cache
 def cyclotomic(d: int) -> tuple[int, ...]:
     """The d-th cyclotomic polynomial Phi_d(s), dense from the constant term.
 
     >>> cyclotomic(1), cyclotomic(6)
     ((-1, 1), (1, -1, 1))
     """
-    out = _cyclotomic_cache.get(d)
-    if out is None:
-        # s^d - 1 is the product of Phi_e over the divisors e of d
-        p = [-1] + [0] * (d - 1) + [1]
-        for e in range(1, d // 2 + 1):
-            if d % e == 0:
-                p = _exact_quo(p, cyclotomic(e))
-        out = _cyclotomic_cache[d] = tuple(p)
-    return out
+    # s^d - 1 is the product of Phi_e over the divisors e of d
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d // 2 + 1):
+        if d % e == 0:
+            p = _exact_quo(p, cyclotomic(e))
+    return tuple(p)
 
 
+@cache
 def cyclotomic_factors(coeffs) -> tuple[tuple[int, int], ...] | None:
     """Factor a polynomial in s, dense from a nonzero constant term, into
     cyclotomic polynomials.
@@ -681,12 +659,10 @@ Z = Scalar.from_poly(Z_LP)
 # ---------------------------------------------------------------------------
 # text formatting (the parsers in parsing.py read this format back)
 
-_VARS = "xvs"
 
-
-def _format_term(exps: Triple, coeff, lead: bool) -> str:
+def _format_term(exps: Triple, coeff, lead: bool, names: str) -> str:
     pieces = []
-    for name, e in zip(_VARS, exps):
+    for name, e in zip(names, exps):
         if e == 1:
             pieces.append(name)
         elif e != 0:
@@ -706,12 +682,13 @@ def _format_term(exps: Triple, coeff, lead: bool) -> str:
     return sign + body
 
 
-def format_poly(p: LaurentPoly) -> str:
+def format_poly(p: LaurentPoly, names: str = "xvs") -> str:
+    """p as text, naming the three variables by the letters of names."""
     if not p.terms:
         return "0"
     out = []
     for i, (e, c) in enumerate(p.sorted_terms()):
-        out.append(_format_term(e, c, lead=(i == 0)))
+        out.append(_format_term(e, c, i == 0, names))
     return " ".join(out)
 
 
@@ -721,10 +698,10 @@ def _paren(s: str) -> str:
     return s
 
 
-def format_scalar(sc: Scalar) -> str:
+def format_scalar(sc: Scalar, names: str = "xvs") -> str:
     if sc.den.is_one():
-        return format_poly(sc.num)
-    return f"{_paren(format_poly(sc.num))}/{_paren(format_poly(sc.den))}"
+        return format_poly(sc.num, names)
+    return f"{_paren(format_poly(sc.num, names))}/{_paren(format_poly(sc.den, names))}"
 
 
 # ---------------------------------------------------------------------------
@@ -776,144 +753,69 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [c / a[-1] for c in a]
 
 
-def _poly_quo(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    a = a[:]
-    while len(a) >= len(b):
-        q = a[-1] / b[-1]
-        out[len(a) - len(b)] = q
-        off = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[off + i] -= q * bc
-        a.pop()
-        while a and not a[-1] and len(a) >= len(b):
-            a.pop()
-    return out
+def _t_poly(terms: dict[int, object]) -> LaurentPoly:
+    """A Laurent polynomial in t, held as one in s alone."""
+    return LaurentPoly({(0, 0, e): c for e, c in terms.items()})
 
 
-def _t_reduce(num: dict, den: dict) -> tuple[dict, dict]:
-    """Bring num/den to lowest terms with an integer, positive-leading denominator."""
-    if not num:
-        return {}, {0: 1}
-    ncoe, nlo = _dense(num)
-    dcoe, dlo = _dense(den)
-    shift = nlo - dlo
-    if len(dcoe) > 1 and len(ncoe) > 1:
-        g = _poly_gcd(ncoe, dcoe)
-        if len(g) > 1:
-            ncoe = _poly_quo(ncoe, g)
-            dcoe = _poly_quo(dcoe, g)
-    # den becomes primitive integer with positive leading coefficient
-    den_lcm = 1
-    for c in dcoe:
-        if c:
-            den_lcm = lcm(den_lcm, c.denominator)
-    g = 0
-    for c in dcoe:
-        g = gcd(g, int(c * den_lcm))
-    scale = Fraction(den_lcm, g or 1)
-    if dcoe[-1] < 0:
-        scale = -scale
-    dcoe = [c * scale for c in dcoe]
-    ncoe = [c * scale for c in ncoe]
-    out_num = {e + shift: _ratio(c) for e, c in enumerate(ncoe) if c}
-    out_den = {e: _ratio(c) for e, c in enumerate(dcoe) if c}
-    return out_num, out_den
+def _t_terms(p: LaurentPoly) -> dict[int, object]:
+    """A polynomial in s alone as {exponent: coefficient}, ascending, with
+    integral coefficients as ints (Scalar sums can hold Fraction(n, 1))."""
+    return {e: _ratio(c) for (_, _, e), c in sorted(p.terms.items())}
 
 
 class TFraction:
-    """A one-variable Laurent fraction in t, the image of a Scalar under sl(N)."""
+    """A one-variable Laurent fraction in t, the image of a Scalar under sl(N).
 
-    __slots__ = ("num", "den")
+    Held as a Scalar in s alone, with t in the place of s, so it has the
+    Scalar normal form; num and den read it back as {exponent: coefficient}
+    dicts in ascending order.
+    """
+
+    __slots__ = ("value",)
 
     def __init__(self, num: dict[int, object], den: dict[int, object] | None = None):
-        num = {e: c for e, c in num.items() if c}
-        den = {e: c for e, c in (den or {0: 1}).items() if c}
-        if not den:
+        den = _t_poly(den or {0: 1})
+        if den.is_zero():
             raise ZeroDivisionError("TFraction with zero denominator")
-        self.num, self.den = _t_reduce(num, den)
+        self.value = Scalar(_t_poly(num), den)
+
+    @classmethod
+    def _of(cls, value: Scalar) -> "TFraction":
+        obj = object.__new__(cls)
+        obj.value = value
+        return obj
+
+    @property
+    def num(self) -> dict[int, object]:
+        return _t_terms(self.value.num)
+
+    @property
+    def den(self) -> dict[int, object]:
+        return _t_terms(self.value.den)
 
     def is_zero(self) -> bool:
-        return not self.num
+        return self.value.is_zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TFraction):
             return NotImplemented
-        return _t_mul(self.num, other.den) == _t_mul(other.num, self.den)
+        return self.value == other.value
 
     def __hash__(self):
         raise TypeError("TFraction is not hashable")
 
     def __add__(self, other: "TFraction") -> "TFraction":
-        return TFraction(
-            _t_add(_t_mul(self.num, other.den), _t_mul(other.num, self.den)),
-            _t_mul(self.den, other.den),
-        )
+        return TFraction._of(self.value + other.value)
 
     def __mul__(self, other: "TFraction") -> "TFraction":
-        return TFraction(_t_mul(self.num, other.num), _t_mul(self.den, other.den))
+        return TFraction._of(self.value * other.value)
 
     def __str__(self) -> str:
-        if self.den == {0: 1}:
-            return format_tpoly(self.num)
-        return f"{_paren(format_tpoly(self.num))}/{_paren(format_tpoly(self.den))}"
+        return format_scalar(self.value, "xvt")
 
     def __repr__(self) -> str:
         return f"TFraction({self.num!r}, {self.den!r})"
-
-
-def _t_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        acc = out.get(e)
-        if acc is None:
-            out[e] = c
-        else:
-            acc = acc + c
-            if acc:
-                out[e] = acc
-            else:
-                del out[e]
-    return out
-
-
-def _t_mul(a: dict, b: dict) -> dict:
-    out: dict[int, object] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            acc = out.get(e)
-            if acc is None:
-                out[e] = c1 * c2
-            else:
-                acc = acc + c1 * c2
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-    return out
-
-
-def format_tpoly(p: dict[int, object]) -> str:
-    if not p:
-        return "0"
-    out = []
-    for i, (e, c) in enumerate(sorted(p.items(), reverse=True)):
-        name = "t" if e == 1 else (f"t^{e}" if e else "")
-        sign = ""
-        if c < 0:
-            sign = "-" if i == 0 else "- "
-            c = -c
-        elif i:
-            sign = "+ "
-        if not name:
-            body = str(c)
-        elif c == 1:
-            body = name
-        else:
-            body = f"{c}*{name}"
-        out.append(sign + body)
-    return " ".join(out)
 
 
 def specialize_sln(value, n: int) -> TFraction:

@@ -2,7 +2,10 @@
 
 import pytest
 
-from qskein.diagram_ring import CPoly, DiagramVector, d, gen, phi, phi_inverse, psi
+import qskein.diagram_ring
+from qskein.diagram_ring import (
+    PSI_TERM_CAP, CPoly, DiagramVector, _over_term_cap, d, gen, phi, phi_inverse, psi,
+)
 from qskein.partitions import Partition, partitions_of
 from qskein.scalars import Scalar
 
@@ -95,3 +98,23 @@ def test_power_sum_derivative_identities():
     psum = series_power_sums(order)
     assert psum.first_difference(-(series_c_deriv(order) * series_d(order))) is None
     assert psum.first_difference(series_d_deriv(order) * series_c(order)) is None
+
+
+def test_psi_has_one_term_per_partition():
+    for m in range(1, 13):
+        assert len(psi(m)[0].terms) == sum(1 for _ in partitions_of(m)), m
+
+
+def test_psi_term_cap_refuses_before_building(monkeypatch):
+    # p(32) = 8,349 and p(33) = 10,143
+    assert PSI_TERM_CAP == 10_000
+    assert not _over_term_cap(32)
+    assert _over_term_cap(33)
+
+    def unreachable(l):
+        raise AssertionError("d(%d) built past the cap" % l)
+
+    monkeypatch.setattr(qskein.diagram_ring, "d", unreachable)
+    for m in (33, 40, 300, 10**12):
+        with pytest.raises(ValueError, match="more than the cap of 10000"):
+            psi(m)

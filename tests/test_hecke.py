@@ -13,7 +13,6 @@ from qskein.hecke import (
     ENUMERATION_CAP,
     BraidWord,
     HeckeElement,
-    _e_cache,
     _right_young,
     a_element,
     alpha,
@@ -249,7 +248,7 @@ def _decorate_oracle(w: BraidWord, lam: Partition) -> HeckeElement:
 def test_e_lambda_matches_the_enumerated_oracle():
     for n in range(1, 7):
         for lam in partitions_of(n):
-            _e_cache.pop(lam, None)
+            e_lambda.cache_clear()
             assert e_lambda(lam) == _e_lambda_oracle(lam), lam
 
 

@@ -1,5 +1,6 @@
 """Laurent-polynomial and scalar-fraction arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -232,6 +233,152 @@ def test_tfraction_reduces():
     assert TFraction({0: 1}, {0: 2}) == TFraction({0: Fraction(1, 2)})
     with pytest.raises(ZeroDivisionError):
         TFraction({0: 1}, {0: 0})
+
+
+# ---------------------------------------------------------------------------
+# Oracle: TFraction's own normal form before it was held as a Scalar, kept
+# here as a second route to the same num, den and printed text.
+
+
+def _oracle_ratio(c):
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _oracle_dense(p):
+    lo, hi = min(p), max(p)
+    coeffs = [Fraction(0)] * (hi - lo + 1)
+    for e, c in p.items():
+        coeffs[e - lo] = Fraction(c)
+    return coeffs, lo
+
+
+def _oracle_rem(a, b):
+    a = a[:]
+    while len(a) >= len(b) and any(a):
+        while a and not a[-1]:
+            a.pop()
+        if len(a) < len(b):
+            break
+        q = a[-1] / b[-1]
+        off = len(a) - len(b)
+        for i, bc in enumerate(b):
+            a[off + i] -= q * bc
+        a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _oracle_gcd(a, b):
+    while b:
+        a, b = b, _oracle_rem(a, b)
+    return [c / a[-1] for c in a]
+
+
+def _oracle_quo(a, b):
+    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    a = a[:]
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        out[len(a) - len(b)] = q
+        off = len(a) - len(b)
+        for i, bc in enumerate(b):
+            a[off + i] -= q * bc
+        a.pop()
+        while a and not a[-1] and len(a) >= len(b):
+            a.pop()
+    return out
+
+
+def _oracle_reduce(num, den):
+    if not num:
+        return {}, {0: 1}
+    ncoe, nlo = _oracle_dense(num)
+    dcoe, dlo = _oracle_dense(den)
+    shift = nlo - dlo
+    if len(dcoe) > 1 and len(ncoe) > 1:
+        g = _oracle_gcd(ncoe, dcoe)
+        if len(g) > 1:
+            ncoe = _oracle_quo(ncoe, g)
+            dcoe = _oracle_quo(dcoe, g)
+    den_lcm = 1
+    for c in dcoe:
+        if c:
+            den_lcm = math.lcm(den_lcm, c.denominator)
+    g = 0
+    for c in dcoe:
+        g = math.gcd(g, int(c * den_lcm))
+    scale = Fraction(den_lcm, g or 1)
+    if dcoe[-1] < 0:
+        scale = -scale
+    dcoe = [c * scale for c in dcoe]
+    ncoe = [c * scale for c in ncoe]
+    return ({e + shift: _oracle_ratio(c) for e, c in enumerate(ncoe) if c},
+            {e: _oracle_ratio(c) for e, c in enumerate(dcoe) if c})
+
+
+def _oracle_format(p):
+    if not p:
+        return "0"
+    out = []
+    for i, (e, c) in enumerate(sorted(p.items(), reverse=True)):
+        name = "t" if e == 1 else (f"t^{e}" if e else "")
+        sign = ""
+        if c < 0:
+            sign = "-" if i == 0 else "- "
+            c = -c
+        elif i:
+            sign = "+ "
+        body = str(c) if not name else (name if c == 1 else f"{c}*{name}")
+        out.append(sign + body)
+    return " ".join(out)
+
+
+def _oracle_str(num, den):
+    if den == {0: 1}:
+        return _oracle_format(num)
+    paren = lambda s: f"({s})" if " " in s or s.startswith("-") else s  # noqa: E731
+    return f"{paren(_oracle_format(num))}/{paren(_oracle_format(den))}"
+
+
+def _tmul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+_COEFF = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_NONZERO = _COEFF.filter(bool)
+_TPOLY = st.dictionaries(st.integers(-4, 4), _COEFF, min_size=1, max_size=4)
+_DEN = st.one_of(
+    st.builds(lambda c: {0: c}, _NONZERO),
+    st.builds(lambda e, c: {e: c}, st.integers(-3, 3), _NONZERO),
+    _TPOLY.filter(lambda p: any(p.values())),
+)
+# t + k and t^2 + k*t - 1 for |k| >= 2 are not cyclotomic, so a fraction
+# that shares one of them cancels it through the gcd fallback
+_COMMON = st.one_of(
+    st.just({0: 1}),
+    st.builds(lambda k: {0: k, 1: 1}, st.integers(2, 5) | st.integers(-5, -2)),
+    st.builds(lambda k: {0: -1, 1: k, 2: 1}, st.integers(2, 5) | st.integers(-5, -2)),
+    _TPOLY.filter(lambda p: sum(1 for c in p.values() if c) > 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TPOLY, _DEN, _COMMON)
+def test_tfraction_normal_form_matches_its_own_reduction(a, b, common):
+    num = {e: c for e, c in _tmul(a, common).items() if c}
+    den = {e: c for e, c in _tmul(b, common).items() if c}
+    assume(den)
+    f = TFraction(num, den)
+    want_num, want_den = _oracle_reduce(num, den)
+    assert f.num == want_num
+    assert f.den == want_den
+    assert str(f) == _oracle_str(want_num, want_den)
+    assert repr(f) == f"TFraction({want_num!r}, {want_den!r})"
 
 
 def test_h_expansion():

@@ -1,0 +1,44 @@
+"""The package imports nothing outside the standard library, and memoises
+through functools.cache except where a hand-rolled table does more."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qskein"
+
+# _ppb_closure_cache stores every member of a shift class its walk visits;
+# _theta_key_cache looks up suffixes but stores only whole keys.
+HAND_ROLLED_MEMOS = {"_ppb_closure_cache", "_theta_key_cache"}
+
+
+def _modules():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in paths]
+
+
+def test_absolute_imports_are_stdlib():
+    outside = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.partition(".")[0]]
+            else:
+                continue
+            outside += [(name, root) for root in roots if root not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_only_the_named_memo_dicts_remain():
+    found = set()
+    for _, tree in _modules():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"_\w*_cache", target.id):
+                    found.add(target.id)
+    assert found == HAND_ROLLED_MEMOS
