@@ -19,12 +19,14 @@ evaluation.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
+from math import comb, prod
 
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
-from .hecke import _XZ, BraidWord, HeckeElement, alpha, e_lambda, from_word
+from .hecke import _XZ, BraidWord, HeckeElement, _check_cap, alpha, e_lambda, from_word
 from .linear import FormalSum, linear_map, multiset_text
-from .partitions import Partition
+from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
 from .scalars import Scalar, delta
 
@@ -135,12 +137,41 @@ def q_hook(k: int, l: int) -> AnnulusElement:
 _theta_key_cache: dict[tuple[int, ...], AnnulusElement] = {(): AnnulusElement.one()}
 
 
+# theta of a column monomial multiplies Q of its columns together.  A
+# monomial that _theta_size puts over THETA_SIZE_CAP is refused before any
+# product is taken.  One unit costs about 2 us, so the cap admits about 2 s:
+# c3^20 and c4^7 run, c3^21 and c4^8 are refused.
+THETA_SIZE_CAP = 1_000_000
+
+
+def _theta_size(key: tuple[int, ...]) -> int:
+    """Estimated work in theta of the column monomial key (descending).
+
+    The product has at most the fewer of the annulus monomials in the box
+    its columns span (A_j, j >= 2, at most sum k // j times) and the
+    multisets of one of the p(k) terms of Q(1^k) per column.  Each of its
+    coefficients costs about the square of the summed s-degree k(k-1)/2 of
+    the columns.  Columns c1 add to neither; a column over ENUMERATION_CAP
+    cells is refused here as Q would refuse it.
+    """
+    _check_cap(key[0])
+    counts = Counter(k for k in key if k > 1)
+    box = prod(1 + sum(m * (k // j) for k, m in counts.items()) for j in range(2, max(counts, default=1) + 1))
+    multisets = prod(comb(m + sum(1 for _ in partitions_of(k)) - 1, m) for k, m in counts.items())
+    degree = sum(m * k * (k - 1) // 2 for k, m in counts.items())
+    return min(box, multisets) * degree ** 2
+
+
 def _theta_key(key: tuple[int, ...]) -> AnnulusElement:
     """theta of one column monomial: from the longest memoised suffix of
     key, multiply the columns back on and memoise the whole key."""
     out = _theta_key_cache.get(key)
     if out is not None:
         return out
+    size = _theta_size(key)
+    if size > THETA_SIZE_CAP:
+        raise ValueError("theta of %s has estimated size %d, over the cap of %d"
+                         % (multiset_text(key, "c", ascending=True), size, THETA_SIZE_CAP))
     start = 1
     while key[start:] not in _theta_key_cache:
         start += 1

@@ -58,9 +58,16 @@ def gen(k: int) -> CPoly:
 
 @cache
 def _column_product(key: tuple[int, ...]) -> DiagramVector:
-    """Image of the monomial with index multiset `key` under phi."""
+    """Image of the monomial with index multiset `key` under phi.
+
+    The proper suffixes of key are memoised first, shortest first, so each
+    is one column times the suffix before it, found in the memo: no call
+    nests more than two deep, however long the key.
+    """
     if not key:
         return DiagramVector.one()
+    for i in range(len(key) - 1, 0, -1):
+        _column_product(key[i:])
     return _column_product(key[1:]) * DiagramVector.term(Partition((1,) * key[0]))
 
 

@@ -3,8 +3,12 @@
 A Partition wraps a weakly decreasing tuple of positive integers; rows and
 columns of the diagram are 0-indexed internally.  The module provides the
 transpose permutation of the row-major cell numbering, Littlewood
-Richardson products by explicit strip expansion, the hook content scalar
-attached to each diagram, and the framing factors of decorated loops.
+Richardson products, the hook content scalar attached to each diagram, and
+the framing factors of decorated loops.  The products add the rows of one
+diagram to the other as horizontal strips and prune, as each strip is
+placed, every filling whose labels stop reading as a lattice word, so only
+Littlewood Richardson tableaux are ever extended (Fulton, *Young Tableaux*,
+section 5; Macdonald, *Symmetric Functions and Hall Polynomials*, I.9).
 """
 
 from __future__ import annotations
@@ -88,14 +92,27 @@ EMPTY = Partition(())
 
 
 def partitions_of(n: int, max_part: int | None = None):
-    """All partitions of n, largest part first, in lexicographic descending order."""
+    """All partitions of n, largest part first, in lexicographic descending order.
+
+    Each is the one before it with its trailing 1s and its last larger part
+    p taken off and their boxes dealt out again greedily in parts of p - 1;
+    the first deals all n boxes in parts of the cap.
+    """
+    cap = n if max_part is None else min(n, max_part)
     if n == 0:
         yield Partition(())
         return
-    cap = n if max_part is None else min(n, max_part)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield Partition((first,) + rest.parts)
+    parts, top, rest = [], cap, n
+    while top > 0:
+        parts += [top] * (rest // top) + ([rest % top] if rest % top else [])
+        yield Partition(parts)
+        rest = 0
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
+            return
+        top = parts[-1] - 1
+        rest += parts.pop()
 
 
 def all_partitions_up_to(n: int):
@@ -117,77 +134,67 @@ def transpose_permutation(lam: Partition) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# Littlewood Richardson products by strip expansion
+# Littlewood Richardson products by lattice-pruned strip expansion
 
 
 def _horizontal_strips(shape: tuple[int, ...], size: int):
     """All ways to add `size` boxes to `shape`, no two in the same column.
 
-    Yields (new_shape, added_cells).  Row r of the new shape may not extend
-    past row r-1 of the old shape, which is exactly the no-two-in-a-column
-    condition; it also forces weak decrease and limits new rows to one.
+    Yields (new_shape, added), added[r] the boxes put in row r.  Row r of
+    the new shape may not extend past row r-1 of the old shape, which is
+    exactly the no-two-in-a-column condition; it also forces weak decrease
+    and limits new rows to one.
     """
     rows = len(shape)
+    old = shape + (0,)
 
     def rec(r: int, remaining: int, acc: list[int]):
         if r > rows:
             if remaining == 0:
-                yield tuple(p for p in acc if p)
+                yield tuple(p for p in acc if p), tuple(p - q for p, q in zip(acc, old))
             return
-        old = shape[r] if r < rows else 0
-        hi = old + remaining if r == 0 else min(old + remaining, shape[r - 1])
-        for new in range(old, hi + 1):
+        hi = old[r] + remaining if r == 0 else min(old[r] + remaining, shape[r - 1])
+        for new in range(old[r], hi + 1):
             acc.append(new)
-            yield from rec(r + 1, remaining - (new - old), acc)
+            yield from rec(r + 1, remaining - (new - old[r]), acc)
             acc.pop()
 
-    for new_shape in rec(0, size, []):
-        added = []
-        for r, p in enumerate(new_shape):
-            old = shape[r] if r < rows else 0
-            for c in range(old, p):
-                added.append((r, c))
-        yield new_shape, added
+    yield from rec(0, size, [])
 
 
-def _is_strict(shape: tuple[int, ...], labels: dict[tuple[int, int], int], nlabels: int) -> bool:
-    """The expansion counting condition, checked at every cell of the result.
-
-    For a cell, n_i counts the cells labelled i above and to the right of
-    it, the cell itself included; the expansion is strict when n_1 >= n_2
-    >= ... at every cell.
-    """
-    cells = [(r, c) for r, p in enumerate(shape) for c in range(p)]
-    labelled = list(labels.items())
-    for (r, c) in cells:
-        counts = [0] * (nlabels + 1)
-        for (lr, lc), lab in labelled:
-            if lr <= r and lc >= c:
-                counts[lab] += 1
-        for i in range(1, nlabels):
-            if counts[i] < counts[i + 1]:
-                return False
+def _is_lattice(last: tuple[int, ...], added: tuple[int, ...]) -> bool:
+    """Whether the labels t-1 (last[r] boxes in row r) and t (added[r])
+    form a lattice word read row by row, top to bottom, each row right to
+    left.  The t's of a row sit right of its t-1's and are read first, so
+    through each row the t's may not outnumber the t-1's of the rows above."""
+    above = seen = 0
+    for r, a in enumerate(added):
+        seen += a
+        if seen > above:
+            return False
+        above += last[r] if r < len(last) else 0
     return True
 
 
 @cache
-def _lr_cached(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> tuple:
-    states = [(lam_parts, {})]
-    for t, strip in enumerate(mu_parts, start=1):
-        nxt = []
-        for shape, labels in states:
+def _lr_cached(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> dict[Partition, int]:
+    # a filling is kept as (shape, boxes of its last strip per row): the
+    # lattice condition between labels t-1 and t is final once strip t is
+    # placed, so only the last strip matters to the next check, and fillings
+    # that agree on both are counted together
+    states = {(lam_parts, None): 1}
+    for strip in mu_parts:
+        nxt: dict = {}
+        for (shape, last), n in states.items():
             for new_shape, added in _horizontal_strips(shape, strip):
-                new_labels = dict(labels)
-                for cell in added:
-                    new_labels[cell] = t
-                nxt.append((new_shape, new_labels))
+                if last is None or _is_lattice(last, added):
+                    key = (new_shape, added)
+                    nxt[key] = nxt.get(key, 0) + n
         states = nxt
     counts: dict[tuple[int, ...], int] = {}
-    nlabels = len(mu_parts)
-    for shape, labels in states:
-        if _is_strict(shape, labels, nlabels):
-            counts[shape] = counts.get(shape, 0) + 1
-    return tuple(sorted(counts.items(), reverse=True))
+    for (shape, _), n in states.items():
+        counts[shape] = counts.get(shape, 0) + n
+    return {Partition(shape): counts[shape] for shape in sorted(counts, reverse=True)}
 
 
 def lr_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
@@ -195,10 +202,20 @@ def lr_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
 
     Boxes of mu are added to lam one row of labels at a time: first mu_1
     boxes labelled 1, no two in one column, then mu_2 boxes labelled 2, and
-    so on, keeping a legal diagram at every stage; only strict expansions
-    are kept.  The coefficients are the Littlewood Richardson numbers.
+    so on, keeping a legal diagram at every stage.  As strip t is placed,
+    a filling survives only if its labels t-1 and t read as a lattice word
+    (rows top to bottom, each right to left), so what is left are the
+    Littlewood Richardson tableaux and their count for each shape is the
+    Littlewood Richardson number (Fulton, *Young Tableaux*, section 5;
+    Macdonald, *Symmetric Functions and Hall Polynomials*, I.9).  Each call
+    returns a new dict.
+
+    >>> lr_product(Partition((2, 1)), Partition((2, 1)))  # doctest: +NORMALIZE_WHITESPACE
+    {Partition((4, 2)): 1, Partition((4, 1, 1)): 1, Partition((3, 3)): 1,
+     Partition((3, 2, 1)): 2, Partition((3, 1, 1, 1)): 1, Partition((2, 2, 2)): 1,
+     Partition((2, 2, 1, 1)): 1}
     """
-    return {Partition(shape): c for shape, c in _lr_cached(lam.parts, mu.parts)}
+    return dict(_lr_cached(lam.parts, mu.parts))
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,16 @@ class LaurentPoly:
         return format_poly(self)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.terms!r})"
+        return f"LaurentPoly({_terms_repr(self)})"
+
+
+def _terms_repr(p: LaurentPoly) -> str:
+    """repr of p's terms with each integral Fraction shown as an int.  Sums
+    and products of Fraction coefficients can leave Fraction(n, 1) behind,
+    which equals and hashes as n and prints as n in str and JSON; it is
+    normalised here rather than in every + and *, which would cost the
+    int-only arithmetic a type check per term."""
+    return repr({e: _ratio(c) for e, c in p.terms.items()})
 
 
 ONE_LP = LaurentPoly.one()
@@ -433,7 +442,7 @@ class Scalar:
         return format_scalar(self)
 
     def __repr__(self) -> str:
-        return f"Scalar({self.num.terms!r}, {self.den.terms!r})"
+        return f"Scalar({_terms_repr(self.num)}, {_terms_repr(self.den)})"
 
 
 def _component(p) -> LaurentPoly:

@@ -188,6 +188,33 @@ def test_powers_under_the_size_cap_run(capsys):
     assert run(capsys, "theta", "(s-s)^3") == (0, "0\n", "")
 
 
+def test_theta_size_cap_refuses_before_the_product(capsys, monkeypatch):
+    from qskein.annulus import THETA_SIZE_CAP, AnnulusElement
+
+    def no_product(*args):
+        raise AssertionError("multiplied past the cap")
+
+    monkeypatch.setattr(AnnulusElement, "__mul__", no_product)
+    for text in ("c3^21", "c3^30", "c3^60", "c4^8", "c2^100", "c1^9*c3^40", "c2^40*c3^10"):
+        code, out, err = run(capsys, "theta", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: theta of %s has estimated size " % text)
+        assert err.endswith(", over the cap of %d\n" % THETA_SIZE_CAP)
+    code, out, err = run(capsys, "theta", "c9*c3^30")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: enumeration over 9 strands exceeds the cap 8")
+
+
+def test_theta_powers_under_the_size_cap_run(capsys):
+    import hashlib
+
+    code, out, err = run(capsys, "theta", "c3^12")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "492b5e01f12aacfed4b63e4d3b6400d656e31b7048ba5f154e6554e9578b919e")
+
+
 @pytest.mark.parametrize("text", ["s+1", "x+v+s", "s+s^-1+2", "2*s+3/7", "c1+s*c2", "c1*c2+x*c3-1", "10^400/3+s"])
 def test_power_size_bounds_the_result(text):
     from math import log2

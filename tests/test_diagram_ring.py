@@ -4,7 +4,7 @@ import pytest
 
 import qskein.diagram_ring
 from qskein.diagram_ring import (
-    PSI_TERM_CAP, CPoly, DiagramVector, _over_term_cap, d, gen, phi, phi_inverse, psi,
+    PSI_TERM_CAP, CPoly, DiagramVector, _column_product, _over_term_cap, d, gen, phi, phi_inverse, psi,
 )
 from qskein.partitions import Partition, partitions_of
 from qskein.scalars import Scalar
@@ -118,3 +118,11 @@ def test_psi_term_cap_refuses_before_building(monkeypatch):
     for m in (33, 40, 300, 10**12):
         with pytest.raises(ValueError, match="more than the cap of 10000"):
             psi(m)
+
+
+def test_column_product_memoises_every_suffix():
+    _column_product.cache_clear()
+    value = _column_product((3, 2, 2, 1))
+    assert _column_product.cache_info().currsize == 5
+    assert value == phi(gen(3) * gen(2) * gen(2) * gen(1))
+    assert _column_product.cache_info().currsize == 5

@@ -3,10 +3,17 @@
 The product oracle below enumerates skew semistandard fillings whose reverse
 reading word is a lattice word, which is a different algorithm from the
 horizontal-strip chain construction in the package; agreement over all small
-pairs pins the product down completely.
+pairs pins the product down completely.  A copy of the earlier construction,
+which expanded every chain of strips and filtered the finished fillings,
+is a second oracle; a closed form and two symmetries check the product
+without any tableaux.
 """
 
+from math import comb, factorial, prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qskein.parsing import parse_partition
 from qskein.partitions import (
@@ -184,3 +191,134 @@ def test_framing_factors():
             for _ in range(m):
                 acc = acc * root
             assert acc == framing_factor(Partition.hook(k, l))
+
+
+def partitions_of_recursive(n, max_part=None):
+    """The recursive generator partitions_of replaced, as its oracle."""
+    if n == 0:
+        yield Partition(())
+        return
+    cap = n if max_part is None else min(n, max_part)
+    for first in range(cap, 0, -1):
+        for rest in partitions_of_recursive(n - first, first):
+            yield Partition((first,) + rest.parts)
+
+
+def test_partitions_of_matches_the_recursive_order():
+    for n in range(13):
+        for max_part in (None,) + tuple(range(n + 2)):
+            assert list(partitions_of(n, max_part)) == list(partitions_of_recursive(n, max_part)), (n, max_part)
+
+
+def _strips_filtered(shape, size):
+    rows = len(shape)
+
+    def rec(r, remaining, acc):
+        if r > rows:
+            if remaining == 0:
+                yield tuple(p for p in acc if p)
+            return
+        old = shape[r] if r < rows else 0
+        hi = old + remaining if r == 0 else min(old + remaining, shape[r - 1])
+        for new in range(old, hi + 1):
+            acc.append(new)
+            yield from rec(r + 1, remaining - (new - old), acc)
+            acc.pop()
+
+    for new_shape in rec(0, size, []):
+        added = []
+        for r, p in enumerate(new_shape):
+            old = shape[r] if r < rows else 0
+            for c in range(old, p):
+                added.append((r, c))
+        yield new_shape, added
+
+
+def _is_strict(shape, labels, nlabels):
+    cells = [(r, c) for r, p in enumerate(shape) for c in range(p)]
+    labelled = list(labels.items())
+    for (r, c) in cells:
+        counts = [0] * (nlabels + 1)
+        for (lr, lc), lab in labelled:
+            if lr <= r and lc >= c:
+                counts[lab] += 1
+        for i in range(1, nlabels):
+            if counts[i] < counts[i + 1]:
+                return False
+    return True
+
+
+def lr_enumerate_then_filter(lam, mu):
+    """The earlier construction: every chain of horizontal strips with every
+    labelling, and the counting condition checked on the finished fillings."""
+    states = [(lam.parts, {})]
+    for t, strip in enumerate(mu.parts, start=1):
+        nxt = []
+        for shape, labels in states:
+            for new_shape, added in _strips_filtered(shape, strip):
+                new_labels = dict(labels)
+                for cell in added:
+                    new_labels[cell] = t
+                nxt.append((new_shape, new_labels))
+        states = nxt
+    counts = {}
+    for shape, labels in states:
+        if _is_strict(shape, labels, len(mu.parts)):
+            counts[shape] = counts.get(shape, 0) + 1
+    return {Partition(shape): c for shape, c in sorted(counts.items(), reverse=True)}
+
+
+def pairs_up_to(total):
+    for n in range(total + 1):
+        for a in range(n + 1):
+            for lam in partitions_of(a):
+                for mu in partitions_of(n - a):
+                    yield lam, mu
+
+
+def test_lr_matches_the_enumerate_then_filter_construction():
+    for lam, mu in pairs_up_to(9):
+        want = lr_enumerate_then_filter(lam, mu)
+        got = lr_product(lam, mu)
+        assert got == want, (lam, mu)
+        assert list(got) == list(want), (lam, mu)
+
+
+def standard_tableaux(lam):
+    """f^lam by the hook length formula."""
+    return factorial(lam.size) // prod(lam.hook_length(r, c) for r, c in lam.cells())
+
+
+@st.composite
+def pairs_of_partitions(draw, cells=14):
+    a = draw(st.integers(0, cells))
+    b = draw(st.integers(0, cells - a))
+    return (draw(st.sampled_from(list(partitions_of(a)))),
+            draw(st.sampled_from(list(partitions_of(b)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs_of_partitions())
+def test_lr_counts_standard_tableaux(pair):
+    # the product of the two characters, restricted from the symmetric group
+    # on |lam| + |mu| letters, has dimension C(n, |lam|) f^lam f^mu
+    lam, mu = pair
+    total = sum(c * standard_tableaux(nu) for nu, c in lr_product(lam, mu).items())
+    assert total == comb(lam.size + mu.size, lam.size) * standard_tableaux(lam) * standard_tableaux(mu)
+
+
+def test_lr_symmetries():
+    for lam, mu in pairs_up_to(9):
+        product = lr_product(lam, mu)
+        assert lr_product(mu, lam) == product, (lam, mu)
+        transposed = lr_product(lam.transpose(), mu.transpose())
+        assert transposed == {nu.transpose(): c for nu, c in product.items()}, (lam, mu)
+
+
+def test_lr_returns_a_fresh_dict():
+    lam, mu = Partition((2, 1)), Partition((1,))
+    first = lr_product(lam, mu)
+    want = dict(first)
+    first[Partition((3, 1))] = 99
+    first[Partition((9,))] = 1
+    assert lr_product(lam, mu) == want

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,26 @@ def test_normalisation_is_idempotent(case):
     again = Scalar(sc.num, sc.den)
     assert again.num.terms == sc.num.terms
     assert again.den.terms == sc.den.terms
+
+
+# Scalars with Fraction coefficients over a denominator of 1, one term or
+# several
+fraction_scalars = st.builds(Scalar, polys, st.one_of(st.just(LaurentPoly.one()), polys.filter(bool)))
+_INTEGRAL_FRACTION = re.compile(r"Fraction\(-?\d+, 1\)")
+
+
+def test_halves_add_up_to_the_int_one():
+    h = Scalar(LaurentPoly.const(Fraction(1, 2)))
+    assert repr(h + h) == repr(Scalar(1)) == "Scalar({(0, 0, 0): 1}, {(0, 0, 0): 1})"
+    assert repr(h * Scalar(2)) == repr(Scalar(1))
+    assert repr(h - h * Scalar(3)) == repr(Scalar(-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_scalars, fraction_scalars)
+def test_sums_and_products_print_integral_coefficients_as_ints(a, b):
+    for value in (a + b, a * b):
+        assert not _INTEGRAL_FRACTION.search(repr(value)), value
 
 
 def _coefficients(p):
