@@ -13,7 +13,7 @@ from functools import cache
 from .annulus import AnnulusElement, closure, closure_word, epsilon_plane, Q, theta
 from .diagram_ring import CPoly, d, gen, psi
 from .hecke import BraidWord, decorate
-from .partitions import Partition
+from .partitions import Partition, hook_framing_root
 from .scalars import Scalar, Z, quantum_int, specialize_sln
 
 
@@ -297,7 +297,7 @@ def rosso_jones(m: int, p: int) -> AnnulusElement:
         raise ValueError("m and p must be coprime")
     acc = AnnulusElement.zero()
     for k in range(1, m + 1):
-        mono = Scalar.monomial(m * p, -p, (m - 2 * k + 1) * p)
+        mono = hook_framing_root(k, m - k + 1) ** p
         if k % 2 == 0:
             mono = -mono
         acc = acc + Q(Partition.hook(k, m - k + 1)).scale(mono)
@@ -376,16 +376,9 @@ class Inconsistent:
     def __str__(self):
         (keys1, v1), (keys2, v2) = self.first, self.second
         def name(keys):
-            return "{" + ", ".join(_monomial_name(k) for k in keys) + "}"
+            return "{" + ", ".join(str(AnnulusElement.term(k)) for k in keys) + "}"
         return "inconsistent: unknown %d is %s from %s but %s from %s" % (
             self.unknown, v1, name(keys1), v2, name(keys2))
-
-
-def _monomial_name(key) -> str:
-    from .linear import multiset_text
-    if not key:
-        return "1"
-    return multiset_text(key, "A", ascending=False)
 
 
 def _eliminate(rows, nunk):

@@ -14,7 +14,9 @@ The memo is keyed by permutation, so it holds at most n! entries.
 On top of the closure sit the normalized idempotent closures Q, the
 column isomorphism theta from the diagram ring, the triangular change of
 basis back from Q-monomials to the winding basis, and the planar
-evaluation.
+evaluation.  AnnulusElement is a linear.Polynomial, as the column ring
+is, and theta memoises its image of each whole column monomial, as
+diagram_ring.phi does.
 """
 
 from __future__ import annotations
@@ -25,22 +27,18 @@ from math import comb, prod
 
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
 from .hecke import _XZ, BraidWord, HeckeElement, _check_cap, alpha, e_lambda, from_word
-from .linear import FormalSum, linear_map, multiset_text
+from .linear import Polynomial, linear_map, multiset_text
 from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
 from .scalars import Scalar, delta
 
 
-class AnnulusElement(FormalSum):
-    """Scalar combination of monomials in the winding generators; a key
-    is the descending tuple of winding numbers, () for the unit."""
+class AnnulusElement(Polynomial):
+    """Polynomial in the winding generators A_m, printed highest winding
+    first; a key is the descending tuple of winding numbers."""
 
     __slots__ = ()
-    _unit_key = ()
     _print_reverse = True
-
-    def _mul_keys(self, k1, k2):
-        return {tuple(sorted(k1 + k2, reverse=True)): 1}
 
     def _format_key(self, key):
         return multiset_text(key, "A", ascending=False)
@@ -132,54 +130,46 @@ def q_hook(k: int, l: int) -> AnnulusElement:
     return Q(Partition.hook(k, l))
 
 
-# A dict, not functools.cache: suffixes are looked up but only whole keys
-# are stored, which bounds its memory.
-_theta_key_cache: dict[tuple[int, ...], AnnulusElement] = {(): AnnulusElement.one()}
-
-
-# theta of a column monomial multiplies Q of its columns together.  A
-# monomial that _theta_size puts over THETA_SIZE_CAP is refused before any
-# product is taken.  One unit costs about 2 us, so the cap admits about 2 s:
-# c3^20 and c4^7 run, c3^21 and c4^8 are refused.
+# theta of a column monomial multiplies Q of its columns c2, c3, ...
+# together.  A monomial that _theta_size puts over THETA_SIZE_CAP is
+# refused before any product is taken.  One unit costs about 2 us, so the
+# cap admits about 2 s: c3^20 and c4^7 run, c3^21 and c4^8 are refused.
 THETA_SIZE_CAP = 1_000_000
 
 
 def _theta_size(key: tuple[int, ...]) -> int:
     """Estimated work in theta of the column monomial key (descending).
 
-    The product has at most the fewer of the annulus monomials in the box
-    its columns span (A_j, j >= 2, at most sum k // j times) and the
-    multisets of one of the p(k) terms of Q(1^k) per column.  Each of its
+    key holds no c1 column, which theta appends without a product.  The
+    product has at most the fewer of the annulus monomials in the box its
+    columns span (A_j, j >= 2, at most sum k // j times) and the multisets
+    of one of the p(k) terms of Q(1^k) per column.  Each of its
     coefficients costs about the square of the summed s-degree k(k-1)/2 of
-    the columns.  Columns c1 add to neither; a column over ENUMERATION_CAP
-    cells is refused here as Q would refuse it.
+    the columns.  A column over ENUMERATION_CAP cells is refused here as Q
+    would refuse it.
     """
     _check_cap(key[0])
-    counts = Counter(k for k in key if k > 1)
-    box = prod(1 + sum(m * (k // j) for k, m in counts.items()) for j in range(2, max(counts, default=1) + 1))
+    counts = Counter(key)
+    box = prod(1 + sum(m * (k // j) for k, m in counts.items()) for j in range(2, max(counts) + 1))
     multisets = prod(comb(m + sum(1 for _ in partitions_of(k)) - 1, m) for k, m in counts.items())
     degree = sum(m * k * (k - 1) // 2 for k, m in counts.items())
     return min(box, multisets) * degree ** 2
 
 
+@cache
 def _theta_key(key: tuple[int, ...]) -> AnnulusElement:
-    """theta of one column monomial: from the longest memoised suffix of
-    key, multiply the columns back on and memoise the whole key."""
-    out = _theta_key_cache.get(key)
-    if out is not None:
-        return out
-    size = _theta_size(key)
-    if size > THETA_SIZE_CAP:
+    """theta of one column monomial, memoised per whole key.  Q(1) = A1, so
+    the trailing run of c1 columns is appended to every winding key of the
+    product of Q over the other columns, multiplied on from the last."""
+    cols = key[:len(key) - key.count(1)]
+    if cols and (size := _theta_size(cols)) > THETA_SIZE_CAP:
         raise ValueError("theta of %s has estimated size %d, over the cap of %d"
                          % (multiset_text(key, "c", ascending=True), size, THETA_SIZE_CAP))
-    start = 1
-    while key[start:] not in _theta_key_cache:
-        start += 1
-    out = _theta_key_cache[key[start:]]
-    for i in range(start - 1, -1, -1):
-        out = out * Q(Partition((1,) * key[i]))
-    _theta_key_cache[key] = out
-    return out
+    out = AnnulusElement.one()
+    for k in reversed(cols):
+        out = out * Q(Partition((1,) * k))
+    run = key[len(cols):]
+    return AnnulusElement._from({w + run: c for w, c in out.terms.items()})
 
 
 def theta(p) -> AnnulusElement:

@@ -1,18 +1,19 @@
 """The ring of formal diagram combinations and its polynomial presentation.
 
 DiagramVector is the free module on partitions with the induced
-multiplication; CPoly is the polynomial ring on column generators c_k.
-The two sides are identified by phi, which sends c_k to the single
-column with k cells.  d gives the single-row elements through the
-alternating recurrence, and psi the power-sum analogues, in both
-presentations.
+multiplication; CPoly is the polynomial ring on column generators c_k, a
+linear.Polynomial like the annulus ring.  The two sides are identified by
+phi, which sends c_k to the single column with k cells; its image of a
+monomial is memoised per whole monomial, as annulus.theta's is.  d gives
+the single-row elements through the alternating recurrence, and psi the
+power-sum analogues, in both presentations.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .linear import FormalSum, add_term, linear_map, multiset_text
+from .linear import FormalSum, Polynomial, add_term, linear_map, multiset_text
 from .partitions import EMPTY, Partition, lr_product
 from .scalars import Scalar
 
@@ -32,16 +33,10 @@ class DiagramVector(FormalSum):
         return str(key)
 
 
-class CPoly(FormalSum):
-    """Polynomial in the column generators; a key is the descending
-    tuple of indices of one monomial, () for the constant term."""
+class CPoly(Polynomial):
+    """Polynomial in the column generators c_k, printed lowest index first."""
 
     __slots__ = ()
-    _unit_key = ()
-    _print_reverse = False
-
-    def _mul_keys(self, k1, k2):
-        return {tuple(sorted(k1 + k2, reverse=True)): 1}
 
     def _format_key(self, key):
         return multiset_text(key, "c", ascending=True)
@@ -58,17 +53,12 @@ def gen(k: int) -> CPoly:
 
 @cache
 def _column_product(key: tuple[int, ...]) -> DiagramVector:
-    """Image of the monomial with index multiset `key` under phi.
-
-    The proper suffixes of key are memoised first, shortest first, so each
-    is one column times the suffix before it, found in the memo: no call
-    nests more than two deep, however long the key.
-    """
-    if not key:
-        return DiagramVector.one()
-    for i in range(len(key) - 1, 0, -1):
-        _column_product(key[i:])
-    return _column_product(key[1:]) * DiagramVector.term(Partition((1,) * key[0]))
+    """Image of the monomial with index multiset `key` under phi: its
+    columns multiplied on from the last, memoised per whole key."""
+    out = DiagramVector.one()
+    for k in reversed(key):
+        out = out * DiagramVector.term(Partition((1,) * k))
+    return out
 
 
 def phi(p: CPoly) -> DiagramVector:

@@ -13,7 +13,6 @@ q = x^-1 s for a_n and -x^-1 s^-1 for b_n; a_element and b_element enumerate.
 
 from __future__ import annotations
 
-import warnings
 from functools import cache
 from math import factorial
 
@@ -152,13 +151,10 @@ class HeckeElement(FormalSum):
 
     def right_word(self, letters) -> "HeckeElement":
         """Multiply on the right by a word, refused past ENUMERATION_CAP! terms."""
-        cap = factorial(ENUMERATION_CAP)
         out = self
         for j in letters:
             out = out.right_letter(j)
-            if len(out.terms) > cap:
-                raise ValueError(f"a Hecke element on {self.n} strands reached {len(out.terms)} terms, "
-                                 f"over the cap of {ENUMERATION_CAP}! = {cap}")
+            _check_support(out)
         return out
 
     def _format_key(self, pi: Perm) -> str:
@@ -204,6 +200,15 @@ def tensor(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return HeckeElement._from(n, acc)
 
 
+def _check_support(h: HeckeElement) -> None:
+    """Refuse a Hecke element with more than ENUMERATION_CAP! terms, which
+    no product on ENUMERATION_CAP or fewer strands reaches."""
+    cap = factorial(ENUMERATION_CAP)
+    if len(h.terms) > cap:
+        raise ValueError(f"a Hecke element on {h.n} strands reached {len(h.terms)} terms, "
+                         f"over the cap of {ENUMERATION_CAP}! = {cap}")
+
+
 def _check_cap(n: int) -> None:
     if n > ENUMERATION_CAP:
         raise ValueError(
@@ -238,13 +243,15 @@ def b_element(n: int) -> HeckeElement:
 
 def _right_young(h: HeckeElement, blocks, offset: int, q: Scalar) -> HeckeElement:
     """h times the Young-subgroup sum over consecutive strand blocks, each
-    block's sum taken as F_1 F_2 ... F_(r-1), F_k = sum_j q^j T_k ... T_(k-j+1)."""
+    block's sum taken as F_1 F_2 ... F_(r-1), F_k = sum_j q^j T_k ... T_(k-j+1),
+    refused as soon as a partial sum passes ENUMERATION_CAP! terms."""
     for r in blocks:
         for k in range(offset + 1, offset + r):
             acc = cur = h
             for i in range(k, offset, -1):
                 cur = cur.right_letter(i).scale(q)
                 acc = acc + cur
+                _check_support(acc)
             h = acc
         offset += r
     return h
@@ -253,8 +260,6 @@ def _right_young(h: HeckeElement, blocks, offset: int, q: Scalar) -> HeckeElemen
 def right_e_lambda(h: HeckeElement, lam: Partition, offset: int) -> HeckeElement:
     """h times e_lambda on strands offset+1 .. offset+|lam|, in O(|lam|^2) letters."""
     _check_cap(max(lam.parts[0], len(lam.parts)))
-    if lam.size > ENUMERATION_CAP:
-        warnings.warn(f"e_lambda on {lam.size} strands builds >{ENUMERATION_CAP}! terms")
     # Basis labels are position-to-strand maps, so the braid whose strands
     # carry row cell i to column cell pi(i) is labelled by the inverse.
     word = [offset + i + 1 for i in reduced_word(inverse(transpose_permutation(lam)))]

@@ -2,7 +2,9 @@
 
 Shared machinery for the diagram ring, the annulus ring and the Hecke
 algebra: storage, module operations, a bilinear product driven by a
-per-class key product, and deterministic printing.
+per-class key product, and deterministic printing.  Polynomial is the
+commutative polynomial ring that the column ring (CPoly) and the annulus
+ring (AnnulusElement) both are: they differ only in how a monomial prints.
 """
 
 from __future__ import annotations
@@ -200,6 +202,18 @@ class FormalSum:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.terms!r})"
+
+
+class Polynomial(FormalSum):
+    """Polynomial in commuting generators indexed by positive integers; a
+    key is the descending tuple of the indices of one monomial, () for the
+    constant term, and monomials multiply by merging their indices."""
+
+    __slots__ = ()
+    _unit_key = ()
+
+    def _mul_keys(self, k1, k2):
+        return {tuple(sorted(k1 + k2, reverse=True)): 1}
 
 
 def format_sum(pairs, format_key) -> str:

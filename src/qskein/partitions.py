@@ -176,6 +176,14 @@ def _is_lattice(last: tuple[int, ...], added: tuple[int, ...]) -> bool:
     return True
 
 
+# A product that tries more than this many strip placements, counted as they
+# are tried, is refused.  Most placements can fail the lattice check, so the
+# count of surviving fillings does not track the work: (20,20,20,20) times
+# itself keeps about 600 of them after 2 s.  One placement costs 7-11 us, so
+# the cap admits about 2 s: (6,5,4,3,2,1) times (5,4,3,2,1) tries 198,542.
+LR_STRIP_CAP = 200_000
+
+
 @cache
 def _lr_cached(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> dict[Partition, int]:
     # a filling is kept as (shape, boxes of its last strip per row): the
@@ -183,10 +191,15 @@ def _lr_cached(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> dict[Pa
     # placed, so only the last strip matters to the next check, and fillings
     # that agree on both are counted together
     states = {(lam_parts, None): 1}
+    tried = 0
     for strip in mu_parts:
         nxt: dict = {}
         for (shape, last), n in states.items():
             for new_shape, added in _horizontal_strips(shape, strip):
+                tried += 1
+                if tried > LR_STRIP_CAP:
+                    raise ValueError(f"the product {Partition(lam_parts)} x {Partition(mu_parts)} tried "
+                                     f"{tried} strip placements, over the cap of {LR_STRIP_CAP}")
                 if last is None or _is_lattice(last, added):
                     key = (new_shape, added)
                     nxt[key] = nxt.get(key, 0) + n
@@ -222,12 +235,34 @@ def lr_product(lam: Partition, mu: Partition) -> dict[Partition, int]:
 # scalars attached to a diagram
 
 
+# hook_content_product multiplies one quantum integer per cell.  A diagram
+# that _hook_content_size puts over this cap is refused before any product.
+# One unit costs about 0.25 us, so the cap admits about 2 s: (50,50) runs,
+# (60,60) and (100) are refused.
+HOOK_CONTENT_CAP = 8_000_000
+
+
+def _hook_content_size(lam: Partition) -> int:
+    """Estimated work in hook_content_product(lam), read off the rows alone.
+
+    [h] has h terms, so the product has at most 1 + sum(h - 1) terms, and
+    each cell multiplies it by its [h]: the work is at most that count times
+    sum h.  The arms sum to sum C(lam_r, 2) and the legs to sum r lam_r.
+    """
+    hook_sum = lam.size + sum(p * (p - 1) // 2 + r * p for r, p in enumerate(lam.parts))
+    return (1 + hook_sum - lam.size) * hook_sum
+
+
 def hook_content_product(lam: Partition) -> LaurentPoly:
     """Product over cells of s^content [hook length].
 
     This is the eigenvalue of the quasi-idempotent attached to lam: the
     square of the symmetrizer is this scalar times the symmetrizer.
     """
+    size = _hook_content_size(lam)
+    if size > HOOK_CONTENT_CAP:
+        raise ValueError(f"the hook-content product of {lam} has estimated size {size}, "
+                         f"over the cap of {HOOK_CONTENT_CAP}")
     out = LaurentPoly.one()
     tr = lam.transpose().parts
     for (r, c) in lam.cells():

@@ -12,6 +12,7 @@ from qskein.annulus import (
     AnnulusElement,
     Q,
     _closure_basis,
+    _theta_key,
     a_gen,
     a_in_Q_basis,
     closure,
@@ -20,7 +21,7 @@ from qskein.annulus import (
     q_hook,
     theta,
 )
-from qskein.diagram_ring import DiagramVector, d, gen
+from qskein.diagram_ring import CPoly, DiagramVector, d, gen
 from qskein.hecke import _XINVZ, _XZ, BraidWord, decorate, from_word
 from qskein.partitions import Partition, partitions_of
 from qskein.perms import cycles, reduced_word
@@ -253,6 +254,43 @@ def test_decorated_closure_matches_plain():
 
 
 def test_theta_memoises_whole_keys_only():
-    before = len(qskein.annulus._theta_key_cache)
+    _theta_key.cache_clear()
     assert str(theta(gen(1) ** 200)) == "A1^200"
-    assert len(qskein.annulus._theta_key_cache) - before <= 2
+    assert _theta_key.cache_info().currsize == 1
+    theta(gen(3) * gen(2) ** 2 * gen(1) ** 3)
+    assert _theta_key.cache_info().currsize == 2
+
+
+# theta of a column monomial by the longest-memoised-suffix walk, each column
+# Q(1^k) multiplied back on, c1 columns included: the oracle for _theta_key
+_suffix_cache: dict[tuple[int, ...], AnnulusElement] = {(): AnnulusElement.one()}
+
+
+def _theta_key_by_suffixes(key):
+    out = _suffix_cache.get(key)
+    if out is not None:
+        return out
+    start = 1
+    while key[start:] not in _suffix_cache:
+        start += 1
+    out = _suffix_cache[key[start:]]
+    for i in range(start - 1, -1, -1):
+        out = out * Q(Partition((1,) * key[i]))
+    _suffix_cache[key] = out
+    return out
+
+
+def test_theta_matches_the_suffix_walk():
+    keys = [lam.parts for n in range(8) for lam in partitions_of(n)]
+    keys += [(2,) + (1,) * 50, (3, 3) + (1,) * 300, (4, 2, 2) + (1,) * 120, (1,) * 700]
+    for key in keys:
+        assert theta(CPoly.term(key)) == _theta_key_by_suffixes(key), key
+
+
+def test_theta_of_a_c1_run_takes_no_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("multiplied by a c1 column")
+
+    _theta_key.cache_clear()
+    monkeypatch.setattr(AnnulusElement, "__mul__", no_product)
+    assert theta(gen(1) ** 20000) == AnnulusElement.term((1,) * 20000)

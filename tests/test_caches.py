@@ -1,18 +1,33 @@
 """Memoised functions: a value recomputed after cache_clear() equals the
 memoised one."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import qskein
 from qskein.adams_skein import P
-from qskein.annulus import Q, a_in_Q_basis
-from qskein.diagram_ring import _column_product, _phi_inverse_partition, d
+from qskein.annulus import Q, _theta_key, a_in_Q_basis
+from qskein.diagram_ring import _column_product, d
 from qskein.hecke import e_lambda
-from qskein.partitions import Partition, _lr_cached
+from qskein.partitions import Partition
 from qskein.perms import reduced_word
-from qskein.scalars import cyclotomic, cyclotomic_factors
+from qskein.scalars import cyclotomic_factors
 
-CACHED = (P, Q, a_in_Q_basis, _column_product, _phi_inverse_partition, d, e_lambda,
-          _lr_cached, reduced_word, cyclotomic, cyclotomic_factors)
+
+def _cached_functions():
+    """Every object with cache_clear in the globals of a qskein module, once."""
+    found = {}
+    for info in pkgutil.iter_modules(qskein.__path__):
+        module = importlib.import_module("qskein." + info.name)
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                found[id(obj)] = obj
+    return list(found.values())
+
+
+CACHED = _cached_functions()
 
 CASES = [
     (Q, Partition((2, 1))),
@@ -25,6 +40,12 @@ CASES = [
     (cyclotomic_factors, (1, 3, 1)),
     (reduced_word, (2, 0, 3, 1)),
 ]
+
+
+def test_the_scan_finds_every_memo():
+    assert CACHED
+    for fn in (P, _theta_key, _column_product, *(fn for fn, _ in CASES)):
+        assert any(fn is cached for cached in CACHED), fn.__name__
 
 
 @pytest.mark.parametrize("fn,arg", CASES, ids=[f"{fn.__name__}{arg}" for fn, arg in CASES])

@@ -215,6 +215,34 @@ def test_theta_powers_under_the_size_cap_run(capsys):
         "492b5e01f12aacfed4b63e4d3b6400d656e31b7048ba5f154e6554e9578b919e")
 
 
+def test_alpha_and_lr_caps_exit_2(capsys, monkeypatch):
+    import qskein.partitions
+
+    def no_product(h):
+        raise AssertionError("multiplied past the cap")
+
+    monkeypatch.setattr(qskein.partitions, "quantum_int", no_product)
+    assert run(capsys, "alpha", "(100,100)") == (2, "", "error: the hook-content product of (100,100) has "
+                                                        "estimated size 102010200, over the cap of 8000000\n")
+    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 15)
+    qskein.partitions._lr_cached.cache_clear()
+    assert run(capsys, "lr", "(2,1)", "(2,1)") == (2, "", "error: the product (2,1) x (2,1) tried 16 strip "
+                                                          "placements, over the cap of 15\n")
+
+
+def test_a_colour_past_the_support_cap_writes_one_error_line(capsys):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "q", "(3,3,3)")
+    assert caught == []
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: a Hecke element on 9 strands reached ")
+    assert err.endswith(" terms, over the cap of 8! = 40320\n")
+
+
 @pytest.mark.parametrize("text", ["s+1", "x+v+s", "s+s^-1+2", "2*s+3/7", "c1+s*c2", "c1*c2+x*c3-1", "10^400/3+s"])
 def test_power_size_bounds_the_result(text):
     from math import log2

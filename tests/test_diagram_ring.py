@@ -1,5 +1,7 @@
 """The free column-generator ring, its diagram basis, and power sums."""
 
+from functools import cache
+
 import pytest
 
 import qskein.diagram_ring
@@ -120,9 +122,29 @@ def test_psi_term_cap_refuses_before_building(monkeypatch):
             psi(m)
 
 
-def test_column_product_memoises_every_suffix():
+@cache
+def _column_product_by_suffixes(key):
+    """phi of a column monomial as its first column times the image of the
+    rest, every suffix memoised shortest first: the oracle for phi."""
+    if not key:
+        return DiagramVector.one()
+    for i in range(len(key) - 1, 0, -1):
+        _column_product_by_suffixes(key[i:])
+    return _column_product_by_suffixes(key[1:]) * DiagramVector.term(Partition((1,) * key[0]))
+
+
+def test_phi_matches_the_suffix_memo():
+    for n in range(8):
+        for lam in partitions_of(n):
+            assert phi(CPoly.term(lam.parts)) == _column_product_by_suffixes(lam.parts), lam
+
+
+def test_column_product_memoises_whole_keys_only(monkeypatch):
+    def no_recursion(key):
+        raise AssertionError("recursed on %r" % (key,))
+
     _column_product.cache_clear()
+    monkeypatch.setattr(qskein.diagram_ring, "_column_product", no_recursion)
     value = _column_product((3, 2, 2, 1))
-    assert _column_product.cache_info().currsize == 5
-    assert value == phi(gen(3) * gen(2) * gen(2) * gen(1))
-    assert _column_product.cache_info().currsize == 5
+    assert _column_product.cache_info().currsize == 1
+    assert value == _column_product_by_suffixes((3, 2, 2, 1))

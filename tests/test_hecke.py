@@ -305,6 +305,15 @@ def test_word_support_cap(monkeypatch):
         from_word(BraidWord(3, [-1, -2]))
 
 
+def test_young_sums_check_the_support(monkeypatch):
+    # F_3 adds six terms to the six of F_1 F_2: refused at the first partial sum
+    monkeypatch.setattr("qskein.hecke.ENUMERATION_CAP", 3)
+    h = HeckeElement.unit(4)
+    assert len(_right_young(h, (3,), 0, _ROW_Q).terms) == 6
+    with pytest.raises(ValueError, match=r"on 4 strands reached 12 terms, over the cap of 3! = 6"):
+        _right_young(h, (4,), 0, _ROW_Q)
+
+
 def test_decorate_refuses_a_colour_past_the_cap():
     for colour in ((9,), (1,) * 9):
         with pytest.raises(ValueError, match="exceeds the cap 8"):

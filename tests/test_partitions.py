@@ -15,10 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qskein.partitions
 from qskein.parsing import parse_partition
 from qskein.partitions import (
     EMPTY,
+    HOOK_CONTENT_CAP,
     Partition,
+    _hook_content_size,
+    _lr_cached,
     all_partitions_up_to,
     framing_factor,
     hook_content_closed,
@@ -174,6 +178,41 @@ def test_hook_content_values():
         if lam.size:
             p = hook_content_product(lam)
             assert hook_content_product(lam.transpose()) == p.invert_variables()
+
+
+def test_hook_content_size_bounds_the_product():
+    for lam in all_partitions_up_to(8):
+        hooks = [lam.hook_length(r, c) for r, c in lam.cells()]
+        terms = 1 + sum(hooks) - lam.size
+        assert _hook_content_size(lam) == terms * sum(hooks), lam
+        assert len(hook_content_product(lam).terms) <= terms, lam
+
+
+def test_hook_content_cap_refuses_before_the_product(monkeypatch):
+    assert _hook_content_size(Partition((50, 50))) <= HOOK_CONTENT_CAP < _hook_content_size(Partition((60, 60)))
+
+    def no_product(h):
+        raise AssertionError("multiplied past the cap")
+
+    monkeypatch.setattr(qskein.partitions, "quantum_int", no_product)
+    for parts in ((100, 100), (300, 300, 300), (60, 60), (100,), (1,) * 100, (10**9,)):
+        with pytest.raises(ValueError, match=r"estimated size \d+, over the cap of 8000000$"):
+            hook_content_product(Partition(parts))
+
+
+def test_lr_strip_cap_counts_placements_as_they_are_tried(monkeypatch):
+    # (2,1) x (2,1) tries 16 placements: 4 strips of two boxes on (2,1), then
+    # 3 single boxes on each result
+    lam = Partition((2, 1))
+    want = lr_product(lam, lam)
+    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 16)
+    _lr_cached.cache_clear()
+    assert lr_product(lam, lam) == want
+    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 15)
+    _lr_cached.cache_clear()
+    with pytest.raises(ValueError, match=r"^the product \(2,1\) x \(2,1\) tried 16 strip placements, "
+                                         r"over the cap of 15$"):
+        lr_product(lam, lam)
 
 
 def test_framing_factors():

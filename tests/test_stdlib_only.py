@@ -8,9 +8,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qskein"
 
-# _ppb_closure_cache stores every member of a shift class its walk visits;
-# _theta_key_cache looks up suffixes but stores only whole keys.
-HAND_ROLLED_MEMOS = {"_ppb_closure_cache", "_theta_key_cache"}
+# _ppb_closure_cache stores every member of a shift class its walk visits.
+HAND_ROLLED_MEMOS = {"_ppb_closure_cache"}
 
 
 def _modules():
