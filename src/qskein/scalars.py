@@ -13,12 +13,17 @@ and [i]! is the product [1][2]...[i].  delta() is the value of a single
 
 A Scalar is a fraction in one normal form (see Scalar).  Denominators
 built by the skein computations are monomials times products of quantum
-integers, and [k] = s^(1-k) * prod Phi_d(s) over the d > 2 dividing 2k.
-Each new denominator in s is factored once into cyclotomic polynomials
-Phi_d(s) (cyclotomic_factors, memoised), and a Scalar cancels each factor
-against its numerator by exact trial division.  A denominator that is not
-such a product, or that involves x or v, keeps the univariate gcd over
-Fractions (_s_reduce_gcd) or no cancellation at all.
+integers, and [k] = s^(1-k) * prod Phi_d(s) over the d > 2 dividing 2k, so
+a reduced one is the monic product of its cyclotomic factors Phi_d(s).
+Each such denominator is factored once (cyclotomic_factors, memoised), and
+Scalar() cancels each factor against the numerator by exact trial division.
+Arithmetic on two such fractions works on the factorisations, as in
+Henrici's gcd-saving rational arithmetic (Knuth, TAOCP 2, 4.5.1): a sum
+goes over the lcm of the denominators and is trial-divided only by the
+factors both hold equally often, and a product first divides each numerator
+by the factors of the other denominator.  A denominator that is not such a
+product, or that involves x or v, takes the general route through Scalar():
+the univariate gcd over Fractions (_s_reduce_gcd) or no cancellation at all.
 
 specialize_sln() substitutes s = t^N, x = t^-1, v = t^(-N^2), collapsing a
 Scalar to a one-variable Laurent fraction in t, a TFraction.  A TFraction
@@ -283,7 +288,12 @@ class Scalar:
     with gcd 1 and a positive leading coefficient.  A denominator in x or v
     is not reduced further, so equality is decided by cross
     multiplication, and unreduced representations of the same value compare
-    equal.
+    equal.  Every zero is Scalar.zero(), over 1.
+
+    +, -, * and / build the same normal form straight from the
+    factorisations when both denominators, and for / the divisor's numerator
+    up to a monomial, are 1 or products of Phi_d(s) with d <=
+    CYCLOTOMIC_ORDER_CAP; the others go through Scalar(num, den).
     """
 
     __slots__ = ("num", "den")
@@ -377,9 +387,27 @@ class Scalar:
             other = _coerce(other)
             if other is NotImplemented:
                 return other
-        if self.den is other.den or self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b is d or b == d:
+            if b.is_one():
+                return Scalar._raw(a + c, ONE_LP)
+            fb = fd = _den_factors(b)
+            if fb is None:
+                return Scalar(a + c, b)
+        else:
+            fb, fd = _den_factors(b), _den_factors(d)
+            if fb is None or fd is None:
+                return Scalar(a * d + c * b, b * d)
+        # a/b + c/d = (a*(d/g) + c*(b/g)) / lcm(b, d) with g = gcd(b, d); a
+        # factor can divide that numerator only if b and d hold it equally often
+        eb, ed = dict(fb), dict(fd)
+        lcm = {k: max(eb.get(k, 0), ed.get(k, 0)) for k in eb.keys() | ed.keys()}
+        num = _times(a, {k: m - eb.get(k, 0) for k, m in lcm.items()})
+        num = num + _times(c, {k: m - ed.get(k, 0) for k, m in lcm.items()})
+        if not num:
+            return Scalar.zero()
+        num = _cancel(num, [(k, m) for k, m in fb if ed.get(k) == m], lcm)
+        return Scalar._raw(num, _cyclotomic_poly(_pairs(lcm)))
 
     __radd__ = __add__
 
@@ -399,22 +427,25 @@ class Scalar:
     def __mul__(self, other) -> "Scalar":
         if type(other) is not Scalar:
             if isinstance(other, (int, Fraction)):
-                return Scalar._raw(self.num * other, self.den)
+                return Scalar._raw(self.num * other, self.den) if other else Scalar.zero()
             if isinstance(other, LaurentPoly):
-                return Scalar(self.num * other, self.den)
-            if not isinstance(other, Scalar):
+                other = Scalar.from_poly(other)
+            elif not isinstance(other, Scalar):
                 return NotImplemented
         if self.den.is_one() and other.den.is_one():
             return Scalar._raw(self.num * other.num, ONE_LP)
-        return Scalar(self.num * other.num, self.den * other.den)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     def mul_poly(self, p: LaurentPoly) -> "Scalar":
         """Multiply by a polynomial without re-normalising the denominator."""
-        return Scalar._raw(self.num * p, self.den)
+        num = self.num * p
+        return Scalar._raw(num, self.den) if num else Scalar.zero()
 
     def mul_monomial(self, ex: int, ev: int, es: int, coeff=1) -> "Scalar":
+        if not coeff:
+            return Scalar.zero()
         return Scalar._raw(self.num.mul_monomial(ex, ev, es, coeff), self.den)
 
     def __truediv__(self, other) -> "Scalar":
@@ -424,7 +455,10 @@ class Scalar:
                 return other
         if other.is_zero():
             raise ZeroDivisionError("division of Scalar by zero")
-        return Scalar(self.num * other.den, self.den * other.num)
+        inverse = _reciprocal(other)
+        if inverse is None or _den_factors(self.den) is None:
+            return Scalar(self.num * other.den, self.den * other.num)
+        return _product(self, inverse)
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar(other) / self
@@ -476,6 +510,23 @@ def _primitive_scale(p: LaurentPoly) -> Fraction:
     return _ratio(Fraction(den_lcm, num_gcd))
 
 
+def _product(x: Scalar, y: Scalar) -> Scalar:
+    """x * y, from the factorisations when both denominators are 1 or
+    products of Phi_d(s), else through Scalar()."""
+    a, b, c, d = x.num, x.den, y.num, y.den
+    fb, fd = _den_factors(b), _den_factors(d)
+    if fb is None or fd is None:
+        return Scalar(a * c, b * d)
+    if not a or not c:
+        return Scalar.zero()
+    # each numerator loses the factors it shares with the other denominator
+    exps = dict(fb)
+    for k, m in fd:
+        exps[k] = exps.get(k, 0) + m
+    a, c = _cancel(a, fd, exps), _cancel(c, fb, exps)
+    return Scalar._raw(a * c, _cyclotomic_poly(_pairs(exps)))
+
+
 def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Cancel the common s-polynomial factor of num and den.
 
@@ -485,14 +536,23 @@ def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
     found by exact trial division; Phi_d is irreducible, so this removes the
     same gcd as _s_reduce_gcd, which handles every other denominator.
     """
-    if any(e[0] or e[1] for e in den.terms):
-        return num, den
-    dterms = {c: k for (_, _, c), k in den.terms.items()}
-    dlo = min(dterms)
-    dkey = tuple(dterms.get(e, 0) for e in range(dlo, max(dterms) + 1))
-    factors = cyclotomic_factors(dkey)
-    if factors is None:
+    split = _cyclotomic_split(den)
+    if split is None:
         return _s_reduce_gcd(num, den)
+    lo, k, factors = split
+    exps = dict(factors)
+    reduced = _cancel(num, factors, exps)
+    if reduced is num:
+        return num, den
+    return reduced, _cyclotomic_poly(_pairs(exps)).mul_monomial(*lo, k)
+
+
+def _cancel(num: LaurentPoly, factors, exps: dict[int, int]) -> LaurentPoly:
+    """Divide num by each Phi_d of factors, (d, mult) pairs, as often as it
+    divides every (x, v)-slice of num and at most mult times, and take each
+    division off exps[d].  Returns num itself when nothing divides it."""
+    if not factors:
+        return num
     slices: dict[tuple[int, int], dict[int, object]] = {}
     for (a, b, c), k in num.terms.items():
         slices.setdefault((a, b), {})[c] = k
@@ -500,7 +560,7 @@ def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
     for ab, sl in slices.items():
         lo = min(sl)
         packs.append((ab, [sl.get(e, 0) for e in range(lo, max(sl) + 1)], lo))
-    cancelled = []
+    cancelled = False
     for d, mult in factors:
         f = cyclotomic(d)
         chains = []
@@ -517,20 +577,16 @@ def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentP
             chains.append(chain)
         if mult:
             packs = [(ab, chain[mult], lo) for (ab, _, lo), chain in zip(packs, chains)]
-            cancelled.append((f, mult))
+            exps[d] -= mult
+            cancelled = True
     if not cancelled:
-        return num, den
-    dq = list(dkey)
-    for f, mult in cancelled:
-        for _ in range(mult):
-            dq = _exact_quo(dq, f)
+        return num
     terms = {}
     for ab, coe, lo in packs:
         for e, c in enumerate(coe):
             if c:
                 terms[(ab[0], ab[1], e + lo)] = c
-    new_den = {(0, 0, e + dlo): c for e, c in enumerate(dq) if c}
-    return LaurentPoly(terms), LaurentPoly(new_den)
+    return LaurentPoly(terms)
 
 
 def _s_reduce_gcd(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
@@ -655,6 +711,61 @@ def cyclotomic_factors(coeffs) -> tuple[tuple[int, int], ...] | None:
         if len(rest) == 1:
             break
     return tuple(out) if len(rest) == 1 else None
+
+
+@cache
+def _cyclotomic_poly(factors: tuple[tuple[int, int], ...]) -> LaurentPoly:
+    """The product of Phi_d(s)^mult over the (d, mult) pairs of factors."""
+    out = ONE_LP
+    for d, mult in factors:
+        out = out * LaurentPoly._raw({(0, 0, e): c for e, c in enumerate(cyclotomic(d)) if c}) ** mult
+    return out
+
+
+def _pairs(exps: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((d, m) for d, m in exps.items() if m))
+
+
+def _times(p: LaurentPoly, exps: dict[int, int]) -> LaurentPoly:
+    """p times the product of Phi_d(s)^exps[d]."""
+    factors = _pairs(exps)
+    return p * _cyclotomic_poly(factors) if factors else p
+
+
+def _cyclotomic_split(p: LaurentPoly):
+    """(e, k, factors) with p = k x^e[0] v^e[1] s^e[2] prod Phi_d(s)^mult
+    over the (d, mult) pairs of factors, or None if p is not such a product."""
+    terms = p.terms
+    # every exponent lies between these two in the lexicographic order, so
+    # all share the powers of x and v when these two do
+    lo, hi = min(terms), max(terms)
+    if lo[0] != hi[0] or lo[1] != hi[1]:
+        return None
+    key = [0] * (hi[2] - lo[2] + 1)
+    for e, k in terms.items():
+        key[e[2] - lo[2]] = k
+    factors = cyclotomic_factors(tuple(key))
+    return None if factors is None else (lo, key[-1], factors)
+
+
+def _den_factors(den: LaurentPoly) -> tuple[tuple[int, int], ...] | None:
+    """The (d, mult) pairs of a normal-form Scalar denominator that is 1 or
+    a product of Phi_d(s) with d <= CYCLOTOMIC_ORDER_CAP, else None.  Such a
+    denominator is the monic product itself, lowest term s^0."""
+    split = _cyclotomic_split(den)
+    if split is None or split[0] != _ZERO3 or split[1] != 1:
+        return None
+    return split[2]
+
+
+def _reciprocal(sc: Scalar) -> Scalar | None:
+    """1/sc in normal form when sc's numerator is a monomial times a product
+    of Phi_d(s) and its denominator is 1 or such a product, else None."""
+    split = _cyclotomic_split(sc.num)
+    if split is None or _den_factors(sc.den) is None:
+        return None
+    (a, b, c), k, factors = split
+    return Scalar._raw(sc.den.mul_monomial(-a, -b, -c, Fraction(1, 1) / k), _cyclotomic_poly(factors))
 
 
 def delta() -> Scalar:

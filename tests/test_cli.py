@@ -387,3 +387,33 @@ def test_torus_link_two_components(capsys):
     code, out, _ = run(capsys, "torus", "2", "4", "--sl", "2", "--h-order", "2")
     assert code == 0
     assert out == "4 + 7*h^2\n"
+
+
+def _golden_calls():
+    """q, alpha, theta, pm, adams and torus over small inputs, plain and --json."""
+    from qskein.partitions import partitions_of
+
+    shapes = [lam for n in range(1, 6) for lam in partitions_of(n)]
+    calls = [("q", str(lam)) for lam in shapes] + [("alpha", str(lam)) for lam in shapes]
+    calls += [("theta", "*".join("c%d" % k for k in lam.parts)) for lam in shapes]
+    calls += [(cmd, str(m)) for cmd in ("pm", "adams") for m in range(1, 7)]
+    for m, p in ((2, 3), (3, 4), (2, 5)):
+        calls.append(("torus", str(m), str(p)))
+        for n in (2, 3):
+            calls.append(("torus", str(m), str(p), "--sl", str(n), "--h-order", "4", "--normalize"))
+    return [argv + extra for argv in calls for extra in ((), ("--json",))]
+
+
+# sha256 of every call's stdout, stderr and exit code, recorded from the
+# general Scalar route before the cyclotomic one was added.
+GOLDEN_DIGEST = "9a8be7e6b96a3bba9a1a16857a21da14dfa58ae8e32aa6728dcddd5c03d547cd"
+
+
+def test_golden_outputs_are_unchanged(capsys):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for argv in _golden_calls():
+        code, out, err = run(capsys, *argv)
+        digest.update(("%s\0%s\0%s\0%d\0" % (" ".join(argv), out, err, code)).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qskein.jsonio import encode_scalar
+from qskein.partitions import Partition
 from qskein.scalars import (
     CYCLOTOMIC_ORDER_CAP,
     LaurentPoly,
@@ -18,6 +20,7 @@ from qskein.scalars import (
     TFraction,
     Z,
     Z_LP,
+    _den_factors,
     _s_reduce,
     _s_reduce_gcd,
     cyclotomic,
@@ -113,12 +116,13 @@ polys = st.dictionaries(
 
 
 @st.composite
-def reductions(draw):
+def reductions(draw, other_factors=1):
     """(num, den) as Scalar() hands them on: num nonzero, den in s only with
-    its monomial content stripped.  num is a sum of parts that each share a
-    random part of den's factors, so its (x, v)-slices share different ones."""
+    its monomial content stripped, and with at most other_factors factors
+    from OTHER_FACTORS.  num is a sum of parts that each share a random part
+    of den's factors, so its (x, v)-slices share different ones."""
     factors = draw(st.lists(st.sampled_from(CYCLOTOMIC_FACTORS), min_size=1, max_size=4))
-    factors += draw(st.lists(st.sampled_from(OTHER_FACTORS), max_size=1))
+    factors += draw(st.lists(st.sampled_from(OTHER_FACTORS), max_size=other_factors))
     den = LaurentPoly.const(draw(st.sampled_from([1, 2, Fraction(-3, 2)])))
     for f in factors:
         den = den * f
@@ -150,6 +154,91 @@ def test_normalisation_is_idempotent(case):
     again = Scalar(sc.num, sc.den)
     assert again.num.terms == sc.num.terms
     assert again.den.terms == sc.den.terms
+
+
+# Scalars over a product of Phi_d(s), or over 1 once it all cancels
+cyclotomic_scalars = reductions(other_factors=0).map(lambda case: Scalar(*case))
+# Scalars over a denominator in x and v, or in s with a factor that is not
+# cyclotomic: both take the general route
+general_scalars = st.one_of(
+    st.builds(Scalar, polys, polys.filter(lambda p: len(p.terms) > 1)),
+    st.builds(Scalar, polys, st.sampled_from(OTHER_FACTORS)),
+)
+
+
+def _same_form(got, want):
+    return got.num.terms == want.num.terms and got.den.terms == want.den.terms
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(cyclotomic_scalars, polys.map(Scalar)), cyclotomic_scalars)
+def test_cyclotomic_route_matches_the_general_route(a, b):
+    assert _den_factors(b.den) is not None
+    for x, y in ((a, b), (b, a), (b, b)):
+        assert _same_form(x + y, Scalar(x.num * y.den + y.num * x.den, x.den * y.den))
+        assert _same_form(x - y, Scalar(x.num * y.den - y.num * x.den, x.den * y.den))
+        assert _same_form(x * y, Scalar(x.num * y.num, x.den * y.den))
+        if y:
+            assert _same_form(x / y, Scalar(x.num * y.den, x.den * y.num))
+        # y - x holds y's factors, so its sum with x must cancel back to y
+        assert _same_form(x + (y - x), y)
+
+
+@settings(max_examples=20, deadline=None)
+@given(*[st.one_of(cyclotomic_scalars, general_scalars, polys.map(Scalar))] * 3)
+def test_scalar_field_axioms(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == 0
+    if a:
+        assert a * (1 / a) == 1
+
+
+def test_cyclotomic_denominators_never_reach_the_general_route(monkeypatch):
+    from qskein import scalars
+    from qskein.annulus import Q, _theta_key, theta
+    from qskein.parsing import parse_cpoly
+
+    rng = random.Random(5)
+    values = [Scalar(rand_poly(rng), quantum_int(k)) for k in range(2, 7)]
+    extra = Scalar(rand_poly(rng))
+    sums = sum(values, Scalar.zero())
+    products = values[0] * values[1] * values[2] * extra
+    over_v = Scalar(1, LaurentPoly({(0, 1, 0): 1, (0, 0, 0): 1}))
+    d = delta()
+    cases = [(Q, Partition((2, 2, 1))), (theta, parse_cpoly("c2*c3"))]
+    wants = [fn(arg) for fn, arg in cases]
+    Q.cache_clear()
+    _theta_key.cache_clear()
+
+    def general(*args):
+        raise AssertionError("the general route was taken")
+
+    monkeypatch.setattr(scalars, "_s_reduce", general)
+    monkeypatch.setattr(scalars, "_s_reduce_gcd", general)
+    assert sum(values, Scalar.zero()) == sums
+    assert values[0] * values[1] * values[2] * extra == products
+    for (fn, arg), want in zip(cases, wants):
+        assert fn(arg) == want
+    with pytest.raises(AssertionError, match="general route"):
+        d + over_v
+
+
+def test_every_zero_takes_the_one_zero_form():
+    third = Scalar(1, quantum_int(3))
+    over_v = Scalar(1, LaurentPoly({(0, 1, 0): 1, (0, 0, 0): 1}))
+    zeros = [
+        third * 0, 0 * third, third * Fraction(0), third.mul_monomial(0, 0, 0, 0),
+        third.mul_poly(LaurentPoly.zero()), third * LaurentPoly.zero(), third * Scalar.zero(),
+        third - third, third + (-third), over_v * 0, over_v - over_v, Scalar.zero() / third,
+    ]
+    for z in zeros:
+        assert repr(z) == repr(Scalar.zero()) == "Scalar({}, {(0, 0, 0): 1})"
+        assert str(z) == "0"
+        assert encode_scalar(z) == {"num": [], "den": [[0, 0, 0, 1]]}
 
 
 # Scalars with Fraction coefficients over a denominator of 1, one term or
