@@ -9,7 +9,8 @@ distinct generators and T_pi closes to the product of A_k over its cycle
 lengths k.  Otherwise some u reached from pi by length-preserving cyclic
 shifts u -> s_i u s_i, which keep the closure, has s_i u s_i two shorter,
 and T_i^2 = xz T_i + x^2 gives cl(u) = xz cl(u s_i) + x^2 cl(s_i u s_i).
-The memo is keyed by permutation, so it holds at most n! entries.
+closure pushes raw polynomial coefficients down these steps, longest
+permutations first; the step from each permutation is memoised.
 
 On top of the closure sit the normalized idempotent closures Q, the
 column isomorphism theta from the diagram ring, the triangular change of
@@ -26,7 +27,7 @@ from functools import cache
 from math import comb, prod
 
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
-from .hecke import _XZ, BraidWord, HeckeElement, _check_cap, alpha, e_lambda, from_word
+from .hecke import BraidWord, HeckeElement, _add_shifted, _check_cap, _join, _split, alpha, e_lambda, from_word
 from .linear import Polynomial, linear_map, multiset_text
 from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
@@ -60,56 +61,57 @@ def a_gen(m: int) -> AnnulusElement:
     return AnnulusElement.term((m,))
 
 
-# A dict, not functools.cache: one walk stores every member of the shift
-# class it visits.
-_ppb_closure_cache: dict[Perm, AnnulusElement] = {}
-
-
-def _shift(u: Perm, i: int) -> Perm:
-    """s_i u s_i: swap the positions i, i+1 and the values i, i+1."""
-    swap = {i: i + 1, i + 1: i}
-    return tuple(swap.get(p, p) for p in swap_positions(u, i))
-
-
-def _walk_to_shorter(pi: Perm, length: int):
-    """Walk the cyclic-shift class of pi, which is not minimal in its
-    conjugacy class, breadth first.  Returns the members visited and the
-    first (u, i) with s_i u s_i two shorter (Geck-Pfeiffer 3.2.9)."""
-    visited = [pi]
-    for u in visited:
-        for i in range(len(pi) - 1):
-            v = _shift(u, i)
-            lv = inversions(v)
-            if lv < length:
-                return visited, u, i
-            if lv == length and v not in visited:
-                visited.append(v)
-
-
-def _closure_basis(pi: Perm) -> AnnulusElement:
-    """Closure of the positive permutation braid T_pi, by the trace
-    recursion in the module docstring."""
-    out = _ppb_closure_cache.get(pi)
-    if out is not None:
-        return out
+@cache
+def _closure_step(pi: Perm):
+    """(length, key, None, None) when pi has minimal length in its conjugacy
+    class, key the winding key of its cycle type.  Otherwise (length, None,
+    u s_i, s_i u s_i) for the first u and i, breadth first in the
+    cyclic-shift class of pi, with s_i u s_i two shorter (Geck-Pfeiffer
+    3.2.9): T_u = T_i T_v T_i for v = s_i u s_i, and T_i^2 = xz T_i + x^2."""
     length = inversions(pi)
     cyc = cycles(pi)
     if length == len(pi) - len(cyc):
-        visited = [pi]
-        out = AnnulusElement.term(tuple(sorted(map(len, cyc), reverse=True)))
-    else:
-        visited, u, i = _walk_to_shorter(pi, length)
-        # T_u = T_i T_v T_i for v = s_i u s_i, and T_i^2 = xz T_i + x^2
-        out = _closure_basis(swap_positions(u, i)).scale(_XZ)
-        out = out + _closure_basis(_shift(u, i)).scale(Scalar.monomial(2, 0, 0))
+        return length, tuple(sorted(map(len, cyc), reverse=True)), None, None
+    visited = [pi]
     for u in visited:
-        _ppb_closure_cache[u] = out
+        for i in range(len(pi) - 1):
+            w = swap_positions(u, i)
+            a, b = w.index(i), w.index(i + 1)
+            # u s_i is one longer than u on an ascent at i, and s_i u s_i one
+            # longer than u s_i when the value i comes first in u s_i
+            steps_up = (u[i] < u[i + 1]) + (a < b)
+            if steps_up < 2:
+                v = list(w)
+                v[a], v[b] = i + 1, i
+                v = tuple(v)
+                if not steps_up:
+                    return length, None, w, v
+                if v not in visited:
+                    visited.append(v)
+
+
+def _push_down(terms: dict) -> dict:
+    """Raw closure of {perm: polynomial}: each coefficient moves to shorter
+    permutations, longest first, until it reaches a winding key."""
+    levels = [{} for _ in range(1 + max((_closure_step(pi)[0] for pi in terms), default=-1))]
+    for pi, p in terms.items():
+        _add_shifted(levels[_closure_step(pi)[0]], pi, p, 0, 0, 0, 1)
+    out: dict = {}
+    for length in range(len(levels) - 1, -1, -1):
+        for pi, p in levels[length].items():
+            _, key, shorter, shortest = _closure_step(pi)
+            if key is not None:
+                _add_shifted(out, key, p, 0, 0, 0, 1)
+            else:
+                _add_shifted(levels[length - 1], shorter, p, 1, 0, 1, 1)
+                _add_shifted(levels[length - 1], shorter, p, 1, 0, -1, -1)
+                _add_shifted(levels[length - 2], shortest, p, 2, 0, 0, 1)
     return out
 
 
 def closure(h: HeckeElement) -> AnnulusElement:
     """Close a Hecke element around the annulus."""
-    return linear_map(h, _closure_basis, AnnulusElement)
+    return AnnulusElement._from(_join((den, _push_down(terms)) for den, terms in _split(h)))
 
 
 def closure_word(w: BraidWord) -> AnnulusElement:

@@ -9,6 +9,8 @@ symmetrizer-style sums a_n and b_n, the quasi-idempotents e_lambda
 A product by e_lambda applies a_n = a_(n-1) F_(n-1), F_k = sum_j q^j T_k ...
 T_(k-j+1) over distinguished coset representatives (Dipper-James 1986), with
 q = x^-1 s for a_n and -x^-1 s^-1 for b_n; a_element and b_element enumerate.
+Products run in raw kernels on dicts perm -> {(a, b, c): coeff}, merged in
+place, on the numerators of each denominator class of the coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import factorial
 from .linear import FormalSum, add_term
 from .partitions import Partition, hook_content_product, transpose_permutation
 from .perms import Perm, all_perms, identity, inverse, inversions, reduced_word, swap_positions
-from .scalars import LaurentPoly, Scalar
+from .scalars import ONE_LP, LaurentPoly, Scalar
 
 # S_n sums refuse to enumerate beyond this many strands; raise it at your
 # own risk (terms grow like n!)
@@ -125,37 +127,18 @@ class HeckeElement(FormalSum):
             return mul(self, other)
         return super().__mul__(other)
 
+    def _apply(self, kernel, *args) -> "HeckeElement":
+        """kernel(terms, n, *args) on each denominator class, divided back."""
+        pieces = ((den, kernel(terms, self.n, *args)) for den, terms in _split(self))
+        return HeckeElement._from(self.n, _join(pieces))
+
     def right_letter(self, j: int) -> "HeckeElement":
         """Multiply on the right by one braid letter."""
-        i = abs(j) - 1
-        if j == 0 or i >= self.n - 1:
-            raise ValueError(f"letter {j} out of range for {self.n} strands")
-        acc: dict[Perm, Scalar] = {}
-        if j > 0:
-            for pi, c in self.terms.items():
-                flipped = swap_positions(pi, i)
-                if pi[i] < pi[i + 1]:
-                    add_term(acc, flipped, c)
-                else:
-                    add_term(acc, pi, c.mul_poly(_XZ))
-                    add_term(acc, flipped, c.mul_monomial(2, 0, 0))
-        else:
-            for pi, c in self.terms.items():
-                flipped = swap_positions(pi, i)
-                if pi[i] < pi[i + 1]:
-                    add_term(acc, flipped, c.mul_monomial(-2, 0, 0))
-                    add_term(acc, pi, -c.mul_poly(_XINVZ))
-                else:
-                    add_term(acc, flipped, c)
-        return HeckeElement._from(self.n, acc)
+        return self._apply(_right_word, (j,))
 
     def right_word(self, letters) -> "HeckeElement":
         """Multiply on the right by a word, refused past ENUMERATION_CAP! terms."""
-        out = self
-        for j in letters:
-            out = out.right_letter(j)
-            _check_support(out)
-        return out
+        return self._apply(_right_word, tuple(letters))
 
     def _format_key(self, pi: Perm) -> str:
         return "w[" + " ".join(str(p + 1) for p in pi) + "]"
@@ -164,12 +147,69 @@ class HeckeElement(FormalSum):
         return f"HeckeElement({self.n}, {self.terms!r})"
 
 
-# the two smoothing coefficients of the skein relation at a crossing
-_XZ = LaurentPoly({(1, 0, 1): 1, (1, 0, -1): -1})        # x(s - s^-1)
-_XINVZ = LaurentPoly({(-1, 0, 1): 1, (-1, 0, -1): -1})   # x^-1(s - s^-1)
 # the weight per generator of the row sums a_n and the column sums b_n
-_ROW_Q = Scalar.monomial(-1, 0, 1)                        # x^-1 s
-_COL_Q = Scalar.monomial(-1, 0, -1, -1)                   # -x^-1 s^-1
+_ROW_Q = (-1, 0, 1, 1)                                    # x^-1 s, as (ex, ev, es, coeff)
+_COL_Q = (-1, 0, -1, -1)                                  # -x^-1 s^-1
+
+
+def _add_shifted(acc: dict, key, p: dict, a: int, b: int, c: int, k) -> None:
+    """acc[key] += k x^a v^b s^c p on raw polynomials, in place: acc owns
+    every polynomial it holds and holds no zero one; p is not kept."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = {(e1 + a, e2 + b, e3 + c): m * k for (e1, e2, e3), m in p.items()}
+        return
+    for (e1, e2, e3), m in p.items():
+        e = (e1 + a, e2 + b, e3 + c)
+        m = cur.get(e, 0) + m * k
+        if m:
+            cur[e] = m
+        else:
+            del cur[e]
+    if not cur:
+        del acc[key]
+
+
+def _split(element) -> list:
+    """[(den, {key: raw numerator})], one class per denominator, at least one."""
+    groups: dict = {}
+    for key, c in element.terms.items():
+        groups.setdefault(c.den, {})[key] = c.num.terms
+    return list(groups.items()) or [(ONE_LP, {})]
+
+
+def _join(pieces) -> dict:
+    """{key: Scalar}, summed over (den, {key: raw numerator}) pieces."""
+    acc: dict = {}
+    for den, terms in pieces:
+        for key, p in terms.items():
+            p = LaurentPoly._raw(p)
+            add_term(acc, key, Scalar._raw(p, ONE_LP) if den.is_one() else Scalar(p, den))
+    return acc
+
+
+def _right_word(terms: dict, n: int, letters, q=(0, 0, 0, 1)) -> dict:
+    """Raw kernel: terms times each letter and the monomial q in turn, refused
+    past ENUMERATION_CAP! terms.  T_i^e sends T_pi to T_(pi s_i) when that
+    is e steps longer, and otherwise to x^(2e) T_(pi s_i) + e x^e z T_pi."""
+    a, b, c, k = q
+    for j in letters:
+        i = abs(j) - 1
+        if j == 0 or i >= n - 1:
+            raise ValueError(f"letter {j} out of range for {n} strands")
+        e = 1 if j > 0 else -1
+        acc: dict = {}
+        for pi, p in terms.items():
+            flipped = pi[:i] + (pi[i + 1], pi[i]) + pi[i + 2:]
+            if (pi[i] < pi[i + 1]) == (j > 0):
+                _add_shifted(acc, flipped, p, a, b, c, k)
+            else:
+                _add_shifted(acc, pi, p, a + e, b, c + 1, e * k)
+                _add_shifted(acc, pi, p, a + e, b, c - 1, -e * k)
+                _add_shifted(acc, flipped, p, a + 2 * e, b, c, k)
+        terms = acc
+        _check_support(n, terms)
+    return terms
 
 
 def from_word(w: BraidWord) -> HeckeElement:
@@ -181,12 +221,17 @@ def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Product, reducing through the braid word of each basis term of b."""
     if a.n != b.n:
         raise ValueError("strand counts differ")
-    acc: dict[Perm, Scalar] = {}
-    for rho, c in b.terms.items():
-        piece = a.right_word(i + 1 for i in reduced_word(rho))
-        for pi, c2 in piece.terms.items():
-            add_term(acc, pi, c2 * c)
-    return HeckeElement._from(a.n, acc)
+    pieces = ((da * db, _mul(ta, a.n, tb)) for da, ta in _split(a) for db, tb in _split(b))
+    return HeckeElement._from(a.n, _join(pieces))
+
+
+def _mul(terms: dict, n: int, rhos: dict) -> dict:
+    acc: dict = {}
+    for rho, q in rhos.items():
+        for pi, p in _right_word(terms, n, [i + 1 for i in reduced_word(rho)]).items():
+            for (a, b, c), k in q.items():
+                _add_shifted(acc, pi, p, a, b, c, k)
+    return acc
 
 
 def tensor(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -200,12 +245,12 @@ def tensor(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return HeckeElement._from(n, acc)
 
 
-def _check_support(h: HeckeElement) -> None:
+def _check_support(n: int, terms: dict) -> None:
     """Refuse a Hecke element with more than ENUMERATION_CAP! terms, which
     no product on ENUMERATION_CAP or fewer strands reaches."""
     cap = factorial(ENUMERATION_CAP)
-    if len(h.terms) > cap:
-        raise ValueError(f"a Hecke element on {h.n} strands reached {len(h.terms)} terms, "
+    if len(terms) > cap:
+        raise ValueError(f"a Hecke element on {n} strands reached {len(terms)} terms, "
                          f"over the cap of {ENUMERATION_CAP}! = {cap}")
 
 
@@ -241,20 +286,22 @@ def b_element(n: int) -> HeckeElement:
     return HeckeElement._from(n, terms)
 
 
-def _right_young(h: HeckeElement, blocks, offset: int, q: Scalar) -> HeckeElement:
-    """h times the Young-subgroup sum over consecutive strand blocks, each
-    block's sum taken as F_1 F_2 ... F_(r-1), F_k = sum_j q^j T_k ... T_(k-j+1),
-    refused as soon as a partial sum passes ENUMERATION_CAP! terms."""
+def _right_young(terms: dict, n: int, blocks, offset: int, q) -> dict:
+    """Raw kernel: terms times the Young-subgroup sum over consecutive strand
+    blocks, each block's sum taken as F_1 F_2 ... F_(r-1), F_k = sum_j q^j T_k
+    ... T_(k-j+1), refused as soon as a partial sum passes ENUMERATION_CAP! terms."""
     for r in blocks:
         for k in range(offset + 1, offset + r):
-            acc = cur = h
+            acc = {pi: dict(p) for pi, p in terms.items()}
+            cur = terms
             for i in range(k, offset, -1):
-                cur = cur.right_letter(i).scale(q)
-                acc = acc + cur
-                _check_support(acc)
-            h = acc
+                cur = _right_word(cur, n, (i,), q)
+                for pi, p in cur.items():
+                    _add_shifted(acc, pi, p, 0, 0, 0, 1)
+                _check_support(n, acc)
+            terms = acc
         offset += r
-    return h
+    return terms
 
 
 def right_e_lambda(h: HeckeElement, lam: Partition, offset: int) -> HeckeElement:
@@ -263,9 +310,13 @@ def right_e_lambda(h: HeckeElement, lam: Partition, offset: int) -> HeckeElement
     # Basis labels are position-to-strand maps, so the braid whose strands
     # carry row cell i to column cell pi(i) is labelled by the inverse.
     word = [offset + i + 1 for i in reduced_word(inverse(transpose_permutation(lam)))]
-    h = _right_young(h, lam.parts, offset, _ROW_Q).right_word(word)
-    h = _right_young(h, lam.transpose().parts, offset, _COL_Q)
-    return h.right_word(-j for j in reversed(word))
+
+    def kernel(terms: dict, n: int) -> dict:
+        terms = _right_word(_right_young(terms, n, lam.parts, offset, _ROW_Q), n, word)
+        terms = _right_young(terms, n, lam.transpose().parts, offset, _COL_Q)
+        return _right_word(terms, n, [-j for j in reversed(word)])
+
+    return h._apply(kernel)
 
 
 @cache

@@ -25,6 +25,7 @@ hand-written files may also be plain integers or expression strings like
 "(s - s^-1)^2".
 """
 
+import json
 from fractions import Fraction
 
 from .adams_skein import Inconsistent, PatternSystem, Solution
@@ -202,6 +203,8 @@ def decode_pattern_element(obj) -> AnnulusElement:
 def decode_pattern_system(obj) -> PatternSystem:
     if not isinstance(obj, dict) or "target" not in obj or "patterns" not in obj:
         raise ValueError("pattern file needs 'target' and 'patterns' entries")
-    target = decode_pattern_element(obj["target"])
-    patterns = [decode_pattern_element(p) for p in obj["patterns"]]
-    return PatternSystem(target, patterns)
+    # equal element specs share one decoding, so a closure is taken once
+    specs = [obj["target"], *obj["patterns"]]
+    keys = [json.dumps(spec, sort_keys=True) for spec in specs]
+    decoded = {key: decode_pattern_element(spec) for key, spec in dict(zip(keys, specs)).items()}
+    return PatternSystem(decoded[keys[0]], [decoded[key] for key in keys[1:]])

@@ -438,16 +438,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def mul_poly(self, p: LaurentPoly) -> "Scalar":
-        """Multiply by a polynomial without re-normalising the denominator."""
-        num = self.num * p
-        return Scalar._raw(num, self.den) if num else Scalar.zero()
-
-    def mul_monomial(self, ex: int, ev: int, es: int, coeff=1) -> "Scalar":
-        if not coeff:
-            return Scalar.zero()
-        return Scalar._raw(self.num.mul_monomial(ex, ev, es, coeff), self.den)
-
     def __truediv__(self, other) -> "Scalar":
         if type(other) is not Scalar:
             other = _coerce(other)

@@ -7,11 +7,10 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qskein.annulus
 from qskein.annulus import (
     AnnulusElement,
     Q,
-    _closure_basis,
+    _closure_step,
     _theta_key,
     a_gen,
     a_in_Q_basis,
@@ -22,10 +21,14 @@ from qskein.annulus import (
     theta,
 )
 from qskein.diagram_ring import CPoly, DiagramVector, d, gen
-from qskein.hecke import _XINVZ, _XZ, BraidWord, decorate, from_word
+from qskein.hecke import BraidWord, HeckeElement, decorate, from_word
 from qskein.partitions import Partition, partitions_of
 from qskein.perms import cycles, reduced_word
-from qskein.scalars import Scalar, Z, delta, quantum_int
+from qskein.scalars import LaurentPoly, Scalar, Z, delta, quantum_int
+
+# the two smoothing coefficients of the skein relation at a crossing
+_XZ = LaurentPoly({(1, 0, 1): 1, (1, 0, -1): -1})        # x(s - s^-1)
+_XINVZ = LaurentPoly({(-1, 0, 1): 1, (-1, 0, -1): -1})   # x^-1(s - s^-1)
 
 
 def _strand_data(n: int, letters):
@@ -148,19 +151,19 @@ def test_long_two_strand_powers_match_the_closed_form():
         assert closure_word(BraidWord(2, (1,) * k)) == _two_strand_closure(k), k
 
 
-def test_long_mixed_word_touches_only_its_permutations(monkeypatch):
-    monkeypatch.setattr(qskein.annulus, "_ppb_closure_cache", {})
+def test_long_mixed_word_touches_only_its_permutations():
+    _closure_step.cache_clear()
     e = closure_word(BraidWord(3, (1, -2) * 20))
     assert e.degree() == 3
     assert closure_word(BraidWord(3, (-2, 1) * 20)) == e
-    assert len(qskein.annulus._ppb_closure_cache) <= 2 + 6
+    assert _closure_step.cache_info().currsize <= 2 + 6
 
 
 def test_basis_closures_match_descending_resolution():
     for n in range(1, 7):
         for pi in permutations(range(n)):
             word = tuple(i + 1 for i in reduced_word(pi))
-            assert _closure_basis(pi) == _resolve_word_oracle(n, word), pi
+            assert closure(HeckeElement(n, {pi: 1})) == _resolve_word_oracle(n, word), pi
 
 
 @st.composite

@@ -8,7 +8,7 @@ import pytest
 
 import qskein
 from qskein.adams_skein import P
-from qskein.annulus import Q, _theta_key, a_in_Q_basis
+from qskein.annulus import Q, _closure_step, _theta_key, a_in_Q_basis
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import e_lambda
 from qskein.partitions import Partition
@@ -39,6 +39,7 @@ CASES = [
     (cyclotomic_factors, (-1, 0, 0, 0, 1)),
     (cyclotomic_factors, (1, 3, 1)),
     (reduced_word, (2, 0, 3, 1)),
+    (_closure_step, (3, 2, 0, 1)),
 ]
 
 

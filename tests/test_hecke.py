@@ -252,15 +252,20 @@ def test_e_lambda_matches_the_enumerated_oracle():
             assert e_lambda(lam) == _e_lambda_oracle(lam), lam
 
 
+def young(h: HeckeElement, blocks, offset: int, q) -> HeckeElement:
+    """h times the Young-subgroup sum, through the raw kernel."""
+    return h._apply(_right_young, blocks, offset, q)
+
+
 def test_young_factorisation_of_the_unit():
     for n in range(1, 7):
         unit = HeckeElement.unit(n)
-        assert _right_young(unit, (n,), 0, _ROW_Q) == a_element(n), n
-        assert _right_young(unit, (n,), 0, _COL_Q) == b_element(n), n
+        assert young(unit, (n,), 0, _ROW_Q) == a_element(n), n
+        assert young(unit, (n,), 0, _COL_Q) == b_element(n), n
     blocks = tensor(tensor(a_element(2), a_element(3)), a_element(1))
-    assert _right_young(HeckeElement.unit(6), (2, 3, 1), 0, _ROW_Q) == blocks
+    assert young(HeckeElement.unit(6), (2, 3, 1), 0, _ROW_Q) == blocks
     shifted = tensor(HeckeElement.unit(1), tensor(b_element(3), HeckeElement.unit(1)))
-    assert _right_young(HeckeElement.unit(5), (3,), 1, _COL_Q) == shifted
+    assert young(HeckeElement.unit(5), (3,), 1, _COL_Q) == shifted
 
 
 @st.composite
@@ -309,9 +314,9 @@ def test_young_sums_check_the_support(monkeypatch):
     # F_3 adds six terms to the six of F_1 F_2: refused at the first partial sum
     monkeypatch.setattr("qskein.hecke.ENUMERATION_CAP", 3)
     h = HeckeElement.unit(4)
-    assert len(_right_young(h, (3,), 0, _ROW_Q).terms) == 6
+    assert len(young(h, (3,), 0, _ROW_Q).terms) == 6
     with pytest.raises(ValueError, match=r"on 4 strands reached 12 terms, over the cap of 3! = 6"):
-        _right_young(h, (4,), 0, _ROW_Q)
+        young(h, (4,), 0, _ROW_Q)
 
 
 def test_decorate_refuses_a_colour_past_the_cap():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 from qskein import jsonio
 from qskein.adams_skein import torus_invariant
+from qskein.annulus import closure
 from qskein.chords import CROSSING, PARALLEL, all_diagrams, psi_chords
 from qskein.diagram_ring import DiagramVector, psi
+from qskein.hecke import BraidWord, decorate
 from qskein.parsing import parse_cpoly
 from qskein.partitions import Partition
 from qskein.scalars import Scalar, h_expand
@@ -51,3 +53,21 @@ def test_chord_tally_round_trip():
     tallies += [psi_chords(dgm, 2) for dgm in all_diagrams(3)]
     for tally in tallies:
         assert round_trip(jsonio.encode_chord_tally, jsonio.decode_chord_tally, tally) == tally
+
+
+def test_equal_pattern_specs_share_one_closure(monkeypatch):
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return closure(h)
+
+    monkeypatch.setattr(jsonio, "closure", counted)
+    braid = {"word": [1], "strands": 2, "colour": [1, 1]}
+    system = jsonio.decode_pattern_system({
+        "target": braid,
+        "patterns": [dict(reversed(list(braid.items()))), {"word": [-1], "strands": 2, "colour": [1, 1]}, braid],
+    })
+    assert len(calls) == 2
+    assert system.patterns[0] == system.target == closure(decorate(BraidWord(2, (1,)), Partition((1, 1))))
+    assert system.patterns[2] == system.target

@@ -1,0 +1,169 @@
+"""Properties that guard the raw Hecke and closure kernels on random
+elements whose coefficients are polynomials, Fractions, or fractions over
+cyclotomic or x/v denominators."""
+
+import hashlib
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qskein.annulus import closure, closure_word, epsilon_plane
+from qskein.hecke import BraidWord, HeckeElement, alpha, decorate, from_word, mul, tensor
+from qskein.linear import add_term
+from qskein.partitions import Partition
+from qskein.perms import all_perms, swap_positions
+from qskein.scalars import LaurentPoly, Scalar, Z, delta, quantum_int
+
+_XZ = LaurentPoly({(1, 0, 1): 1, (1, 0, -1): -1})        # x(s - s^-1)
+_XINVZ = LaurentPoly({(-1, 0, 1): 1, (-1, 0, -1): -1})   # x^-1(s - s^-1)
+_X2, _XINV2 = Scalar.monomial(2, 0, 0), Scalar.monomial(-2, 0, 0)
+
+
+def right_letter_reference(h: HeckeElement, j: int) -> HeckeElement:
+    """h times one braid letter, one Scalar operation per coefficient: the
+    loop the raw kernel replaced, kept as its oracle."""
+    i = abs(j) - 1
+    acc = {}
+    if j > 0:
+        for pi, c in h.terms.items():
+            flipped = swap_positions(pi, i)
+            if pi[i] < pi[i + 1]:
+                add_term(acc, flipped, c)
+            else:
+                add_term(acc, pi, c * _XZ)
+                add_term(acc, flipped, c * _X2)
+    else:
+        for pi, c in h.terms.items():
+            flipped = swap_positions(pi, i)
+            if pi[i] < pi[i + 1]:
+                add_term(acc, flipped, c * _XINV2)
+                add_term(acc, pi, -(c * _XINVZ))
+            else:
+                add_term(acc, flipped, c)
+    return HeckeElement._from(h.n, acc)
+
+
+polys = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-1, 1), st.integers(-3, 3)),
+    st.integers(-3, 3).filter(bool),
+    min_size=1,
+    max_size=3,
+).map(LaurentPoly)
+
+DENOMINATORS = [
+    quantum_int(2),
+    quantum_int(3) * quantum_int(2),
+    LaurentPoly({(1, 0, 0): 1, (0, 0, 1): 1}),   # x + s
+    LaurentPoly({(0, 1, 0): 1, (0, 0, 0): 2}),   # v + 2
+]
+
+scalars = st.one_of(
+    polys.map(Scalar.from_poly),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool).map(Scalar),
+    st.builds(lambda p, q: Scalar.from_poly(p) * q, polys, st.fractions(max_denominator=4).filter(bool)),
+    st.builds(Scalar, polys, st.sampled_from(DENOMINATORS)),
+)
+
+
+@st.composite
+def elements(draw, n=None):
+    n = n if n is not None else draw(st.integers(2, 4))
+    perms = list(all_perms(n))
+    keys = draw(st.lists(st.sampled_from(perms), min_size=1, max_size=4, unique=True))
+    return HeckeElement(n, {pi: draw(scalars) for pi in keys})
+
+
+def letters(n, max_size=4):
+    return st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))), max_size=max_size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_right_word_matches_the_scalar_loop(data):
+    h = data.draw(elements())
+    word = data.draw(letters(h.n))
+    want = h
+    for j in word:
+        want = right_letter_reference(want, j)
+    assert h.right_word(word) == want
+    if word:
+        assert h.right_letter(word[0]) == right_letter_reference(h, word[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_braid_and_quadratic_relations_on_random_elements(data):
+    h = data.draw(elements(data.draw(st.integers(3, 4))))
+    i = data.draw(st.integers(1, h.n - 2))
+    assert h.right_word((i, i + 1, i)) == h.right_word((i + 1, i, i + 1))
+    if i + 2 < h.n:
+        assert h.right_word((i, i + 2)) == h.right_word((i + 2, i))
+    x, xinv = Scalar.monomial(1, 0, 0), Scalar.monomial(-1, 0, 0)
+    assert h.right_word((i,)).scale(xinv) - h.right_word((-i,)).scale(x) == h.scale(Z)
+    assert h.right_word((i, -i)) == h
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_closure_is_invariant_under_conjugation(data):
+    h = data.draw(elements())
+    g = BraidWord(h.n, data.draw(letters(h.n, 3)))
+    conj = mul(mul(from_word(g.inverse()), h), from_word(g))
+    assert closure(conj) == closure(h)
+    k = data.draw(elements(h.n))
+    assert closure(mul(h, k)) == closure(mul(k, h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_markov_stabilisation_after_the_plane_evaluation(data):
+    h = data.draw(elements(data.draw(st.integers(1, 3))))
+    n = h.n
+    curl = Scalar.monomial(1, -1, 0)
+    base = epsilon_plane(closure(h))
+    grown = tensor(h, HeckeElement.unit(1))
+    assert epsilon_plane(closure(grown.right_word((n,)))) == base * curl
+    assert epsilon_plane(closure(grown.right_word((-n,)))) == base / curl
+    w = data.draw(letters(n) if n > 1 else st.just([]))
+    plain = epsilon_plane(closure_word(BraidWord(n, w)))
+    assert epsilon_plane(closure_word(BraidWord(n + 1, w + [n]))) == plain * curl
+    assert epsilon_plane(closure_word(BraidWord(n + 1, w + [-n]))) == plain / curl
+
+
+def test_closure_commutes_with_non_polynomial_scalings():
+    h = from_word(BraidWord(3, (1, -2, 1, 2)))
+    for c in (Scalar.one() / alpha(Partition((2, 1))), Scalar(Fraction(-3, 7)), delta()):
+        assert closure(h.scale(c)) == closure(h).scale(c)
+    mixed = h.scale(delta()) + from_word(BraidWord(3, (2, 2))).scale(Fraction(1, 2))
+    assert closure(mixed) == closure(h).scale(delta()) + closure_word(BraidWord(3, (2, 2))).scale(Fraction(1, 2))
+
+
+# closures of decorated braids as printed before the raw kernels replaced
+# the Scalar-level ones: the braid record of the README and of jsonio, its
+# mirror, a row colour, and two larger decorations by the sha256 of the text
+DECORATED_TEXT = [
+    ((2, (1,)), (1, 1),
+     "-(x*s^-1/(s^2 + 1))*A4 - ((x^2*s^2 - x^2)/(s^2 + 1))*A3*A1 + (x^2*s^2/(s^2 + 1))*A2^2"),
+    ((2, (-1,)), (1, 1),
+     "-(x^-7*s^3/(s^2 + 1))*A4 + ((2*x^-6*s^4 - x^-6*s^2 - x^-6)/(s^2 + 1))*A3*A1"
+     " + ((x^-6*s^4 - x^-6*s^2 + x^-6)/(s^2 + 1))*A2^2"
+     " - ((3*x^-5*s^5 - 4*x^-5*s^3 + x^-5*s)/(s^2 + 1))*A2*A1^2"
+     " + ((x^-4*s^6 - 2*x^-4*s^4 + x^-4*s^2)/(s^2 + 1))*A1^4"),
+    ((2, (1,)), (2,),
+     "(x*s^3/(s^2 + 1))*A4 + ((x^2*s^2 - x^2)/(s^2 + 1))*A3*A1 + (x^2/(s^2 + 1))*A2^2"),
+]
+DECORATED_SHA256 = [
+    ((2, (1, -1, 1)), (2, 1), "4a482b3fa6166b47efd55b7b0fd88a4a9527842842e7417520a7ff2a23c6d13d"),
+    ((3, (1, -2)), (2,), "0557ee1b9c4be99efc56b2e8e914d26a36cb54b816c476e6fc84b0421f636a18"),
+]
+
+
+def test_decorated_closures_keep_their_recorded_text():
+    def text(n, word, colour):
+        return str(closure(decorate(BraidWord(n, word), Partition(colour))))
+
+    for (n, word), colour, want in DECORATED_TEXT:
+        assert text(n, word, colour) == want, (word, colour)
+    for (n, word), colour, want in DECORATED_SHA256:
+        assert hashlib.sha256(text(n, word, colour).encode()).hexdigest() == want, (word, colour)

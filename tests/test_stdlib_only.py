@@ -1,5 +1,5 @@
 """The package imports nothing outside the standard library, and memoises
-through functools.cache except where a hand-rolled table does more."""
+through functools.cache only."""
 
 import ast
 import re
@@ -8,8 +8,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qskein"
 
-# _ppb_closure_cache stores every member of a shift class its walk visits.
-HAND_ROLLED_MEMOS = {"_ppb_closure_cache"}
+HAND_ROLLED_MEMOS: set[str] = set()
 
 
 def _modules():
