@@ -55,7 +55,6 @@ from .annulus import (
     theta,
 )
 from .adams_skein import (
-    GradedSeries,
     Inconsistent,
     P,
     PatternSystem,
@@ -74,7 +73,7 @@ from .verify import run_suite, suite_names
 
 __all__ = [
     "AnnulusElement", "BraidWord", "CPoly", "CROSSING", "ChordDiagram",
-    "DiagramVector", "EMPTY", "GradedSeries", "HeckeElement", "Inconsistent",
+    "DiagramVector", "EMPTY", "HeckeElement", "Inconsistent",
     "LaurentPoly", "P", "PARALLEL", "Partition", "PatternSystem", "PoleError",
     "Q", "Scalar", "Solution", "SpecializationError", "TFraction", "Z",
     "a_braid", "a_element", "a_gen", "a_in_Q_basis", "all_diagrams",

@@ -3,8 +3,10 @@ and the linear solver for cable-pattern decompositions.
 
 The central object is the combination P(m) of m-string cycle closures whose
 normalized image realizes the m-th Adams operation on the first column
-generator.  Everything here is exact; series are truncated at an explicit
-order and compared coefficient by coefficient.
+generator.  Everything here is exact.  A generating series is the element
+that sums its coefficients, graded by weighted degree: products are
+ordinary ring products cut back to the order, and two series are compared
+by the least degree at which they differ.
 """
 
 import math
@@ -13,6 +15,7 @@ from functools import cache
 from .annulus import AnnulusElement, closure, closure_word, epsilon_plane, Q, theta
 from .diagram_ring import CPoly, d, gen, psi
 from .hecke import BraidWord, decorate
+from .linear import Polynomial
 from .partitions import Partition, hook_framing_root
 from .scalars import Scalar, Z, quantum_int, specialize_sln
 
@@ -71,131 +74,75 @@ def power_sum_recursion_holds(m: int) -> bool:
     return P(m) == rhs
 
 
-class GradedSeries:
-    """Truncated formal power series with coefficients in CPoly or
-    AnnulusElement.  The coefficient list is indexed by degree; operations
-    truncate to the shortest operand, so every stored coefficient is exact.
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring, coeffs):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, ring):
-                raise TypeError("coefficient outside the declared ring")
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.ring.zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return self.ring is other.ring and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        return GradedSeries(self.ring, [self.coeffs[i] + other.coeffs[i] for i in range(n)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GradedSeries(self.ring, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = []
-        for k in range(n):
-            acc = self.ring.zero()
-            for i in range(k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return GradedSeries(self.ring, out)
-
-    def scale(self, c):
-        return GradedSeries(self.ring, [t.scale(c) for t in self.coeffs])
-
-    def substitute(self, a: Scalar):
-        """Replace the series variable by a times it: degree i picks up a^i."""
-        out = []
-        power = Scalar.one()
-        for c in self.coeffs:
-            out.append(c.scale(power))
-            power = power * a
-        return GradedSeries(self.ring, out)
-
-    def map(self, fn, ring):
-        return GradedSeries(ring, [fn(c) for c in self.coeffs])
-
-    def first_difference(self, other):
-        """Smallest degree where the two series disagree, or None."""
-        n = min(self.order(), other.order())
-        for i in range(n):
-            if self.coeffs[i] != other.coeffs[i]:
-                return i
-        return None
-
-    def __str__(self):
-        parts = ["(%s)*X^%d" % (c, i) for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
+# A generating series a_0 + a_1 X + ... + a_(n-1) X^(n-1) is held as the
+# element a_0 + a_1 + ... + a_(n-1).  Each a_i is homogeneous of weighted
+# degree i + shift, so a key of weighted degree w sits at X^(w - shift).  The
+# shift is 0 for C and D and 1 for psi, the derivatives and the cycle-closure
+# series.  Series multiply as elements; the product is cut back to order.
 
 
-def series_c(order: int) -> GradedSeries:
-    """Alternating generating series of the column generators: 1 - c1 X + c2 X^2 - ..."""
-    return GradedSeries(CPoly, [gen(k).scale((-1) ** k) for k in range(order)])
+def truncate(e: Polynomial, n: int) -> Polynomial:
+    """The part of e of weighted degree at most n."""
+    return e._like({k: c for k, c in e.terms.items() if sum(k) <= n})
 
 
-def series_d(order: int) -> GradedSeries:
-    """Reciprocal of series_c: 1 + d1 X + d2 X^2 + ..."""
-    return GradedSeries(CPoly, [d(l) for l in range(order)])
+def substitute(e: Polynomial, a: Scalar, shift: int) -> Polynomial:
+    """Replace X by aX in the series e: weighted degree w picks up a^(w - shift)."""
+    return e._like({k: c * a ** (sum(k) - shift) for k, c in e.terms.items()})
 
 
-def series_c_deriv(order: int) -> GradedSeries:
-    return GradedSeries(CPoly, [gen(k + 1).scale((-1) ** (k + 1) * (k + 1)) for k in range(order)])
+def first_difference(e: Polynomial, f: Polynomial, shift: int) -> int | None:
+    """Least X-degree at which the series e and f disagree, or None."""
+    degrees = [sum(k) for k in (e - f).terms]
+    return min(degrees) - shift if degrees else None
 
 
-def series_d_deriv(order: int) -> GradedSeries:
-    return GradedSeries(CPoly, [d(l + 1).scale(l + 1) for l in range(order)])
+def series_c(order: int) -> CPoly:
+    """Alternating generating series of the column generators, shift 0:
+    1 - c1 X + c2 X^2 - ..."""
+    return sum((gen(k).scale((-1) ** k) for k in range(order)), CPoly.zero())
 
 
-def series_c_qderiv(order: int) -> GradedSeries:
-    """Quantum derivative of series_c: coefficient (-1)^k [k] c_k at degree k-1."""
-    out = []
-    for i in range(order):
-        k = i + 1
-        q = Scalar(quantum_int(k))
-        out.append(gen(k).scale(-q if k % 2 else q))
-    return GradedSeries(CPoly, out)
+def series_d(order: int) -> CPoly:
+    """Reciprocal of series_c, shift 0: 1 + d1 X + d2 X^2 + ..."""
+    return sum((d(l) for l in range(order)), CPoly.zero())
 
 
-def series_d_qderiv(order: int) -> GradedSeries:
-    """Quantum derivative of series_d: coefficient [l] d_l at degree l-1."""
-    return GradedSeries(CPoly, [d(i + 1).scale(Scalar(quantum_int(i + 1))) for i in range(order)])
+def series_c_deriv(order: int) -> CPoly:
+    """Derivative of series_c, shift 1: (-1)^k k c_k at X^(k-1)."""
+    return sum((gen(k).scale((-1) ** k * k) for k in range(1, order + 1)), CPoly.zero())
 
 
-def series_power_sums(order: int) -> GradedSeries:
-    """Newton power sums as column polynomials: psi_m(c_1) at degree m-1."""
-    return GradedSeries(CPoly, [psi(m)[0] for m in range(1, order + 1)])
+def series_d_deriv(order: int) -> CPoly:
+    """Derivative of series_d, shift 1: l d_l at X^(l-1)."""
+    return sum((d(l).scale(l) for l in range(1, order + 1)), CPoly.zero())
 
 
-def series_plus(order: int) -> GradedSeries:
-    """Positive cycle closures: A_m at degree m-1."""
-    return GradedSeries(AnnulusElement, [closure_word(a_braid(i, 0)) for i in range(order)])
+def series_c_qderiv(order: int) -> CPoly:
+    """Quantum derivative of series_c, shift 1: (-1)^k [k] c_k at X^(k-1)."""
+    return sum(
+        (gen(k).scale(Scalar(quantum_int(k)) * (-1) ** k) for k in range(1, order + 1)), CPoly.zero()
+    )
 
 
-def series_minus(order: int) -> GradedSeries:
-    """Negative cycle closures at degree m-1."""
-    return GradedSeries(AnnulusElement, [negative_cycle(m) for m in range(1, order + 1)])
+def series_d_qderiv(order: int) -> CPoly:
+    """Quantum derivative of series_d, shift 1: [l] d_l at X^(l-1)."""
+    return sum((d(l).scale(Scalar(quantum_int(l))) for l in range(1, order + 1)), CPoly.zero())
+
+
+def series_power_sums(order: int) -> CPoly:
+    """Newton power sums as column polynomials, shift 1: psi_m(c_1) at X^(m-1)."""
+    return sum((psi(m)[0] for m in range(1, order + 1)), CPoly.zero())
+
+
+def series_plus(order: int) -> AnnulusElement:
+    """Positive cycle closures, shift 1: A_m at X^(m-1)."""
+    return sum((closure_word(a_braid(m - 1, 0)) for m in range(1, order + 1)), AnnulusElement.zero())
+
+
+def series_minus(order: int) -> AnnulusElement:
+    """Negative cycle closures, shift 1: at X^(m-1) the one on m strands."""
+    return sum((negative_cycle(m) for m in range(1, order + 1)), AnnulusElement.zero())
 
 
 def positive_cycle_expansion(m: int) -> AnnulusElement:
@@ -229,23 +176,22 @@ def series_identities(order: int):
         raise ValueError("order must be positive")
     rows = []
 
+    def row(label, bad, detail):
+        rows.append((label, bad is None, None if bad is None else detail % bad))
+
+    ms = range(1, order + 1)
+    bad = next((m for m in ms if closure_word(a_braid(m - 1, 0)) != positive_cycle_expansion(m)), None)
+    row("positive-cycle-expansion", bad, "fails at m=%d")
+    bad = next((m for m in ms if negative_cycle(m) != negative_cycle_expansion(m)), None)
+    row("negative-cycle-expansion", bad, "fails at m=%d")
+
+    # every series compared below has shift 1; a product of a shift-1 and a
+    # shift-0 series through X^(order-1) is cut at weighted degree order
     def series_row(label, lhs, rhs):
-        bad = lhs.first_difference(rhs)
-        rows.append((label, bad is None, None if bad is None else "first mismatch at degree %d" % bad))
+        row(label, first_difference(lhs, rhs, 1), "first mismatch at degree %d")
 
-    bad = None
-    for m in range(1, order + 1):
-        if closure_word(a_braid(m - 1, 0)) != positive_cycle_expansion(m):
-            bad = m
-            break
-    rows.append(("positive-cycle-expansion", bad is None, None if bad is None else "fails at m=%d" % bad))
-
-    bad = None
-    for m in range(1, order + 1):
-        if negative_cycle(m) != negative_cycle_expansion(m):
-            bad = m
-            break
-    rows.append(("negative-cycle-expansion", bad is None, None if bad is None else "fails at m=%d" % bad))
+    def product(a, b):
+        return truncate(a * b, order)
 
     x = Scalar.monomial(1, 0, 0)
     xinv = Scalar.monomial(-1, 0, 0)
@@ -253,27 +199,21 @@ def series_identities(order: int):
     xinv_s = Scalar.monomial(-1, 0, 1)
     xinv_sinv = Scalar.monomial(-1, 0, -1)
 
+    C, Cq = series_c(order), series_c_qderiv(order)
+    D, Dq = series_d(order), series_d_qderiv(order)
     plus = series_plus(order)
     minus = series_minus(order)
-    series_row(
-        "plus-factorization",
-        plus,
-        -(series_c_qderiv(order).substitute(x) * series_d(order).substitute(xs)).map(theta, AnnulusElement),
-    )
-    series_row(
-        "minus-factorization",
-        minus,
-        (series_c(order).substitute(xinv_s) * series_d_qderiv(order).substitute(xinv)).map(theta, AnnulusElement),
-    )
+    series_row("plus-factorization", plus, -theta(product(substitute(Cq, x, 1), substitute(D, xs, 0))))
+    series_row("minus-factorization", minus, theta(product(substitute(C, xinv_s, 0), substitute(Dq, xinv, 1))))
     series_row(
         "minus-factorization-mirror",
         minus,
-        -(series_c_qderiv(order).substitute(xinv) * series_d(order).substitute(xinv_sinv)).map(theta, AnnulusElement),
+        -theta(product(substitute(Cq, xinv, 1), substitute(D, xinv_sinv, 0))),
     )
 
     psi_series = series_power_sums(order)
-    series_row("power-sum-log-derivative", psi_series, -(series_c_deriv(order) * series_d(order)))
-    series_row("power-sum-reciprocal-derivative", psi_series, series_d_deriv(order) * series_c(order))
+    series_row("power-sum-log-derivative", psi_series, -product(series_c_deriv(order), D))
+    series_row("power-sum-reciprocal-derivative", psi_series, product(series_d_deriv(order), C))
     return rows
 
 

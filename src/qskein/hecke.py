@@ -132,10 +132,6 @@ class HeckeElement(FormalSum):
         pieces = ((den, kernel(terms, self.n, *args)) for den, terms in _split(self))
         return HeckeElement._from(self.n, _join(pieces))
 
-    def right_letter(self, j: int) -> "HeckeElement":
-        """Multiply on the right by one braid letter."""
-        return self._apply(_right_word, (j,))
-
     def right_word(self, letters) -> "HeckeElement":
         """Multiply on the right by a word, refused past ENUMERATION_CAP! terms."""
         return self._apply(_right_word, tuple(letters))

@@ -32,6 +32,7 @@ from .adams_skein import Inconsistent, PatternSystem, Solution
 from .annulus import AnnulusElement, closure, closure_word
 from .diagram_ring import CPoly, DiagramVector
 from .hecke import BraidWord, decorate
+from .parsing import parse_braid_word, parse_matching, parse_scalar
 from .partitions import Partition
 from .scalars import LaurentPoly, Scalar, TFraction
 
@@ -69,8 +70,6 @@ def decode_scalar(obj) -> Scalar:
         # conveniences for hand-written files
         if isinstance(obj, int):
             return Scalar(obj)
-        from .parsing import parse_scalar
-
         return parse_scalar(obj)
     raise ValueError("scalar must be a num/den record, int, or expression string")
 
@@ -140,8 +139,6 @@ def encode_chord_tally(tally: dict) -> list:
 
 
 def decode_chord_tally(obj) -> dict:
-    from .parsing import parse_matching
-
     return {parse_matching(text): n for text, n in obj}
 
 
@@ -188,8 +185,6 @@ def decode_pattern_element(obj) -> AnnulusElement:
     if isinstance(obj, list):
         return decode_annulus(obj)
     if isinstance(obj, dict):
-        from .parsing import parse_braid_word
-
         strands = obj["strands"]
         word = obj["word"]
         braid = parse_braid_word(word, strands) if isinstance(word, str) else BraidWord(strands, word)

@@ -231,7 +231,7 @@ def format_sum(pairs, format_key) -> str:
             sign = "" if i == 0 else "+ "
         body = format_scalar(c)
         if not name:
-            if " " in body and len(pairs) > 1:
+            if " " in body and (sign or len(pairs) > 1):
                 body = f"({body})"
             out.append(sign + body)
             continue

@@ -460,7 +460,9 @@ class Scalar:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero Scalar")
             return Scalar(self.den, self.num) ** (-n)
-        return Scalar(self.num**n, self.den**n)
+        # Phi_d(s) is prime and content is multiplicative (Gauss), so the
+        # power of a reduced, primitive num/den is reduced and primitive
+        return Scalar._raw(self.num**n, self.den**n)
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -760,10 +762,11 @@ def _reciprocal(sc: Scalar) -> Scalar | None:
 
 def delta() -> Scalar:
     """Skein value of one 0-framed loop in the plane: (v^-1 - v)/(s - s^-1)."""
-    return Scalar(LaurentPoly({(0, -1, 0): 1, (0, 1, 0): -1}), Z_LP)
+    return DELTA
 
 
 Z = Scalar.from_poly(Z_LP)
+DELTA = Scalar(LaurentPoly({(0, -1, 0): 1, (0, 1, 0): -1}), Z_LP)
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,23 @@ from .adams_skein import (
     Solution,
     a_braid,
     cable_counterexample,
+    first_difference,
     negative_cycle,
     negative_cycle_expansion,
     positive_cycle_expansion,
     power_sum_image,
     power_sum_recursion_holds,
     rosso_jones,
+    series_c,
+    series_c_deriv,
+    series_d,
+    series_d_deriv,
     series_identities,
+    series_power_sums,
     solve_pattern,
     torus_braid,
     torus_invariant,
+    truncate,
 )
 from .annulus import AnnulusElement, Q, closure_word, epsilon_plane, q_hook, theta
 from .chords import CROSSING, PARALLEL, all_diagrams, psi_chords
@@ -229,12 +236,10 @@ def _suite_ring(cap):
             want = DiagramVector.term(Partition.hook(k + 1, l)) + DiagramVector.term(Partition.hook(k, l + 1))
             rows.append((phi(gen(k) * d(l)) == want, "ring hook-split k=%d l=%d" % (k, l)))
 
-    from .adams_skein import series_c, series_c_deriv, series_d, series_d_deriv, series_power_sums
-
     psum = series_power_sums(cap)
-    ok = psum.first_difference(-(series_c_deriv(cap) * series_d(cap))) is None
+    ok = first_difference(psum, -truncate(series_c_deriv(cap) * series_d(cap), cap), 1) is None
     rows.append((ok, "ring power-sum-log-derivative order=%d" % cap))
-    ok = psum.first_difference(series_d_deriv(cap) * series_c(cap)) is None
+    ok = first_difference(psum, truncate(series_d_deriv(cap) * series_c(cap), cap), 1) is None
     rows.append((ok, "ring power-sum-reciprocal-derivative order=%d" % cap))
 
     for n in range(1, min(cap, 6) + 1):

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from qskein.adams_skein import (
-    GradedSeries,
     Inconsistent,
     P,
     PatternSystem,
     Solution,
     a_braid,
     cable_counterexample,
+    first_difference,
     negative_cycle,
     negative_cycle_expansion,
     positive_cycle_expansion,
@@ -22,11 +22,14 @@ from qskein.adams_skein import (
     series_c,
     series_d,
     series_identities,
+    series_power_sums,
     solve_pattern,
+    substitute,
     torus_braid,
     torus_invariant,
+    truncate,
 )
-from qskein.annulus import AnnulusElement, Q, a_gen, closure_word
+from qskein.annulus import Q, a_gen, closure_word
 from qskein.diagram_ring import CPoly, gen
 from qskein.hecke import BraidWord
 from qskein.partitions import Partition
@@ -70,23 +73,45 @@ def test_series_identities_all_pass():
         assert ok, (label, detail)
 
 
-def test_graded_series_arithmetic():
-    one = GradedSeries(CPoly, [CPoly.one(), gen(1)])
-    other = GradedSeries(CPoly, [CPoly.one(), -gen(1)])
-    prod = one * other
-    assert prod.coeff(0) == CPoly.one()
-    assert prod.coeff(1) == CPoly.zero()
-    a = Scalar.monomial(1, 0, 0)
-    shifted = one.substitute(a)
-    assert shifted.coeff(1) == gen(1).scale(a)
-    assert one.first_difference(other) == 1
-    assert one.first_difference(one) is None
-    with pytest.raises(TypeError):
-        GradedSeries(CPoly, [AnnulusElement.one()])
-    # C and D really are mutually reciprocal as series
-    cd = series_c(6) * series_d(6)
-    unit = GradedSeries(CPoly, [CPoly.one()] + [CPoly.zero()] * 5)
-    assert cd.first_difference(unit) is None
+def test_c_and_d_are_reciprocal_through_each_order():
+    for n in range(1, 8):
+        cd = series_c(n) * series_d(n)
+        assert truncate(cd, n - 1) == CPoly.one(), n
+        assert first_difference(cd, CPoly.one(), 0) in (None, n)
+
+
+def test_truncate_keeps_weighted_degree_at_most_n():
+    e = gen(1) + gen(2) * gen(1) + CPoly.one() - gen(3)
+    assert truncate(e, 2) == gen(1) + CPoly.one()
+    assert truncate(e, 3) == e
+    assert truncate(e, -1) == CPoly.zero()
+    assert truncate(a_gen(2) * a_gen(1) + a_gen(1), 2) == a_gen(1)
+
+
+def test_substitute_scales_by_degree_less_shift_and_inverts():
+    a = Scalar.monomial(1, 0, 1)
+    c = series_c(4)
+    got = substitute(c, a, 0)
+    assert got.coeff((2,)) == a * a
+    assert got.coeff(()) == Scalar.one()
+    psum = series_power_sums(4)
+    got = substitute(psum, a, 1)
+    assert got.coeff((1,)) == Scalar.one()
+    assert got.coeff((1, 1)) == a
+    for series, shift in ((c, 0), (psum, 1)):
+        back = substitute(substitute(series, a, shift), Scalar.one() / a, shift)
+        assert back == series
+
+
+def test_first_difference_reports_the_changed_degree():
+    psum = series_power_sums(5)
+    assert first_difference(psum, psum, 1) is None
+    for k in range(5):
+        changed = psum + gen(k + 1).scale(Scalar.monomial(0, 0, 1))
+        assert first_difference(psum, changed, 1) == k
+        assert first_difference(changed, psum, 1) == k
+    c = series_c(5)
+    assert first_difference(c, c - gen(3) * gen(1), 0) == 4
 
 
 def test_rosso_jones_values():

@@ -56,6 +56,16 @@ def test_q_and_theta_agree(capsys):
     assert q_out == theta_out
 
 
+def test_a_lone_negative_constant_prints_back_to_its_value(capsys):
+    from qskein.parsing import parse_scalar
+
+    for text in ("-1 - s^-1", "1 + s^-1", "-2", "-(x - v)/(s + s^-1)"):
+        code, out, _ = run(capsys, "theta", text)
+        assert code == 0
+        assert parse_scalar(out.strip()) == parse_scalar(text), out
+    assert run(capsys, "theta", "-1 - s^-1")[1] == "-(1 + s^-1)\n"
+
+
 def test_closure_infers_strands(capsys):
     code, explicit, _ = run(capsys, "closure", "1 1 1", "--strands", "2")
     assert code == 0

@@ -88,7 +88,7 @@ def test_right_word_matches_the_scalar_loop(data):
         want = right_letter_reference(want, j)
     assert h.right_word(word) == want
     if word:
-        assert h.right_letter(word[0]) == right_letter_reference(h, word[0])
+        assert h.right_word((word[0],)) == right_letter_reference(h, word[0])
 
 
 @settings(max_examples=40, deadline=None)

@@ -197,6 +197,44 @@ def test_scalar_field_axioms(a, b, c):
         assert a * (1 / a) == 1
 
 
+any_scalars = st.one_of(cyclotomic_scalars, general_scalars, polys.map(Scalar))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_scalars, st.integers(1, 4))
+def test_powers_keep_the_normal_form(x, n):
+    assert repr(x**n) == repr(Scalar(x.num**n, x.den**n))
+    if x:
+        assert repr(x**-n) == repr(Scalar(x.den**n, x.num**n))
+
+
+# Denominators are kept to a few low-degree ones: at N = 4 one spanning s^20
+# or four terms in x and v becomes a polynomial of degree 60-80 in t, and the
+# gcd over Fractions that normalises the TFraction then takes seconds.
+SPECIALIZABLE_DENOMINATORS = [
+    quantum_int(2),
+    quantum_int(2) * quantum_int(3),
+    OTHER_FACTORS[2],                               # 2s - 1
+    LaurentPoly({(1, 0, 0): 1, (0, 0, 1): 1}),      # x + s
+    LaurentPoly({(0, 1, 0): 1, (0, 0, 0): 2}),      # v + 2
+]
+specializable_scalars = st.one_of(
+    polys.map(Scalar), st.builds(Scalar, polys, st.sampled_from(SPECIALIZABLE_DENOMINATORS))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4]), specializable_scalars, specializable_scalars)
+def test_specialization_is_a_ring_homomorphism(n, a, b):
+    try:
+        sa, sb = specialize_sln(a, n), specialize_sln(b, n)
+    except SpecializationError:
+        assume(False)
+    assert specialize_sln(a + b, n) == sa + sb
+    assert specialize_sln(a * b, n) == sa * sb
+    assert specialize_sln(Scalar.one(), n) == TFraction({0: 1})
+
+
 def test_cyclotomic_denominators_never_reach_the_general_route(monkeypatch):
     from qskein import scalars
     from qskein.annulus import Q, _theta_key, theta

@@ -1,5 +1,5 @@
-"""The package imports nothing outside the standard library, and memoises
-through functools.cache only."""
+"""The package imports nothing outside the standard library, imports only
+at module top, and memoises through functools.cache only."""
 
 import ast
 import re
@@ -40,3 +40,16 @@ def test_only_the_named_memo_dicts_remain():
                 if isinstance(target, ast.Name) and re.fullmatch(r"_\w*_cache", target.id):
                     found.add(target.id)
     assert found == HAND_ROLLED_MEMOS
+
+
+def test_imports_sit_at_module_top():
+    inside = []
+    for name, tree in _modules():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside += [
+                    (name, func.name, node.lineno)
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert inside == []
