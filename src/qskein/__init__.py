@@ -48,6 +48,7 @@ from .annulus import (
     Q,
     a_gen,
     a_in_Q_basis,
+    closed_idempotent,
     closure,
     closure_word,
     epsilon_plane,
@@ -78,8 +79,9 @@ __all__ = [
     "Q", "Scalar", "Solution", "SpecializationError", "TFraction", "Z",
     "a_braid", "a_element", "a_gen", "a_in_Q_basis", "all_diagrams",
     "all_partitions_up_to", "alpha", "b_element", "cable_counterexample",
-    "cable_word", "closure", "closure_word", "d", "decorate", "delta",
-    "e_lambda", "epsilon_plane", "framing_factor", "from_word", "gen",
+    "cable_word", "closed_idempotent", "closure", "closure_word", "d",
+    "decorate", "delta", "e_lambda", "epsilon_plane", "framing_factor",
+    "from_word", "gen",
     "h_expand", "hook_content_closed", "hook_content_product", "lr_product",
     "mul", "partitions_of", "phi", "phi_inverse", "power_sum_image", "psi",
     "psi_chords", "q_hook", "quantum_factorial", "quantum_int", "rosso_jones",

@@ -6,7 +6,8 @@ normalized image realizes the m-th Adams operation on the first column
 generator.  Everything here is exact.  A generating series is the element
 that sums its coefficients, graded by weighted degree: products are
 ordinary ring products cut back to the order, and two series are compared
-by the least degree at which they differ.
+by the least degree at which they differ.  P, the negative cycle closures
+and both cycle expansions are memoised, so a session builds each once.
 """
 
 import math
@@ -60,6 +61,7 @@ def power_sum_image(m: int) -> AnnulusElement:
     return theta(psi(m)[0]).scale(Scalar(quantum_int(m)))
 
 
+@cache
 def negative_cycle(j: int) -> AnnulusElement:
     """Closure of the all-negative cycle braid on j strands."""
     return closure_word(a_braid(0, j - 1))
@@ -145,6 +147,7 @@ def series_minus(order: int) -> AnnulusElement:
     return sum((negative_cycle(m) for m in range(1, order + 1)), AnnulusElement.zero())
 
 
+@cache
 def positive_cycle_expansion(m: int) -> AnnulusElement:
     """A_m written through the images of the mixed products c_k d_{m-k}."""
     acc = AnnulusElement.zero()
@@ -156,6 +159,7 @@ def positive_cycle_expansion(m: int) -> AnnulusElement:
     return acc.scale(Scalar.monomial(m - 1, 0, 0))
 
 
+@cache
 def negative_cycle_expansion(m: int) -> AnnulusElement:
     """The mirror expansion for the all-negative cycle closure."""
     acc = AnnulusElement.zero()

@@ -120,11 +120,17 @@ def closure_word(w: BraidWord) -> AnnulusElement:
 
 
 @cache
+def closed_idempotent(lam: Partition) -> AnnulusElement:
+    """Closure of the quasi-idempotent e_lambda, alpha(lam) times Q(lam)."""
+    return closure(e_lambda(lam))
+
+
+@cache
 def Q(lam: Partition) -> AnnulusElement:
     """Normalized closure of the quasi-idempotent for lam."""
     if lam.size == 0:
         return AnnulusElement.one()
-    return closure(e_lambda(lam)).scale(Scalar.one() / alpha(lam))
+    return closed_idempotent(lam).scale(Scalar.one() / alpha(lam))
 
 
 def q_hook(k: int, l: int) -> AnnulusElement:

@@ -32,6 +32,7 @@ from .adams_skein import Inconsistent, PatternSystem, Solution
 from .annulus import AnnulusElement, closure, closure_word
 from .diagram_ring import CPoly, DiagramVector
 from .hecke import BraidWord, decorate
+from .linear import add_term
 from .parsing import parse_braid_word, parse_matching, parse_scalar
 from .partitions import Partition
 from .scalars import LaurentPoly, Scalar, TFraction
@@ -56,7 +57,15 @@ def encode_poly(p: LaurentPoly) -> list:
 
 
 def decode_poly(obj) -> LaurentPoly:
-    return LaurentPoly({(a, b, c): decode_coeff(k) for a, b, c, k in obj})
+    """A polynomial from [ex, ev, es, coeff] terms; terms with one exponent
+    triple add up."""
+    terms: dict = {}
+    for term in _items(obj, "polynomial"):
+        if not isinstance(term, list) or len(term) != 4:
+            raise ValueError("polynomial term must be [ex, ev, es, coeff], got %r" % (term,))
+        e = tuple(_ints(term[:3], "exponents"))
+        terms[e] = terms.get(e, 0) + decode_coeff(term[3])
+    return LaurentPoly(terms)
 
 
 def encode_scalar(sc: Scalar) -> dict:
@@ -65,7 +74,7 @@ def encode_scalar(sc: Scalar) -> dict:
 
 def decode_scalar(obj) -> Scalar:
     if isinstance(obj, dict):
-        return Scalar(decode_poly(obj["num"]), decode_poly(obj["den"]))
+        return Scalar(decode_poly(_entry(obj, "num", "scalar")), decode_poly(_entry(obj, "den", "scalar")))
     if isinstance(obj, (int, str)):
         # conveniences for hand-written files
         if isinstance(obj, int):
@@ -81,6 +90,49 @@ def _encode_sum(element) -> list:
     return out
 
 
+def _items(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise ValueError("%s must be a list, got %r" % (what, obj))
+    return obj
+
+
+def _ints(value, what: str) -> list:
+    if not isinstance(value, list) or any(type(i) is not int for i in value):
+        raise ValueError("%s must be a list of integers, got %r" % (what, value))
+    return value
+
+
+def _entry(record: dict, name: str, kind: str):
+    """record[name], refused with a ValueError when the file left it out."""
+    if name not in record:
+        raise ValueError("%s record needs a %r entry" % (kind, name))
+    return record[name]
+
+
+def _positive_int(value, what: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ValueError("%s must be a positive integer, got %r" % (what, value))
+    return value
+
+
+def _decode_key(key) -> tuple:
+    """A column or winding multiset from a file, as the descending tuple
+    CPoly and AnnulusElement key their terms by."""
+    indices = [_positive_int(i, "monomial index") for i in _items(key, "monomial key")]
+    return tuple(sorted(indices, reverse=True))
+
+
+def _decode_sum(cls, obj, decode_key):
+    """A formal sum from [key, scalar] pairs; pairs whose keys decode to one
+    key add up."""
+    acc: dict = {}
+    for pair in _items(obj, "formal sum"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError("formal sum term must be [key, scalar], got %r" % (pair,))
+        add_term(acc, decode_key(pair[0]), decode_scalar(pair[1]))
+    return cls._from(acc)
+
+
 def _plain_key(key):
     if isinstance(key, Partition):
         return list(key.parts)
@@ -92,7 +144,7 @@ def encode_cpoly(p: CPoly) -> list:
 
 
 def decode_cpoly(obj) -> CPoly:
-    return CPoly({tuple(key): decode_scalar(sc) for key, sc in obj})
+    return _decode_sum(CPoly, obj, _decode_key)
 
 
 def encode_diagrams(v: DiagramVector) -> list:
@@ -100,7 +152,7 @@ def encode_diagrams(v: DiagramVector) -> list:
 
 
 def decode_diagrams(obj) -> DiagramVector:
-    return DiagramVector({Partition(tuple(key)): decode_scalar(sc) for key, sc in obj})
+    return _decode_sum(DiagramVector, obj, lambda key: Partition(tuple(key)))
 
 
 def encode_annulus(e: AnnulusElement) -> list:
@@ -108,7 +160,7 @@ def encode_annulus(e: AnnulusElement) -> list:
 
 
 def decode_annulus(obj) -> AnnulusElement:
-    return AnnulusElement({tuple(key): decode_scalar(sc) for key, sc in obj})
+    return _decode_sum(AnnulusElement, obj, _decode_key)
 
 
 def encode_tpoly(terms: dict) -> list:
@@ -185,13 +237,16 @@ def decode_pattern_element(obj) -> AnnulusElement:
     if isinstance(obj, list):
         return decode_annulus(obj)
     if isinstance(obj, dict):
-        strands = obj["strands"]
-        word = obj["word"]
-        braid = parse_braid_word(word, strands) if isinstance(word, str) else BraidWord(strands, word)
+        strands = _positive_int(_entry(obj, "strands", "braid"), "strands")
+        word = _entry(obj, "word", "braid")
+        if isinstance(word, str):
+            braid = parse_braid_word(word, strands)
+        else:
+            braid = BraidWord(strands, _ints(word, "word"))
         colour = obj.get("colour")
         if colour is None:
             return closure_word(braid)
-        return closure(decorate(braid, Partition(tuple(colour))))
+        return closure(decorate(braid, Partition(tuple(_ints(colour, "colour")))))
     raise ValueError("pattern element must be an annulus record or a braid record")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import LaurentPoly, Scalar, format_scalar
+from .scalars import LaurentPoly, Scalar, format_scalar, scalar_sum
 
 SCALAR_LIKE = (int, Fraction, LaurentPoly, Scalar)
 
@@ -38,6 +38,11 @@ def add_term(acc: dict, key, coeff) -> None:
             acc[key] = cur
         else:
             del acc[key]
+
+
+def sum_collected(acc: dict) -> dict:
+    """{key: sum of its list of addends}, dropping the keys that cancel."""
+    return {key: total for key, coeffs in acc.items() if (total := scalar_sum(coeffs))}
 
 
 class FormalSum:
@@ -162,8 +167,8 @@ class FormalSum:
             for k2, c2 in other.terms.items():
                 c = c1 * c2
                 for k3, m in self._mul_keys(k1, k2).items():
-                    add_term(acc, k3, c if m == 1 else c * m)
-        return self._like(acc)
+                    acc.setdefault(k3, []).append(c if m == 1 else c * m)
+        return self._like(sum_collected(acc))
 
     def __rmul__(self, other):
         if isinstance(other, SCALAR_LIKE):
@@ -249,8 +254,8 @@ def linear_map(element: FormalSum, fn, out_cls):
     acc: dict = {}
     for key, c in element.terms.items():
         for k2, c2 in fn(key).terms.items():
-            add_term(acc, k2, c2 * c)
-    return out_cls._from(acc)
+            acc.setdefault(k2, []).append(c2 * c)
+    return out_cls._from(sum_collected(acc))
 
 
 def multiset_text(indices, symbol: str, ascending: bool) -> str:

@@ -17,13 +17,16 @@ integers, and [k] = s^(1-k) * prod Phi_d(s) over the d > 2 dividing 2k, so
 a reduced one is the monic product of its cyclotomic factors Phi_d(s).
 Each such denominator is factored once (cyclotomic_factors, memoised), and
 Scalar() cancels each factor against the numerator by exact trial division.
-Arithmetic on two such fractions works on the factorisations, as in
-Henrici's gcd-saving rational arithmetic (Knuth, TAOCP 2, 4.5.1): a sum
-goes over the lcm of the denominators and is trial-divided only by the
-factors both hold equally often, and a product first divides each numerator
-by the factors of the other denominator.  A denominator that is not such a
-product, or that involves x or v, takes the general route through Scalar():
-the univariate gcd over Fractions (_s_reduce_gcd) or no cancellation at all.
+Arithmetic on such fractions works on the factorisations, as in Henrici's
+gcd-saving rational arithmetic (Knuth, TAOCP 2, 4.5.1): a sum goes over the
+lcm of the denominators and is trial-divided only by the factors that two
+or more terms hold as often as the lcm does (scalar_sum adds a whole list
+this way, once), and a product first divides each numerator by the factors
+of the other denominator.  A product by a single term over 1 keeps the
+other denominator as it is, since a monomial shares no factor with it.  A
+denominator that is not such a product, or that involves x or v, takes the
+general route through Scalar(): the univariate gcd over Fractions
+(_s_reduce_gcd) or no cancellation at all.
 
 specialize_sln() substitutes s = t^N, x = t^-1, v = t^(-N^2), collapsing a
 Scalar to a one-variable Laurent fraction in t, a TFraction.  A TFraction
@@ -242,12 +245,13 @@ class LaurentPoly:
 
 
 def _terms_repr(p: LaurentPoly) -> str:
-    """repr of p's terms with each integral Fraction shown as an int.  Sums
-    and products of Fraction coefficients can leave Fraction(n, 1) behind,
-    which equals and hashes as n and prints as n in str and JSON; it is
-    normalised here rather than in every + and *, which would cost the
-    int-only arithmetic a type check per term."""
-    return repr({e: _ratio(c) for e, c in p.terms.items()})
+    """repr of p's terms, ascending by exponent, with each integral Fraction
+    shown as an int.  Sums and products of Fraction coefficients can leave
+    Fraction(n, 1) behind, which equals and hashes as n and prints as n in
+    str and JSON, and two routes to one polynomial can insert its terms in
+    different orders; both are normalised here rather than in every + and *,
+    which would cost the arithmetic a type check and a sort per result."""
+    return repr({e: _ratio(p.terms[e]) for e in sorted(p.terms)})
 
 
 ONE_LP = LaurentPoly.one()
@@ -398,16 +402,7 @@ class Scalar:
             fb, fd = _den_factors(b), _den_factors(d)
             if fb is None or fd is None:
                 return Scalar(a * d + c * b, b * d)
-        # a/b + c/d = (a*(d/g) + c*(b/g)) / lcm(b, d) with g = gcd(b, d); a
-        # factor can divide that numerator only if b and d hold it equally often
-        eb, ed = dict(fb), dict(fd)
-        lcm = {k: max(eb.get(k, 0), ed.get(k, 0)) for k in eb.keys() | ed.keys()}
-        num = _times(a, {k: m - eb.get(k, 0) for k, m in lcm.items()})
-        num = num + _times(c, {k: m - ed.get(k, 0) for k, m in lcm.items()})
-        if not num:
-            return Scalar.zero()
-        num = _cancel(num, [(k, m) for k, m in fb if ed.get(k) == m], lcm)
-        return Scalar._raw(num, _cyclotomic_poly(_pairs(lcm)))
+        return _sum_over_lcm((self, other), (fb, fd))
 
     __radd__ = __add__
 
@@ -432,8 +427,13 @@ class Scalar:
                 other = Scalar.from_poly(other)
             elif not isinstance(other, Scalar):
                 return NotImplemented
-        if self.den.is_one() and other.den.is_one():
-            return Scalar._raw(self.num * other.num, ONE_LP)
+        if other.den.is_one():
+            if self.den.is_one():
+                return Scalar._raw(self.num * other.num, ONE_LP)
+            if len(other.num.terms) == 1:
+                return _times_monomial(self, other.num)
+        elif self.den.is_one() and len(self.num.terms) == 1:
+            return _times_monomial(other, self.num)
         return _product(self, other)
 
     __rmul__ = __mul__
@@ -517,6 +517,81 @@ def _product(x: Scalar, y: Scalar) -> Scalar:
         exps[k] = exps.get(k, 0) + m
     a, c = _cancel(a, fd, exps), _cancel(c, fb, exps)
     return Scalar._raw(a * c, _cyclotomic_poly(_pairs(exps)))
+
+
+def _times_monomial(x: Scalar, mono: LaurentPoly) -> Scalar:
+    """x times the one-term polynomial mono.  A normal-form denominator has
+    no monomial content, so it shares no factor with mono: nothing cancels."""
+    ((a, b, c), k), = mono.terms.items()
+    return Scalar._raw(x.num.mul_monomial(a, b, c, k), x.den)
+
+
+def scalar_sum(terms: list) -> Scalar:
+    """The sum of a list of Scalars, in the normal form the left fold of +
+    gives.
+
+    When every denominator is 1 or a product of Phi_d(s), the numerators are
+    summed once over the lcm of the denominators, and the sum is trial-divided
+    only by the factors that two or more terms hold as often as the lcm does:
+    a factor that one term alone holds that often divides every other
+    addend and not that one, so not the sum.  Scalar.__add__ sums two such
+    terms the same way.  Otherwise the terms are folded left, restarting
+    after a zero as linear.add_term does.
+    """
+    if len(terms) == 1:
+        return terms[0]
+    factored = []
+    for x in terms:
+        f = () if x.den is ONE_LP else _den_factors(x.den)
+        if f is None:
+            return _fold(terms)
+        factored.append(f)
+    return _sum_over_lcm(terms, factored)
+
+
+def _sum_over_lcm(terms, factored) -> Scalar:
+    """The sum of terms whose denominators factor as the (d, mult) pairs of
+    factored, over the lcm of those denominators."""
+    lcm: dict[int, int] = {}
+    held: dict[int, int] = {}
+    for f in factored:
+        for d, m in f:
+            most = lcm.get(d, 0)
+            if m > most:
+                lcm[d], held[d] = m, 1
+            elif m == most:
+                held[d] += 1
+    top = _pairs(lcm)
+    out: dict = {}
+    for x, f in zip(terms, factored):
+        num = x.num
+        if f != top:
+            missing = dict(lcm)
+            for d, m in f:
+                missing[d] -= m
+            num = _times(num, missing)
+        for e, c in num.terms.items():
+            c = out.get(e, 0) + c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    if not out:
+        return Scalar.zero()
+    num = LaurentPoly._raw(out)
+    if not top:
+        return Scalar._raw(num, ONE_LP)
+    num = _cancel(num, [(d, m) for d, m in top if held[d] > 1], lcm)
+    return Scalar._raw(num, _cyclotomic_poly(_pairs(lcm)))
+
+
+def _fold(terms) -> Scalar:
+    """The left fold of +, restarting after a zero as linear.add_term does."""
+    acc = None
+    for x in terms:
+        acc = x if acc is None else acc + x
+        acc = acc or None
+    return acc or Scalar.zero()
 
 
 def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:

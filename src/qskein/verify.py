@@ -46,7 +46,7 @@ from .adams_skein import (
     torus_invariant,
     truncate,
 )
-from .annulus import AnnulusElement, Q, closure_word, epsilon_plane, q_hook, theta
+from .annulus import AnnulusElement, Q, closed_idempotent, closure_word, epsilon_plane, q_hook, theta
 from .chords import CROSSING, PARALLEL, all_diagrams, psi_chords
 from .diagram_ring import CPoly, DiagramVector, d, gen, phi, phi_inverse
 from .hecke import (
@@ -140,8 +140,7 @@ def _suite_hook(cap):
             rows.append((ok, "hook sum-split k=%d l=%d" % (k, l)))
 
     def closed_hook(k, l):
-        h = Partition.hook(k, l)
-        return Q(h).scale(alpha(h))
+        return closed_idempotent(Partition.hook(k, l))
 
     for k in range(1, cap):
         for l in range(1, cap + 1 - k):

@@ -22,7 +22,7 @@ from qskein.adams_skein import (
     torus_braid,
     torus_invariant,
 )
-from qskein.annulus import AnnulusElement, Q, closure_word, epsilon_plane, q_hook, theta
+from qskein.annulus import AnnulusElement, Q, closed_idempotent, closure_word, epsilon_plane, q_hook, theta
 from qskein.chords import CROSSING, PARALLEL, all_diagrams, psi_chords
 from qskein.diagram_ring import CPoly, DiagramVector, d, gen, phi, phi_inverse, psi
 from qskein.hecke import (
@@ -82,9 +82,13 @@ def test_04_hook_splitting_identities():
         for l in range(1, 7 - k):
             assert q_hook(k + 1, l) + q_hook(k, l + 1) == q_hook(k, 1) * q_hook(1, l), (k, l)
 
+    # the independent route to the closure of e_lambda, checked against the
+    # memo that the hook suite reads
     def closed_hook(k, l):
         h = Partition.hook(k, l)
-        return Q(h).scale(alpha(h))
+        closed = Q(h).scale(alpha(h))
+        assert closed == closed_idempotent(h), h
+        return closed
 
     for k in range(1, 6):
         for l in range(1, 7 - k):

@@ -14,6 +14,7 @@ from qskein.annulus import (
     _theta_key,
     a_gen,
     a_in_Q_basis,
+    closed_idempotent,
     closure,
     closure_word,
     epsilon_plane,
@@ -21,8 +22,8 @@ from qskein.annulus import (
     theta,
 )
 from qskein.diagram_ring import CPoly, DiagramVector, d, gen
-from qskein.hecke import BraidWord, HeckeElement, decorate, from_word
-from qskein.partitions import Partition, partitions_of
+from qskein.hecke import BraidWord, HeckeElement, alpha, decorate, e_lambda, from_word
+from qskein.partitions import Partition, all_partitions_up_to, partitions_of
 from qskein.perms import cycles, reduced_word
 from qskein.scalars import LaurentPoly, Scalar, Z, delta, quantum_int
 
@@ -222,6 +223,14 @@ def test_q_normalization():
         got = Q(Partition((1,) * k)).coeff((k,))
         assert got == (-xinv) ** (k - 1) / Scalar(quantum_int(k)), k
     assert q_hook(2, 1) == Q(Partition((1, 1)))
+
+
+def test_q_is_the_closed_idempotent_over_alpha():
+    for lam in all_partitions_up_to(6):
+        if lam.size:
+            assert Q(lam) == closed_idempotent(lam).scale(Scalar.one() / alpha(lam)), lam
+    lam = Partition((2, 1))
+    assert closed_idempotent(lam) == closure(e_lambda(lam))
 
 
 def test_q_is_degree_homogeneous():

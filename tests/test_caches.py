@@ -7,13 +7,14 @@ import pkgutil
 import pytest
 
 import qskein
-from qskein.adams_skein import P
-from qskein.annulus import Q, _closure_step, _theta_key, a_in_Q_basis
+from qskein.adams_skein import P, negative_cycle, negative_cycle_expansion, positive_cycle_expansion
+from qskein.annulus import Q, _closure_step, _theta_key, a_in_Q_basis, closed_idempotent
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import e_lambda
 from qskein.partitions import Partition
 from qskein.perms import reduced_word
 from qskein.scalars import cyclotomic_factors
+from qskein.verify import DEFAULT_MAX, run_suite
 
 
 def _cached_functions():
@@ -32,6 +33,10 @@ CACHED = _cached_functions()
 CASES = [
     (Q, Partition((2, 1))),
     (Q, Partition((1, 1, 1))),
+    (closed_idempotent, Partition((2, 1))),
+    (positive_cycle_expansion, 4),
+    (negative_cycle_expansion, 4),
+    (negative_cycle, 4),
     (e_lambda, Partition((2, 1))),
     (e_lambda, Partition((3, 1))),
     (d, 5),
@@ -65,3 +70,11 @@ def test_every_cached_function_reports_its_table():
     for fn in CACHED:
         info = fn.cache_info()
         assert info.maxsize is None, fn.__name__
+
+
+def test_the_series_suite_builds_each_cycle_closure_and_expansion_once():
+    for cached in CACHED:
+        cached.cache_clear()
+    run_suite("series")
+    for fn in (positive_cycle_expansion, negative_cycle_expansion, negative_cycle):
+        assert fn.cache_info().misses == DEFAULT_MAX["series"], fn.__name__

@@ -373,6 +373,31 @@ def test_solve_pattern_inconsistent_json(tmp_path, capsys):
     assert isinstance(outcome, Inconsistent)
 
 
+def test_solve_pattern_reads_annulus_keys_in_any_order(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"target": [[[1, 2], 1]], "patterns": [[[[2, 1], 1]]]}))
+    code, out, _ = run(capsys, "solve-pattern", str(path))
+    assert (code, out) == (0, "solution [1]\n")
+
+
+@pytest.mark.parametrize("payload", [
+    {"target": {"word": [1], "strands": "2"}, "patterns": [{"word": [1], "strands": 2}]},
+    {"target": [[[2], {"num": [[0, 0, 0, 1]]}]], "patterns": [[[[2], 1]]]},
+    {"target": [[["a"], 1]], "patterns": [[[[1], 1]]]},
+    {"target": {"word": [1.7], "strands": 2}, "patterns": [{"word": [1], "strands": 2}]},
+    {"target": {"word": [1], "strands": 2, "colour": [1.5]}, "patterns": [{"word": [1], "strands": 2}]},
+    {"target": [[[1], {"num": [["a", 0, 0, 1]], "den": [[0, 0, 0, 1]]}]], "patterns": [[[[1], 1]]]},
+    {"target": [[[1], 1, 2]], "patterns": [[[[1], 1]]]},
+], ids=["strands-not-an-int", "scalar-without-den", "key-not-an-index", "letter-not-an-int",
+        "colour-not-ints", "exponent-not-an-int", "term-not-a-pair"])
+def test_solve_pattern_refuses_a_malformed_record(tmp_path, capsys, payload):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "solve-pattern", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_solve_pattern_refuses_a_colour_past_the_cap(tmp_path, capsys):
     payload = {
         "target": {"word": [], "strands": 1},

@@ -3,15 +3,17 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from qskein import jsonio
 from qskein.adams_skein import torus_invariant
-from qskein.annulus import closure
+from qskein.annulus import AnnulusElement, closure
 from qskein.chords import CROSSING, PARALLEL, all_diagrams, psi_chords
 from qskein.diagram_ring import DiagramVector, psi
 from qskein.hecke import BraidWord, decorate
 from qskein.parsing import parse_cpoly
 from qskein.partitions import Partition
-from qskein.scalars import Scalar, h_expand
+from qskein.scalars import LaurentPoly, Scalar, h_expand
 
 
 def round_trip(encode, decode, value):
@@ -22,6 +24,19 @@ def test_cpoly_round_trip():
     for text in ("0", "1", "c1^2 - 2*c2", "c1*c3 - (s - s^-1)/(s + s^-1)*c2 + 1/3", "x^-2*v*c4^3"):
         p = parse_cpoly(text)
         assert round_trip(jsonio.encode_cpoly, jsonio.decode_cpoly, p) == p, text
+
+
+def test_monomial_keys_are_read_in_any_order_and_must_be_positive():
+    two_a2a1 = AnnulusElement.term((2, 1), 2)
+    assert jsonio.decode_annulus([[[1, 2], 1], [[2, 1], 1]]) == two_a2a1
+    assert str(jsonio.decode_annulus([[[1, 2], 1], [[2, 1], 1]])) == "2*A2*A1"
+    assert jsonio.decode_annulus([[[1, 2], 1], [[2, 1], -1]]).is_zero()
+    assert jsonio.decode_cpoly([[[1, 3], 1], [[3, 1], 2]]) == parse_cpoly("3*c1*c3")
+    assert jsonio.decode_poly([[1, 0, 0, 1], [1, 0, 0, "1/2"]]) == LaurentPoly({(1, 0, 0): Fraction(3, 2)})
+    for key in ([0], [2, -1], ["a"], [1.0], [True], 2):
+        for decode in (jsonio.decode_annulus, jsonio.decode_cpoly):
+            with pytest.raises(ValueError):
+                decode([[key, 1]])
 
 
 def test_diagrams_round_trip():

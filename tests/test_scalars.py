@@ -1,6 +1,8 @@
 """Laurent-polynomial and scalar-fraction arithmetic."""
 
+import functools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -29,6 +31,7 @@ from qskein.scalars import (
     h_expand,
     quantum_factorial,
     quantum_int,
+    scalar_sum,
     specialize_sln,
 )
 
@@ -296,6 +299,48 @@ def test_halves_add_up_to_the_int_one():
 def test_sums_and_products_print_integral_coefficients_as_ints(a, b):
     for value in (a + b, a * b):
         assert not _INTEGRAL_FRACTION.search(repr(value)), value
+
+
+@st.composite
+def summand_lists(draw):
+    """1 to 6 Scalars: drawn from every kind; or over one shared denominator;
+    or followed by the negatives of some of them, so that part or all of the
+    list cancels; or followed by y minus their sum, so that the factors of
+    their denominators that y lacks cancel.  The last two are shuffled."""
+    kind = draw(st.sampled_from(["any", "shared", "cancelling", "to a value"]))
+    if kind == "shared":
+        den = draw(st.one_of(reductions(other_factors=0).map(lambda case: case[1]), st.sampled_from(OTHER_FACTORS)))
+        return [Scalar(p, den) for p in draw(st.lists(polys.filter(bool), min_size=1, max_size=6))]
+    xs = draw(st.lists(any_scalars, min_size=1, max_size=6 if kind == "any" else 3))
+    if kind == "cancelling":
+        xs += [-x for x in draw(st.lists(st.sampled_from(xs), min_size=1, max_size=len(xs), unique_by=id))]
+    elif kind == "to a value":
+        xs.append(draw(any_scalars) - functools.reduce(operator.add, xs))
+    return draw(st.permutations(xs)) if kind != "any" else xs
+
+
+@settings(max_examples=300, deadline=None)
+@given(summand_lists())
+def test_one_sum_of_many_terms_equals_the_left_fold(xs):
+    assert repr(scalar_sum(xs)) == repr(functools.reduce(operator.add, xs))
+
+
+def test_a_list_that_cancels_sums_to_the_one_zero():
+    third = Scalar(LaurentPoly({(1, 0, 0): 1}), quantum_int(3))
+    over_v = Scalar(1, LaurentPoly({(0, 1, 0): 1, (0, 0, 0): 1}))
+    for xs in ([third, -third], [third, Scalar(2), -third, Scalar(-2)], [over_v, third, -over_v, -third]):
+        assert repr(scalar_sum(xs)) == repr(Scalar.zero())
+
+
+monomial_scalars = st.builds(
+    Scalar.monomial, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), coefficients.filter(bool)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(any_scalars, specializable_scalars, fraction_scalars), monomial_scalars)
+def test_a_product_by_a_monomial_keeps_the_denominator(x, m):
+    assert repr(x * m) == repr(m * x) == repr(Scalar(x.num * m.num, x.den))
 
 
 def _coefficients(p):
