@@ -5,7 +5,10 @@ import json
 import pytest
 
 from qskein.cli import main
-from qskein.jsonio import decode_annulus, decode_outcome
+from qskein.diagram_ring import DiagramVector
+from qskein.jsonio import decode_annulus, decode_diagrams, decode_outcome
+from qskein.partitions import Partition, lr_product
+from qskein.scalars import Scalar
 from qskein.adams_skein import Inconsistent
 
 
@@ -234,10 +237,58 @@ def test_alpha_and_lr_caps_exit_2(capsys, monkeypatch):
     monkeypatch.setattr(qskein.partitions, "quantum_int", no_product)
     assert run(capsys, "alpha", "(100,100)") == (2, "", "error: the hook-content product of (100,100) has "
                                                         "estimated size 102010200, over the cap of 8000000\n")
-    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 15)
+    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 11)
     qskein.partitions._lr_cached.cache_clear()
-    assert run(capsys, "lr", "(2,1)", "(2,1)") == (2, "", "error: the product (2,1) x (2,1) tried 16 strip "
-                                                          "placements, over the cap of 15\n")
+    assert run(capsys, "lr", "(2,1)", "(2,1)") == (2, "", "error: the product (2,1) x (2,1) tried 12 strip "
+                                                          "placements, over the cap of 11\n")
+
+
+def test_lr_time_does_not_grow_with_row_length(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lr", "(1)", "(10000000)")
+    assert (code, out, err) == (0, "(10000001) + (10000000,1)\n", "")
+    code, out, err = run(capsys, "lr", "(3,2)", "(1000000000,5)", "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    # past 10 boxes the first row only shifts the product's first rows
+    shift = 1000000000 - 12
+    want = {Partition((nu.parts[0] + shift,) + nu.parts[1:]): c
+            for nu, c in lr_product(Partition((3, 2)), Partition((12, 5))).items()}
+    assert decode_diagrams(json.loads(out)) == DiagramVector({nu: Scalar(c) for nu, c in want.items()})
+    assert len(want) == 22
+
+
+def test_lr_of_a_tall_column_answers(capsys):
+    # 1200 rows are more than the interpreter's recursion limit, so strips
+    # must be filled without a call per row
+    column = "(" + ",".join(["1"] * 1200) + ")"
+    want = "(2" + ",1" * 1199 + ") + (1" + ",1" * 1200 + ")\n"
+    assert run(capsys, "lr", column, "(1)") == (0, want, "")
+
+
+def test_lr_of_two_huge_rows_exits_2_and_keeps_only_the_strips_under_the_cap(capsys, monkeypatch):
+    import time
+    import tracemalloc
+
+    import qskein.partitions
+
+    want = (2, "", "error: the product (1000000000) x (1000000000) tried 200001 strip placements, "
+                   "over the cap of 200000\n")
+    start = time.perf_counter()
+    assert run(capsys, "lr", "(1000000000)", "(1000000000)") == want
+    assert time.perf_counter() - start < 3
+    # the 10^9 + 1 placements are refused as they are made, not listed first
+    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 1000)
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "lr", "(1000000000)", "(1000000000)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and err.endswith(" tried 1001 strip placements, over the cap of 1000\n")
+    assert peak < 1_000_000
 
 
 def test_a_colour_past_the_support_cap_writes_one_error_line(capsys):

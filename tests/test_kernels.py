@@ -5,11 +5,23 @@ cyclotomic or x/v denominators."""
 import hashlib
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qskein.annulus import closure, closure_word, epsilon_plane
-from qskein.hecke import BraidWord, HeckeElement, alpha, decorate, from_word, mul, tensor
+from qskein.hecke import (
+    BraidWord,
+    HeckeElement,
+    _reverse,
+    _right_reduce,
+    a_element,
+    alpha,
+    decorate,
+    from_word,
+    mul,
+    tensor,
+)
 from qskein.linear import add_term
 from qskein.partitions import Partition
 from qskein.perms import all_perms, swap_positions
@@ -58,20 +70,24 @@ DENOMINATORS = [
     LaurentPoly({(0, 1, 0): 1, (0, 0, 0): 2}),   # v + 2
 ]
 
-scalars = st.one_of(
-    polys.map(Scalar.from_poly),
-    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool).map(Scalar),
-    st.builds(lambda p, q: Scalar.from_poly(p) * q, polys, st.fractions(max_denominator=4).filter(bool)),
-    st.builds(Scalar, polys, st.sampled_from(DENOMINATORS)),
-)
+SCALAR_KINDS = {
+    "polynomial": polys.map(Scalar.from_poly),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool).map(Scalar),
+    "polynomial-times-fraction": st.builds(lambda p, q: Scalar.from_poly(p) * q, polys,
+                                           st.fractions(max_denominator=4).filter(bool)),
+    "cyclotomic-denominator": st.builds(Scalar, polys, st.sampled_from(DENOMINATORS[:2])),
+    "x/v-denominator": st.builds(Scalar, polys, st.sampled_from(DENOMINATORS[2:])),
+}
+# every kind, the two denominator kinds drawn as one
+scalars = st.one_of(*list(SCALAR_KINDS.values())[:3], st.builds(Scalar, polys, st.sampled_from(DENOMINATORS)))
 
 
 @st.composite
-def elements(draw, n=None):
+def elements(draw, n=None, terms=(1, 4), coefficients=scalars):
     n = n if n is not None else draw(st.integers(2, 4))
     perms = list(all_perms(n))
-    keys = draw(st.lists(st.sampled_from(perms), min_size=1, max_size=4, unique=True))
-    return HeckeElement(n, {pi: draw(scalars) for pi in keys})
+    keys = draw(st.lists(st.sampled_from(perms), min_size=terms[0], max_size=terms[1], unique=True))
+    return HeckeElement(n, {pi: draw(coefficients) for pi in keys})
 
 
 def letters(n, max_size=4):
@@ -129,6 +145,49 @@ def test_markov_stabilisation_after_the_plane_evaluation(data):
     plain = epsilon_plane(closure_word(BraidWord(n, w)))
     assert epsilon_plane(closure_word(BraidWord(n + 1, w + [n]))) == plain * curl
     assert epsilon_plane(closure_word(BraidWord(n + 1, w + [-n]))) == plain / curl
+
+
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mul_through_the_shorter_factor_equals_right_reduction(kind, data):
+    n = data.draw(st.integers(3, 4))
+    short = data.draw(elements(n, (1, 2), SCALAR_KINDS[kind]))
+    long = data.draw(elements(n, (3, 6), SCALAR_KINDS[kind]))
+    assert mul(short, long) == _right_reduce(short, long)
+    assert mul(long, short) == _right_reduce(long, short)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reversal_is_an_anti_automorphism(data):
+    h = data.draw(elements())
+    k = data.draw(elements(h.n))
+    assert _reverse(_reverse(h)) == h
+    assert _reverse(_right_reduce(h, k)) == _right_reduce(_reverse(k), _reverse(h))
+    # it reverses braid words, so it fixes only palindromic images
+    word = data.draw(letters(h.n, 5))
+    assert _reverse(from_word(BraidWord(h.n, word))) == from_word(BraidWord(h.n, word[::-1]))
+
+
+def test_a_letter_times_a_symmetriser_takes_one_word_pass(monkeypatch):
+    import qskein.hecke
+
+    words = []
+
+    def right_word(terms, n, letters, *q):
+        words.append(tuple(letters))
+        return right_word_kernel(terms, n, letters, *q)
+
+    right_word_kernel = qskein.hecke._right_word
+    monkeypatch.setattr(qskein.hecke, "_right_word", right_word)
+    a, sigma = a_element(5), from_word(BraidWord(5, (2,)))
+    words.clear()
+    assert mul(sigma, a) == a.scale(Scalar.monomial(1, 0, 1))
+    assert words == [(2,)]
+    words.clear()
+    assert mul(a, sigma) == a.scale(Scalar.monomial(1, 0, 1))
+    assert words == [(2,)]
 
 
 def test_closure_commutes_with_non_polynomial_scalings():

@@ -6,7 +6,9 @@ horizontal-strip chain construction in the package; agreement over all small
 pairs pins the product down completely.  A copy of the earlier construction,
 which expanded every chain of strips and filtered the finished fillings,
 is a second oracle; a closed form and two symmetries check the product
-without any tableaux.
+without any tableaux.  Every horizontal strip, filtered by the lattice
+condition, is the oracle of the bounded strip enumeration one strip at a
+time.
 """
 
 from math import comb, factorial, prod
@@ -23,6 +25,7 @@ from qskein.partitions import (
     Partition,
     _hook_content_size,
     _lr_cached,
+    _lr_strips,
     all_partitions_up_to,
     framing_factor,
     hook_content_closed,
@@ -201,18 +204,85 @@ def test_hook_content_cap_refuses_before_the_product(monkeypatch):
 
 
 def test_lr_strip_cap_counts_placements_as_they_are_tried(monkeypatch):
-    # (2,1) x (2,1) tries 16 placements: 4 strips of two boxes on (2,1), then
-    # 3 single boxes on each result
+    # (2,1) x (2,1) places 12 strips: 4 strips of two boxes on (2,1), then
+    # the 2 single boxes that keep each result a lattice word
     lam = Partition((2, 1))
     want = lr_product(lam, lam)
-    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 16)
+    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 12)
     _lr_cached.cache_clear()
     assert lr_product(lam, lam) == want
-    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 15)
+    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 11)
     _lr_cached.cache_clear()
-    with pytest.raises(ValueError, match=r"^the product \(2,1\) x \(2,1\) tried 16 strip placements, "
-                                         r"over the cap of 15$"):
+    with pytest.raises(ValueError, match=r"^the product \(2,1\) x \(2,1\) tried 12 strip placements, "
+                                         r"over the cap of 11$"):
         lr_product(lam, lam)
+    # a placement on a shape of 20 rows counts as 2: one box on a column
+    # of 20 goes to the first row or to a new last row
+    column = Partition((1,) * 20)
+    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 4)
+    _lr_cached.cache_clear()
+    assert lr_product(column, Partition((1,))) == {Partition((2,) + (1,) * 19): 1, Partition((1,) * 21): 1}
+    monkeypatch.setattr(qskein.partitions, "LR_STRIP_CAP", 3)
+    _lr_cached.cache_clear()
+    with pytest.raises(ValueError, match=r" tried 4 strip placements, over the cap of 3$"):
+        lr_product(column, Partition((1,)))
+
+
+def horizontal_strips(shape, size):
+    """All ways to add `size` boxes to `shape`, no two in one column, as
+    (new_shape, added): the enumeration the strips were drawn from before
+    the lattice and feasibility bounds, kept as their oracle."""
+    rows = len(shape)
+    old = shape + (0,)
+
+    def rec(r, remaining, acc):
+        if r > rows:
+            if remaining == 0:
+                yield tuple(p for p in acc if p), tuple(p - q for p, q in zip(acc, old))
+            return
+        hi = old[r] + remaining if r == 0 else min(old[r] + remaining, shape[r - 1])
+        for new in range(old[r], hi + 1):
+            acc.append(new)
+            yield from rec(r + 1, remaining - (new - old[r]), acc)
+            acc.pop()
+
+    yield from rec(0, size, [])
+
+
+def is_lattice(last, added):
+    """Whether the labels t-1 (last[r] boxes in row r) and t (added[r]) read
+    as a lattice word row by row, top to bottom, each row right to left:
+    through each row the t's may not outnumber the t-1's of the rows above."""
+    above = seen = 0
+    for r, a in enumerate(added):
+        seen += a
+        if seen > above:
+            return False
+        above += last[r] if r < len(last) else 0
+    return True
+
+
+@st.composite
+def strip_cases(draw):
+    shape = draw(st.sampled_from(list(all_partitions_up_to(9)))).parts
+    size = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return shape, size, None
+    if draw(st.booleans()):
+        # the strip that grew shape, as in a product
+        earlier = draw(st.sampled_from([p for p in all_partitions_up_to(8) if p.size <= sum(shape)]))
+        grown = [(s, a) for s, a in horizontal_strips(earlier.parts, sum(shape) - earlier.size) if s == shape]
+        if grown:
+            return shape, size, grown[0][1]
+    return shape, size, tuple(draw(st.lists(st.integers(0, 4), max_size=len(shape) + 2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(strip_cases())
+def test_live_strips_are_the_oracle_strips_that_pass_the_lattice_check(case):
+    shape, size, last = case
+    want = [(s, a) for s, a in horizontal_strips(shape, size) if last is None or is_lattice(last, a)]
+    assert list(_lr_strips(shape, size, last)) == want
 
 
 def test_framing_factors():

@@ -1,5 +1,6 @@
 """The package imports nothing outside the standard library, imports only
-at module top, and memoises through functools.cache only."""
+at module top, memoises through functools.cache only, and keeps no private
+module-level name that nothing else in it refers to."""
 
 import ast
 import re
@@ -53,3 +54,28 @@ def test_imports_sit_at_module_top():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert inside == []
+
+
+def test_every_private_module_name_is_used():
+    defined = {}
+    used = set()
+    for name, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            defined.update({(name, n): node.lineno for n in names if n.startswith("_") and not n.startswith("__")})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                used.update(alias.name for alias in node.names)
+    assert sorted(key for key in defined if key[1] not in used) == []
