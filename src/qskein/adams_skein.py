@@ -79,8 +79,8 @@ def power_sum_recursion_holds(m: int) -> bool:
 # A generating series a_0 + a_1 X + ... + a_(n-1) X^(n-1) is held as the
 # element a_0 + a_1 + ... + a_(n-1).  Each a_i is homogeneous of weighted
 # degree i + shift, so a key of weighted degree w sits at X^(w - shift).  The
-# shift is 0 for C and D and 1 for psi, the derivatives and the cycle-closure
-# series.  Series multiply as elements; the product is cut back to order.
+# shift is 0 for C and D and 1 for psi, the derivatives (reweight) and the
+# cycle-closure series.  Series multiply as elements; the product is cut back to order.
 
 
 def truncate(e: Polynomial, n: int) -> Polynomial:
@@ -91,6 +91,19 @@ def truncate(e: Polynomial, n: int) -> Polynomial:
 def substitute(e: Polynomial, a: Scalar, shift: int) -> Polynomial:
     """Replace X by aX in the series e: weighted degree w picks up a^(w - shift)."""
     return e._like({k: c * a ** (sum(k) - shift) for k, c in e.terms.items()})
+
+
+def reweight(e: Polynomial, weight) -> Polynomial:
+    """e with its part of weighted degree w scaled by weight(w): the series
+    derivative of series_c(order + 1) or series_d(order + 1), shift 1, for
+    weight(w) = w, and its quantum derivative for weight(w) = [w].  The
+    terms of weight 0 drop out."""
+    out = {}
+    for k, c in e.terms.items():
+        w = weight(sum(k))
+        if w:
+            out[k] = c * w
+    return e._like(out)
 
 
 def first_difference(e: Polynomial, f: Polynomial, shift: int) -> int | None:
@@ -108,28 +121,6 @@ def series_c(order: int) -> CPoly:
 def series_d(order: int) -> CPoly:
     """Reciprocal of series_c, shift 0: 1 + d1 X + d2 X^2 + ..."""
     return sum((d(l) for l in range(order)), CPoly.zero())
-
-
-def series_c_deriv(order: int) -> CPoly:
-    """Derivative of series_c, shift 1: (-1)^k k c_k at X^(k-1)."""
-    return sum((gen(k).scale((-1) ** k * k) for k in range(1, order + 1)), CPoly.zero())
-
-
-def series_d_deriv(order: int) -> CPoly:
-    """Derivative of series_d, shift 1: l d_l at X^(l-1)."""
-    return sum((d(l).scale(l) for l in range(1, order + 1)), CPoly.zero())
-
-
-def series_c_qderiv(order: int) -> CPoly:
-    """Quantum derivative of series_c, shift 1: (-1)^k [k] c_k at X^(k-1)."""
-    return sum(
-        (gen(k).scale(Scalar(quantum_int(k)) * (-1) ** k) for k in range(1, order + 1)), CPoly.zero()
-    )
-
-
-def series_d_qderiv(order: int) -> CPoly:
-    """Quantum derivative of series_d, shift 1: [l] d_l at X^(l-1)."""
-    return sum((d(l).scale(Scalar(quantum_int(l))) for l in range(1, order + 1)), CPoly.zero())
 
 
 def series_power_sums(order: int) -> CPoly:
@@ -203,8 +194,8 @@ def series_identities(order: int):
     xinv_s = Scalar.monomial(-1, 0, 1)
     xinv_sinv = Scalar.monomial(-1, 0, -1)
 
-    C, Cq = series_c(order), series_c_qderiv(order)
-    D, Dq = series_d(order), series_d_qderiv(order)
+    C, Cq = series_c(order), reweight(series_c(order + 1), quantum_int)
+    D, Dq = series_d(order), reweight(series_d(order + 1), quantum_int)
     plus = series_plus(order)
     minus = series_minus(order)
     series_row("plus-factorization", plus, -theta(product(substitute(Cq, x, 1), substitute(D, xs, 0))))
@@ -216,8 +207,10 @@ def series_identities(order: int):
     )
 
     psi_series = series_power_sums(order)
-    series_row("power-sum-log-derivative", psi_series, -product(series_c_deriv(order), D))
-    series_row("power-sum-reciprocal-derivative", psi_series, product(series_d_deriv(order), C))
+    Cd = reweight(series_c(order + 1), lambda w: w)
+    Dd = reweight(series_d(order + 1), lambda w: w)
+    series_row("power-sum-log-derivative", psi_series, -product(Cd, D))
+    series_row("power-sum-reciprocal-derivative", psi_series, product(Dd, C))
     return rows
 
 

@@ -27,8 +27,8 @@ from functools import cache
 from math import comb, prod
 
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
-from .hecke import BraidWord, HeckeElement, _add_shifted, _check_cap, _join, _split, alpha, e_lambda, from_word
-from .linear import Polynomial, linear_map, multiset_text
+from .hecke import BraidWord, HeckeElement, alpha, check_enumeration_cap, e_lambda, from_word
+from .linear import Polynomial, add_shifted, join_raw, linear_map, multiset_text, split_raw
 from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
 from .scalars import Scalar, delta
@@ -95,23 +95,23 @@ def _push_down(terms: dict) -> dict:
     permutations, longest first, until it reaches a winding key."""
     levels = [{} for _ in range(1 + max((_closure_step(pi)[0] for pi in terms), default=-1))]
     for pi, p in terms.items():
-        _add_shifted(levels[_closure_step(pi)[0]], pi, p, 0, 0, 0, 1)
+        add_shifted(levels[_closure_step(pi)[0]], pi, p, 0, 0, 0, 1)
     out: dict = {}
     for length in range(len(levels) - 1, -1, -1):
         for pi, p in levels[length].items():
             _, key, shorter, shortest = _closure_step(pi)
             if key is not None:
-                _add_shifted(out, key, p, 0, 0, 0, 1)
+                add_shifted(out, key, p, 0, 0, 0, 1)
             else:
-                _add_shifted(levels[length - 1], shorter, p, 1, 0, 1, 1)
-                _add_shifted(levels[length - 1], shorter, p, 1, 0, -1, -1)
-                _add_shifted(levels[length - 2], shortest, p, 2, 0, 0, 1)
+                add_shifted(levels[length - 1], shorter, p, 1, 0, 1, 1)
+                add_shifted(levels[length - 1], shorter, p, 1, 0, -1, -1)
+                add_shifted(levels[length - 2], shortest, p, 2, 0, 0, 1)
     return out
 
 
 def closure(h: HeckeElement) -> AnnulusElement:
     """Close a Hecke element around the annulus."""
-    return AnnulusElement._from(_join((den, _push_down(terms)) for den, terms in _split(h)))
+    return AnnulusElement._from(join_raw((den, _push_down(terms)) for den, terms in split_raw(h)))
 
 
 def closure_word(w: BraidWord) -> AnnulusElement:
@@ -156,7 +156,7 @@ def _theta_size(key: tuple[int, ...]) -> int:
     the columns.  A column over ENUMERATION_CAP cells is refused here as Q
     would refuse it.
     """
-    _check_cap(key[0])
+    check_enumeration_cap(key[0])
     counts = Counter(key)
     box = prod(1 + sum(m * (k // j) for k, m in counts.items()) for j in range(2, max(counts) + 1))
     multisets = prod(comb(m + sum(1 for _ in partitions_of(k)) - 1, m) for k, m in counts.items())

@@ -21,77 +21,60 @@ from .diagram_ring import DiagramVector, psi
 from .hecke import alpha
 from .partitions import lr_product
 from .parsing import ParseError, parse_braid_word, parse_cpoly, parse_matching, parse_partition
-from .scalars import PoleError, Scalar, SpecializationError, h_expand, quantum_int
+from .scalars import PoleError, Scalar, SpecializationError, format_terms, h_expand, quantum_int
 from .verify import DEFAULT_MAX, SUITE_ORDER, run_suite, suite_names
 
 
-def _format_hseries(coeffs) -> str:
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            power = "h" if i == 1 else "h^%d" % i
-            body = power if mag == 1 else "%s*%s" % (mag, power)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
-
-
-def _emit(args, text_value, json_value):
-    if args.json:
-        print(json.dumps(json_value))
-    else:
-        print(text_value)
+def _emit(args, value, encode, text=str):
+    """Print value as text, or its JSON encoding under --json; build only the one printed."""
+    print(json.dumps(encode(value)) if args.json else text(value))
     return 0
 
 
+def _format_hseries(coeffs) -> str:
+    return format_terms((((i,), c) for i, c in enumerate(coeffs) if c), "h")
+
+
+def _format_tally(tally) -> str:
+    return "\n".join("%d  %s" % (n, d) for d, n in sorted(tally.items()))
+
+
 def _cmd_qint(args):
-    p = quantum_int(args.i)
-    return _emit(args, str(p), jsonio.encode_poly(p))
+    return _emit(args, quantum_int(args.i), jsonio.encode_poly)
 
 
 def _cmd_alpha(args):
-    sc = alpha(parse_partition(args.partition))
-    return _emit(args, str(sc), jsonio.encode_scalar(sc))
+    return _emit(args, alpha(parse_partition(args.partition)), jsonio.encode_scalar)
 
 
 def _cmd_lr(args):
     terms = lr_product(parse_partition(args.first), parse_partition(args.second))
     vec = DiagramVector({lam: Scalar(c) for lam, c in terms.items()})
-    return _emit(args, str(vec), jsonio.encode_diagrams(vec))
+    return _emit(args, vec, jsonio.encode_diagrams)
 
 
 def _cmd_adams(args):
     cpoly, diagrams = psi(args.m)
     if args.as_diagrams:
-        return _emit(args, str(diagrams), jsonio.encode_diagrams(diagrams))
-    return _emit(args, str(cpoly), jsonio.encode_cpoly(cpoly))
+        return _emit(args, diagrams, jsonio.encode_diagrams)
+    return _emit(args, cpoly, jsonio.encode_cpoly)
 
 
 def _cmd_theta(args):
-    e = theta(parse_cpoly(args.cpoly))
-    return _emit(args, str(e), jsonio.encode_annulus(e))
+    return _emit(args, theta(parse_cpoly(args.cpoly)), jsonio.encode_annulus)
 
 
 def _cmd_q(args):
-    e = Q(parse_partition(args.partition))
-    return _emit(args, str(e), jsonio.encode_annulus(e))
+    return _emit(args, Q(parse_partition(args.partition)), jsonio.encode_annulus)
 
 
 def _cmd_closure(args):
     e = closure_word(parse_braid_word(args.word, args.strands))
-    return _emit(args, str(e), jsonio.encode_annulus(e))
+    return _emit(args, e, jsonio.encode_annulus)
 
 
 def _cmd_pm(args):
-    e = P(args.m)
-    return _emit(args, str(e), jsonio.encode_annulus(e))
+    return _emit(args, P(args.m), jsonio.encode_annulus)
 
 
 def _cmd_torus(args):
@@ -100,23 +83,21 @@ def _cmd_torus(args):
     value = torus_invariant(args.m, args.p, sl=args.sl, normalize=args.normalize)
     if args.h_order is not None:
         coeffs = h_expand(value, args.sl, args.h_order)
-        return _emit(args, _format_hseries(coeffs), jsonio.encode_hseries(coeffs))
+        return _emit(args, coeffs, jsonio.encode_hseries, _format_hseries)
     if args.sl is not None:
-        return _emit(args, str(value), jsonio.encode_tfraction(value))
-    return _emit(args, str(value), jsonio.encode_scalar(value))
+        return _emit(args, value, jsonio.encode_tfraction)
+    return _emit(args, value, jsonio.encode_scalar)
 
 
 def _cmd_solve_pattern(args):
     with open(args.file, encoding="utf-8") as fh:
         obj = json.load(fh)
-    outcome = solve_pattern(jsonio.decode_pattern_system(obj))
-    return _emit(args, str(outcome), jsonio.encode_outcome(outcome))
+    return _emit(args, solve_pattern(jsonio.decode_pattern_system(obj)), jsonio.encode_outcome)
 
 
 def _cmd_psi_chords(args):
     tally = psi_chords(parse_matching(args.matching), args.m)
-    lines = ["%d  %s" % (n, d) for d, n in sorted(tally.items())]
-    return _emit(args, "\n".join(lines), jsonio.encode_chord_tally(tally))
+    return _emit(args, tally, jsonio.encode_chord_tally, _format_tally)
 
 
 def _cmd_verify(args):

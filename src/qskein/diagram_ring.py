@@ -12,9 +12,10 @@ power-sum analogues, in both presentations.
 from __future__ import annotations
 
 from functools import cache
+from itertools import islice
 
 from .linear import FormalSum, Polynomial, add_term, linear_map, multiset_text
-from .partitions import EMPTY, Partition, lr_product
+from .partitions import EMPTY, Partition, lr_product, partitions_of
 from .scalars import Scalar
 
 
@@ -116,23 +117,9 @@ PSI_TERM_CAP = 10_000
 
 
 def _over_term_cap(m: int) -> bool:
-    """Whether m has more than PSI_TERM_CAP partitions.  The counts p(n)
-    follow Euler's pentagonal recurrence up from p(0) and stop at the first
-    one over the cap, so a huge m costs no more than m = 33."""
-    p = [1]
-    for n in range(1, m + 1):
-        total = 0
-        k = 1
-        while k * (3 * k - 1) // 2 <= n:
-            sign = 1 if k % 2 else -1
-            total += sign * p[n - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= n:
-                total += sign * p[n - k * (3 * k + 1) // 2]
-            k += 1
-        if total > PSI_TERM_CAP:
-            return True
-        p.append(total)
-    return False
+    """Whether m has more than PSI_TERM_CAP partitions.  The count stops at
+    the first one over the cap, so a huge m costs no more than m = 33."""
+    return sum(1 for _ in islice(partitions_of(m), PSI_TERM_CAP + 1)) > PSI_TERM_CAP
 
 
 def psi(m: int) -> tuple[CPoly, DiagramVector]:

@@ -5,13 +5,19 @@ algebra: storage, module operations, a bilinear product driven by a
 per-class key product, and deterministic printing.  Polynomial is the
 commutative polynomial ring that the column ring (CPoly) and the annulus
 ring (AnnulusElement) both are: they differ only in how a monomial prints.
+
+The raw coefficient format of the Hecke kernels and the annulus closure
+also lives here: split_raw takes an element apart into one
+{key: {(a, b, c): coeff}} dict of numerators per denominator, the kernels
+accumulate into such dicts with add_shifted, and join_raw sums the pieces
+back into Scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import LaurentPoly, Scalar, format_scalar, scalar_sum
+from .scalars import ONE_LP, LaurentPoly, Scalar, format_scalar, scalar_sum
 
 SCALAR_LIKE = (int, Fraction, LaurentPoly, Scalar)
 
@@ -43,6 +49,42 @@ def add_term(acc: dict, key, coeff) -> None:
 def sum_collected(acc: dict) -> dict:
     """{key: sum of its list of addends}, dropping the keys that cancel."""
     return {key: total for key, coeffs in acc.items() if (total := scalar_sum(coeffs))}
+
+
+def add_shifted(acc: dict, key, p: dict, a: int, b: int, c: int, k) -> None:
+    """acc[key] += k x^a v^b s^c p on raw polynomials, in place: acc owns
+    every polynomial it holds and holds no zero one; p is not kept."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = {(e1 + a, e2 + b, e3 + c): m * k for (e1, e2, e3), m in p.items()}
+        return
+    for (e1, e2, e3), m in p.items():
+        e = (e1 + a, e2 + b, e3 + c)
+        m = cur.get(e, 0) + m * k
+        if m:
+            cur[e] = m
+        else:
+            del cur[e]
+    if not cur:
+        del acc[key]
+
+
+def split_raw(element) -> list:
+    """[(den, {key: raw numerator})], one class per denominator, at least one."""
+    groups: dict = {}
+    for key, c in element.terms.items():
+        groups.setdefault(c.den, {})[key] = c.num.terms
+    return list(groups.items()) or [(ONE_LP, {})]
+
+
+def join_raw(pieces) -> dict:
+    """{key: Scalar}, summed over (den, {key: raw numerator}) pieces."""
+    acc: dict = {}
+    for den, terms in pieces:
+        for key, p in terms.items():
+            p = LaurentPoly._raw(p)
+            add_term(acc, key, Scalar._raw(p, ONE_LP) if den.is_one() else Scalar(p, den))
+    return acc
 
 
 class FormalSum:

@@ -93,18 +93,17 @@ class Partition:
 EMPTY = Partition(())
 
 
-def partitions_of(n: int, max_part: int | None = None):
+def partitions_of(n: int):
     """All partitions of n, largest part first, in lexicographic descending order.
 
-    Each is the one before it with its trailing 1s and its last larger part
-    p taken off and their boxes dealt out again greedily in parts of p - 1;
-    the first deals all n boxes in parts of the cap.
+    The first is (n).  Each after it is the one before it with its trailing
+    1s and its last larger part p taken off and their boxes dealt out again
+    greedily in parts of p - 1.
     """
-    cap = n if max_part is None else min(n, max_part)
     if n == 0:
         yield Partition(())
         return
-    parts, top, rest = [], cap, n
+    parts, top, rest = [], n, n
     while top > 0:
         parts += [top] * (rest // top) + ([rest % top] if rest % top else [])
         yield Partition(parts)

@@ -870,14 +870,16 @@ def _format_term(exps: Triple, coeff, lead: bool, names: str) -> str:
     return sign + body
 
 
+def format_terms(pairs, names: str) -> str:
+    """(exponents, coefficient) pairs, in print order, as a signed sum that
+    names the variables by the letters of names."""
+    out = [_format_term(e, c, i == 0, names) for i, (e, c) in enumerate(pairs)]
+    return " ".join(out) if out else "0"
+
+
 def format_poly(p: LaurentPoly, names: str = "xvs") -> str:
     """p as text, naming the three variables by the letters of names."""
-    if not p.terms:
-        return "0"
-    out = []
-    for i, (e, c) in enumerate(p.sorted_terms()):
-        out.append(_format_term(e, c, i == 0, names))
-    return " ".join(out)
+    return format_terms(p.sorted_terms(), names)
 
 
 def _paren(s: str) -> str:
@@ -1039,7 +1041,8 @@ def _h_series(tpoly: dict[int, object], n: int, order: int) -> list[Fraction]:
 
 
 def h_expand(f, n: int, order: int) -> list:
-    """Expand f(t = e^(h/2N)) as a series in h; return coefficients of h^0..h^order.
+    """Expand the TFraction f(t = e^(h/2N)) as a series in h; return
+    coefficients of h^0..h^order.
 
     The denominator may vanish at h = 0 provided the numerator vanishes to
     at least the same order (the singularity is then removable, as happens
@@ -1050,8 +1053,6 @@ def h_expand(f, n: int, order: int) -> list:
         raise ValueError("h_expand needs order >= 0")
     if isinstance(f, (Scalar, LaurentPoly)):
         raise TypeError("specialise first: h_expand takes the result of specialize_sln")
-    if isinstance(f, dict):
-        f = TFraction(f)
     # a nonzero finite sum of exponentials e^(k h/2N) vanishes at h = 0 to
     # order at most (number of distinct exponents - 1)
     probe = _h_series(f.den, n, len(f.den))

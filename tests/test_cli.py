@@ -1,10 +1,13 @@
 """End-to-end command line checks, run in process through main()."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qskein.cli import main
+from qskein.cli import _format_hseries, main
 from qskein.diagram_ring import DiagramVector
 from qskein.jsonio import decode_annulus, decode_diagrams, decode_outcome
 from qskein.partitions import Partition, lr_product
@@ -140,6 +143,30 @@ def test_closure_support_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "closure", "-1 -3 -5")
     assert (code, out) == (2, "")
     assert err == "error: a Hecke element on 6 strands reached 8 terms, over the cap of 3! = 6\n"
+
+
+def test_strand_cap_refuses_before_the_closure(tmp_path, capsys, monkeypatch):
+    import time
+
+    import qskein.annulus
+    from qskein.hecke import STRAND_CAP
+
+    def no_closure(*args):
+        raise AssertionError("the closure started")
+
+    monkeypatch.setattr(qskein.annulus, "closure", no_closure)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "closure", "", "--strands", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: a braid on 1000000 strands is over the cap of %d\n" % STRAND_CAP
+    # a pattern file's strand count reaches the same refusal, through the cable
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"target": {"word": [], "strands": STRAND_CAP, "colour": [2]},
+                                "patterns": [{"word": [], "strands": 1}]}))
+    code, out, err = run(capsys, "solve-pattern", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: a braid on %d strands is over the cap of %d\n" % (2 * STRAND_CAP, STRAND_CAP)
 
 
 def test_textless_memory_error_is_named(capsys, monkeypatch):
@@ -473,6 +500,44 @@ def test_torus_link_two_components(capsys):
     code, out, _ = run(capsys, "torus", "2", "4", "--sl", "2", "--h-order", "2")
     assert code == 0
     assert out == "4 + 7*h^2\n"
+
+
+def _format_hseries_oracle(coeffs) -> str:
+    """The h-series printer the CLI kept before it printed through scalars.format_terms."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            power = "h" if i == 1 else "h^%d" % i
+            body = power if mag == 1 else "%s*%s" % (mag, power)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"
+
+
+_H_COEFFS = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(-1, 2), Fraction(-23, 4)]),
+    st.integers(-50, 50),
+    st.fractions(max_denominator=200),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_H_COEFFS, max_size=8))
+def test_h_series_prints_as_the_old_printer(coeffs):
+    assert _format_hseries(coeffs) == _format_hseries_oracle(coeffs)
+
+
+def test_h_series_printer_edge_cases():
+    for coeffs in ([], [0, 0], [1], [-1], [0, 1], [0, -1], [Fraction(-1, 3), 0, -1, Fraction(5, 2)]):
+        assert _format_hseries(coeffs) == _format_hseries_oracle(coeffs), coeffs
+    assert _format_hseries([2, 0, Fraction(-23, 4), 12]) == "2 - 23/4*h^2 + 12*h^3"
 
 
 def _golden_calls():

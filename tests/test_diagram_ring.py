@@ -94,19 +94,61 @@ def test_psi_values():
 
 
 def test_power_sum_derivative_identities():
-    from qskein.adams_skein import (
-        first_difference, series_c, series_c_deriv, series_d, series_d_deriv, series_power_sums, truncate,
-    )
+    from qskein.adams_skein import first_difference, reweight, series_c, series_d, series_power_sums, truncate
 
     order = 6
     psum = series_power_sums(order)
-    assert first_difference(psum, -truncate(series_c_deriv(order) * series_d(order), order), 1) is None
-    assert first_difference(psum, truncate(series_d_deriv(order) * series_c(order), order), 1) is None
+    c_deriv = reweight(series_c(order + 1), lambda w: w)
+    d_deriv = reweight(series_d(order + 1), lambda w: w)
+    assert first_difference(psum, -truncate(c_deriv * series_d(order), order), 1) is None
+    assert first_difference(psum, truncate(d_deriv * series_c(order), order), 1) is None
+
+
+def test_reweight_is_the_term_by_term_derivative():
+    # (-1)^k k c_k and l d_l at X^(k-1), X^(l-1): the derivatives of C and D
+    from qskein.adams_skein import reweight, series_c, series_d
+    from qskein.scalars import quantum_int
+
+    order = 6
+    c_deriv = sum((gen(k).scale((-1) ** k * k) for k in range(1, order + 1)), CPoly.zero())
+    d_deriv = sum((d(l).scale(l) for l in range(1, order + 1)), CPoly.zero())
+    assert reweight(series_c(order + 1), lambda w: w) == c_deriv
+    assert reweight(series_d(order + 1), lambda w: w) == d_deriv
+    c_qderiv = sum((gen(k).scale(Scalar(quantum_int(k)) * (-1) ** k) for k in range(1, order + 1)), CPoly.zero())
+    d_qderiv = sum((d(l).scale(Scalar(quantum_int(l))) for l in range(1, order + 1)), CPoly.zero())
+    assert reweight(series_c(order + 1), quantum_int) == c_qderiv
+    assert reweight(series_d(order + 1), quantum_int) == d_qderiv
 
 
 def test_psi_has_one_term_per_partition():
     for m in range(1, 13):
         assert len(psi(m)[0].terms) == sum(1 for _ in partitions_of(m)), m
+
+
+def _partition_counts_to_the_cap(m):
+    """p(0), ..., p(m) by Euler's pentagonal recurrence, stopping at the first
+    one over PSI_TERM_CAP: the count _over_term_cap kept before it counted
+    partitions_of."""
+    p = [1]
+    for n in range(1, m + 1):
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+        if total > PSI_TERM_CAP:
+            break
+    return p
+
+
+def test_over_term_cap_matches_the_pentagonal_count():
+    for m in range(41):
+        assert _over_term_cap(m) == (_partition_counts_to_the_cap(m)[-1] > PSI_TERM_CAP), m
+    assert _partition_counts_to_the_cap(12)[-1] == sum(1 for _ in partitions_of(12)) == 77
 
 
 def test_psi_term_cap_refuses_before_building(monkeypatch):

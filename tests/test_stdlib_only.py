@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library, imports only
-at module top, memoises through functools.cache only, and keeps no private
-module-level name that nothing else in it refers to."""
+at module top, memoises through functools.cache only, keeps no private
+module-level name that nothing else in it refers to, and imports no private
+name from one of its modules into another."""
 
 import ast
 import re
@@ -79,3 +80,12 @@ def test_every_private_module_name_is_used():
             elif isinstance(node, ast.ImportFrom) and node.level:
                 used.update(alias.name for alias in node.names)
     assert sorted(key for key in defined if key[1] not in used) == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    crossing = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossing += [(name, node.module, alias.name) for alias in node.names if alias.name.startswith("_")]
+    assert crossing == []
