@@ -62,9 +62,9 @@ from .adams_skein import (
     Solution,
     a_braid,
     cable_counterexample,
+    cycle_closure,
     power_sum_image,
     rosso_jones,
-    series_identities,
     solve_pattern,
     torus_braid,
     torus_invariant,
@@ -79,13 +79,13 @@ __all__ = [
     "Q", "Scalar", "Solution", "SpecializationError", "TFraction", "Z",
     "a_braid", "a_element", "a_gen", "a_in_Q_basis", "all_diagrams",
     "all_partitions_up_to", "alpha", "b_element", "cable_counterexample",
-    "cable_word", "closed_idempotent", "closure", "closure_word", "d",
+    "cable_word", "closed_idempotent", "closure", "closure_word", "cycle_closure", "d",
     "decorate", "delta", "e_lambda", "epsilon_plane", "framing_factor",
     "from_word", "gen",
     "h_expand", "hook_content_closed", "hook_content_product", "lr_product",
     "mul", "partitions_of", "phi", "phi_inverse", "power_sum_image", "psi",
     "psi_chords", "q_hook", "quantum_factorial", "quantum_int", "rosso_jones",
-    "run_suite", "series_identities", "solve_pattern", "specialize_sln",
+    "run_suite", "solve_pattern", "specialize_sln",
     "suite_names", "tensor", "theta", "torus_braid", "torus_invariant",
     "transpose_permutation",
 ]

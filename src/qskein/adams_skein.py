@@ -1,4 +1,4 @@
-"""Power sums of cycle closures, generating-series identities, torus knots,
+"""Power sums of cycle closures, generating series, torus knots,
 and the linear solver for cable-pattern decompositions.
 
 The central object is the combination P(m) of m-string cycle closures whose
@@ -6,8 +6,9 @@ normalized image realizes the m-th Adams operation on the first column
 generator.  Everything here is exact.  A generating series is the element
 that sums its coefficients, graded by weighted degree: products are
 ordinary ring products cut back to the order, and two series are compared
-by the least degree at which they differ.  P, the negative cycle closures
-and both cycle expansions are memoised, so a session builds each once.
+by the least degree at which they differ.  Every cycle braid is closed
+through the memoised cycle_closure, and P is memoised on top of it, so a
+session closes each cycle braid once.
 """
 
 import math
@@ -18,7 +19,7 @@ from .diagram_ring import CPoly, d, gen, psi
 from .hecke import BraidWord, decorate
 from .linear import Polynomial
 from .partitions import Partition, hook_framing_root
-from .scalars import Scalar, Z, quantum_int, specialize_sln
+from .scalars import Scalar, quantum_int, specialize_sln
 
 
 def a_braid(i: int, j: int) -> BraidWord:
@@ -38,6 +39,16 @@ def a_braid(i: int, j: int) -> BraidWord:
 
 
 @cache
+def cycle_closure(i: int, j: int) -> AnnulusElement:
+    """Closure of the cycle braid a_braid(i, j); the all-positive one is A_(i+1).
+
+    >>> str(cycle_closure(2, 0))
+    'A3'
+    """
+    return closure_word(a_braid(i, j))
+
+
+@cache
 def P(m: int) -> AnnulusElement:
     """Alternating-weight sum of the m-string cycle closures.
 
@@ -51,29 +62,13 @@ def P(m: int) -> AnnulusElement:
         raise ValueError("m must be positive")
     acc = AnnulusElement.zero()
     for i in range(m):
-        term = closure_word(a_braid(i, m - 1 - i))
-        acc = acc + term.scale(Scalar.monomial(m - 1 - 2 * i, 0, 0))
+        acc = acc + cycle_closure(i, m - 1 - i).scale(Scalar.monomial(m - 1 - 2 * i, 0, 0))
     return acc
 
 
 def power_sum_image(m: int) -> AnnulusElement:
     """Image in the annulus of the m-th Newton power sum, scaled by [m]."""
     return theta(psi(m)[0]).scale(Scalar(quantum_int(m)))
-
-
-@cache
-def negative_cycle(j: int) -> AnnulusElement:
-    """Closure of the all-negative cycle braid on j strands."""
-    return closure_word(a_braid(0, j - 1))
-
-
-def power_sum_recursion_holds(m: int) -> bool:
-    # Switch-and-smooth recursion: P_m in terms of P_k and negative cycles.
-    rhs = negative_cycle(m).scale(Scalar.monomial(m - 1, 0, 0, m))
-    for k in range(1, m):
-        piece = P(k) * negative_cycle(m - k)
-        rhs = rhs + piece.scale(Z * Scalar.monomial(m - 1 - k, 0, 0))
-    return P(m) == rhs
 
 
 # A generating series a_0 + a_1 X + ... + a_(n-1) X^(n-1) is held as the
@@ -130,15 +125,14 @@ def series_power_sums(order: int) -> CPoly:
 
 def series_plus(order: int) -> AnnulusElement:
     """Positive cycle closures, shift 1: A_m at X^(m-1)."""
-    return sum((closure_word(a_braid(m - 1, 0)) for m in range(1, order + 1)), AnnulusElement.zero())
+    return sum((cycle_closure(m - 1, 0) for m in range(1, order + 1)), AnnulusElement.zero())
 
 
 def series_minus(order: int) -> AnnulusElement:
     """Negative cycle closures, shift 1: at X^(m-1) the one on m strands."""
-    return sum((negative_cycle(m) for m in range(1, order + 1)), AnnulusElement.zero())
+    return sum((cycle_closure(0, m - 1) for m in range(1, order + 1)), AnnulusElement.zero())
 
 
-@cache
 def positive_cycle_expansion(m: int) -> AnnulusElement:
     """A_m written through the images of the mixed products c_k d_{m-k}."""
     acc = AnnulusElement.zero()
@@ -150,7 +144,6 @@ def positive_cycle_expansion(m: int) -> AnnulusElement:
     return acc.scale(Scalar.monomial(m - 1, 0, 0))
 
 
-@cache
 def negative_cycle_expansion(m: int) -> AnnulusElement:
     """The mirror expansion for the all-negative cycle closure."""
     acc = AnnulusElement.zero()
@@ -160,58 +153,6 @@ def negative_cycle_expansion(m: int) -> AnnulusElement:
             coeff = -coeff
         acc = acc + theta(gen(k) * d(m - k)).scale(coeff)
     return acc.scale(Scalar.monomial(1 - m, 0, 0))
-
-
-def series_identities(order: int):
-    """Check the cycle-closure expansions and series factorizations through
-    the given order.  Returns a list of (label, ok, detail) rows; detail
-    names the first failing degree when a check fails.
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    rows = []
-
-    def row(label, bad, detail):
-        rows.append((label, bad is None, None if bad is None else detail % bad))
-
-    ms = range(1, order + 1)
-    bad = next((m for m in ms if closure_word(a_braid(m - 1, 0)) != positive_cycle_expansion(m)), None)
-    row("positive-cycle-expansion", bad, "fails at m=%d")
-    bad = next((m for m in ms if negative_cycle(m) != negative_cycle_expansion(m)), None)
-    row("negative-cycle-expansion", bad, "fails at m=%d")
-
-    # every series compared below has shift 1; a product of a shift-1 and a
-    # shift-0 series through X^(order-1) is cut at weighted degree order
-    def series_row(label, lhs, rhs):
-        row(label, first_difference(lhs, rhs, 1), "first mismatch at degree %d")
-
-    def product(a, b):
-        return truncate(a * b, order)
-
-    x = Scalar.monomial(1, 0, 0)
-    xinv = Scalar.monomial(-1, 0, 0)
-    xs = Scalar.monomial(1, 0, 1)
-    xinv_s = Scalar.monomial(-1, 0, 1)
-    xinv_sinv = Scalar.monomial(-1, 0, -1)
-
-    C, Cq = series_c(order), reweight(series_c(order + 1), quantum_int)
-    D, Dq = series_d(order), reweight(series_d(order + 1), quantum_int)
-    plus = series_plus(order)
-    minus = series_minus(order)
-    series_row("plus-factorization", plus, -theta(product(substitute(Cq, x, 1), substitute(D, xs, 0))))
-    series_row("minus-factorization", minus, theta(product(substitute(C, xinv_s, 0), substitute(Dq, xinv, 1))))
-    series_row(
-        "minus-factorization-mirror",
-        minus,
-        -theta(product(substitute(Cq, xinv, 1), substitute(D, xinv_sinv, 0))),
-    )
-
-    psi_series = series_power_sums(order)
-    Cd = reweight(series_c(order + 1), lambda w: w)
-    Dd = reweight(series_d(order + 1), lambda w: w)
-    series_row("power-sum-log-derivative", psi_series, -product(Cd, D))
-    series_row("power-sum-reciprocal-derivative", psi_series, product(Dd, C))
-    return rows
 
 
 def torus_braid(m: int, p: int) -> BraidWord:

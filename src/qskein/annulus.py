@@ -27,7 +27,7 @@ from functools import cache
 from math import comb, prod
 
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
-from .hecke import BraidWord, HeckeElement, alpha, check_enumeration_cap, e_lambda, from_word
+from .hecke import BraidWord, HeckeElement, alpha, check_enumeration_cap, check_strand_cap, e_lambda
 from .linear import Polynomial, add_shifted, join_raw, linear_map, multiset_text, split_raw
 from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
@@ -115,8 +115,16 @@ def closure(h: HeckeElement) -> AnnulusElement:
 
 
 def closure_word(w: BraidWord) -> AnnulusElement:
-    """Closure of a braid word: its image in the Hecke algebra, closed."""
-    return closure(from_word(w))
+    """Closure of a braid word, refused past STRAND_CAP strands.  A strand
+    no letter moves closes to A1 on its own, so the word closes through its
+    Hecke image on the strands it moves, renumbered in order, and A1 is
+    appended to every key once for each other strand."""
+    check_strand_cap(w.strand_count)
+    gens = {abs(j) for j in w.letters}
+    rank = {s: r for r, s in enumerate(sorted(gens | {g + 1 for g in gens}), 1)}
+    moved = HeckeElement.unit(len(rank)).right_word([rank[j] if j > 0 else -rank[-j] for j in w.letters])
+    free = (1,) * (w.strand_count - len(rank))
+    return AnnulusElement._from({key + free: c for key, c in closure(moved).terms.items()})
 
 
 @cache

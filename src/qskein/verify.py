@@ -26,21 +26,21 @@ from .adams_skein import (
     P,
     PatternSystem,
     Solution,
-    a_braid,
     cable_counterexample,
+    cycle_closure,
     first_difference,
-    negative_cycle,
     negative_cycle_expansion,
     positive_cycle_expansion,
     power_sum_image,
-    power_sum_recursion_holds,
     reweight,
     rosso_jones,
     series_c,
     series_d,
-    series_identities,
+    series_minus,
+    series_plus,
     series_power_sums,
     solve_pattern,
+    substitute,
     torus_braid,
     torus_invariant,
     truncate,
@@ -180,20 +180,57 @@ def _suite_hook(cap):
 
 
 def _suite_series(cap):
-    rows = []
+    positive = [cycle_closure(m - 1, 0) == positive_cycle_expansion(m) for m in range(1, cap + 1)]
+    negative = [cycle_closure(0, m - 1) == negative_cycle_expansion(m) for m in range(1, cap + 1)]
+    rows = [(ok, "series positive-cycle m=%d" % m) for m, ok in enumerate(positive, 1)]
+    rows += [(ok, "series negative-cycle m=%d" % m) for m, ok in enumerate(negative, 1)]
+
+    def row(label, bad, detail):
+        rows.append((bad is None, "series " + label + ("" if bad is None else " (%s)" % (detail % bad))))
+
+    # the series identities hold through X^(order-1); every series compared
+    # below has shift 1, and a product of a shift-1 and a shift-0 series is
+    # cut at weighted degree order
+    order = max(cap - 1, 1)
+    for label, oks in (("positive-cycle-expansion", positive), ("negative-cycle-expansion", negative)):
+        row(label, next((m for m, ok in enumerate(oks[:order], 1) if not ok), None), "fails at m=%d")
+
+    def series_row(label, lhs, rhs):
+        row(label, first_difference(lhs, rhs, 1), "first mismatch at degree %d")
+
+    def product(a, b):
+        return truncate(a * b, order)
+
+    x = Scalar.monomial(1, 0, 0)
+    xinv = Scalar.monomial(-1, 0, 0)
+    xs = Scalar.monomial(1, 0, 1)
+    xinv_s = Scalar.monomial(-1, 0, 1)
+    xinv_sinv = Scalar.monomial(-1, 0, -1)
+
+    C, Cq = series_c(order), reweight(series_c(order + 1), quantum_int)
+    D, Dq = series_d(order), reweight(series_d(order + 1), quantum_int)
+    plus = series_plus(order)
+    minus = series_minus(order)
+    series_row("plus-factorization", plus, -theta(product(substitute(Cq, x, 1), substitute(D, xs, 0))))
+    series_row("minus-factorization", minus, theta(product(substitute(C, xinv_s, 0), substitute(Dq, xinv, 1))))
+    series_row(
+        "minus-factorization-mirror",
+        minus,
+        -theta(product(substitute(Cq, xinv, 1), substitute(D, xinv_sinv, 0))),
+    )
+
+    psi_series = series_power_sums(order)
+    Cd = reweight(series_c(order + 1), lambda w: w)
+    Dd = reweight(series_d(order + 1), lambda w: w)
+    series_row("power-sum-log-derivative", psi_series, -product(Cd, D))
+    series_row("power-sum-reciprocal-derivative", psi_series, product(Dd, C))
+
     for m in range(1, cap + 1):
-        ok = closure_word(a_braid(m - 1, 0)) == positive_cycle_expansion(m)
-        rows.append((ok, "series positive-cycle m=%d" % m))
-    for m in range(1, cap + 1):
-        ok = negative_cycle(m) == negative_cycle_expansion(m)
-        rows.append((ok, "series negative-cycle m=%d" % m))
-    for label, ok, detail in series_identities(max(cap - 1, 1)):
-        text = "series %s" % label
-        if detail:
-            text += " (%s)" % detail
-        rows.append((ok, text))
-    for m in range(1, cap + 1):
-        rows.append((power_sum_recursion_holds(m), "series power-sum-recursion m=%d" % m))
+        # switch-and-smooth recursion: P(m) through P(k) and the negative cycles
+        rhs = cycle_closure(0, m - 1).scale(Scalar.monomial(m - 1, 0, 0, m))
+        for k in range(1, m):
+            rhs = rhs + (P(k) * cycle_closure(0, m - k - 1)).scale(Z * Scalar.monomial(m - 1 - k, 0, 0))
+        rows.append((P(m) == rhs, "series power-sum-recursion m=%d" % m))
     return rows
 
 
@@ -322,25 +359,15 @@ def _suite_hecke(cap):
             ok = ok and mul(sigma, b) == b.scale(neg_xsinv)
         rows.append((ok, "hecke absorb n=%d" % n))
 
-    for l in range(2, cap + 1):
-        emb = tensor(a_element(l - 1), a_element(1))
-        acc = emb
-        coeff = Scalar.one()
-        for i in range(l - 1):
-            coeff = coeff * xinv * Scalar.monomial(0, 0, 1)
-            word = list(range(l - 1, l - i - 2, -1))
-            acc = acc + emb.right_word(word).scale(coeff)
-        rows.append((acc == a_element(l), "hecke row-decomposition l=%d" % l))
-
-    for k in range(2, cap + 1):
-        emb = tensor(b_element(k - 1), b_element(1))
-        acc = emb
-        coeff = Scalar.one()
-        for i in range(k - 1):
-            coeff = coeff * xinv * Scalar.monomial(0, 0, -1, -1)
-            word = list(range(k - 1, k - i - 2, -1))
-            acc = acc + emb.right_word(word).scale(coeff)
-        rows.append((acc == b_element(k), "hecke column-decomposition k=%d" % k))
+    # a_l and b_k from one size down, with q = x^-1 s for rows and -x^-1 s^-1 for columns
+    for label, element, q in (("row-decomposition l", a_element, Scalar.monomial(-1, 0, 1)),
+                              ("column-decomposition k", b_element, Scalar.monomial(-1, 0, -1, -1))):
+        for l in range(2, cap + 1):
+            emb = tensor(element(l - 1), element(1))
+            acc = emb
+            for i in range(l - 1):
+                acc = acc + emb.right_word(list(range(l - 1, l - i - 2, -1))).scale(q ** (i + 1))
+            rows.append((acc == element(l), "hecke %s=%d" % (label, l)))
 
     rng = random.Random(1203)
     for n in range(2, cap + 1):
@@ -391,18 +418,14 @@ def _suite_cd(cap):
 
 def _suite_pattern(cap):
     rows = []
-    out = solve_pattern(cable_counterexample())
-    ok = isinstance(out, Inconsistent) and set(out.first[0]) != set(out.second[0])
-    rows.append((ok, "pattern inconsistent-forward"))
-
     base = cable_counterexample()
-    flipped = PatternSystem(base.target, list(reversed(base.patterns)))
-    out = solve_pattern(flipped)
-    ok = isinstance(out, Inconsistent) and set(out.first[0]) != set(out.second[0])
-    rows.append((ok, "pattern inconsistent-reversed"))
+    for label, patterns in (("forward", base.patterns), ("reversed", list(reversed(base.patterns)))):
+        out = solve_pattern(PatternSystem(base.target, patterns))
+        ok = isinstance(out, Inconsistent) and set(out.first[0]) != set(out.second[0])
+        rows.append((ok, "pattern inconsistent-%s" % label))
 
     m = max(cap, 2)
-    system = PatternSystem(P(m), [closure_word(a_braid(i, m - 1 - i)) for i in range(m)])
+    system = PatternSystem(P(m), [cycle_closure(i, m - 1 - i) for i in range(m)])
     out = solve_pattern(system)
     want = [Scalar.monomial(m - 1 - 2 * i, 0, 0) for i in range(m)]
     ok = isinstance(out, Solution) and list(out.values) == want

@@ -12,16 +12,14 @@ from qskein.adams_skein import (
     Solution,
     a_braid,
     cable_counterexample,
+    cycle_closure,
     first_difference,
-    negative_cycle,
     negative_cycle_expansion,
     positive_cycle_expansion,
     power_sum_image,
-    power_sum_recursion_holds,
     rosso_jones,
     series_c,
     series_d,
-    series_identities,
     series_power_sums,
     solve_pattern,
     substitute,
@@ -34,6 +32,7 @@ from qskein.diagram_ring import CPoly, gen
 from qskein.hecke import BraidWord
 from qskein.partitions import Partition
 from qskein.scalars import Scalar, Z, delta, h_expand
+from qskein.verify import run_suite
 
 
 def test_cycle_braids():
@@ -58,19 +57,26 @@ def test_power_sums_match_column_side():
 
 
 def test_power_sum_recursion():
-    for m in range(1, 6):
-        assert power_sum_recursion_holds(m), m
+    rows = [(ok, text) for ok, text in run_suite("series", 5) if "power-sum-recursion" in text]
+    assert [text for _, text in rows] == ["series power-sum-recursion m=%d" % m for m in range(1, 6)]
+    assert all(ok for ok, _ in rows), rows
 
 
 def test_cycle_expansions():
     for m in range(1, 6):
-        assert closure_word(a_braid(m - 1, 0)) == positive_cycle_expansion(m), m
-        assert negative_cycle(m) == negative_cycle_expansion(m), m
+        assert cycle_closure(m - 1, 0) == closure_word(a_braid(m - 1, 0))
+        assert cycle_closure(m - 1, 0) == positive_cycle_expansion(m), m
+        assert cycle_closure(0, m - 1) == negative_cycle_expansion(m), m
 
 
 def test_series_identities_all_pass():
-    for label, ok, detail in series_identities(4):
-        assert ok, (label, detail)
+    # at cap 5 the series suite checks the identities through X^3
+    rows = [(ok, text) for ok, text in run_suite("series", 5) if "=" not in text]
+    assert [text for _, text in rows] == ["series " + label for label in (
+        "positive-cycle-expansion", "negative-cycle-expansion", "plus-factorization",
+        "minus-factorization", "minus-factorization-mirror", "power-sum-log-derivative",
+        "power-sum-reciprocal-derivative")]
+    assert all(ok for ok, _ in rows), rows
 
 
 def test_c_and_d_are_reciprocal_through_each_order():

@@ -2,6 +2,7 @@
 column isomorphism."""
 
 import random
+import time
 from itertools import permutations
 
 from hypothesis import given, settings
@@ -180,6 +181,34 @@ def mixed_words(draw):
 @given(mixed_words())
 def test_closure_word_matches_descending_resolution(w):
     assert closure_word(w) == _resolve_word_oracle(w.strand_count, w.letters)
+
+
+@st.composite
+def words_with_free_strands(draw):
+    """Words on up to 9 strands whose letters skip a random set of strands:
+    leading, interior and trailing ones alike."""
+    n = draw(st.integers(1, 9))
+    if n == 1:
+        return BraidWord(1)
+    used = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+    letters = draw(st.lists(st.sampled_from(used).flatmap(lambda i: st.sampled_from((i, -i))), max_size=8))
+    return BraidWord(n, letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words_with_free_strands())
+def test_closure_word_matches_the_hecke_closure_on_free_strands(w):
+    assert closure_word(w) == closure(from_word(w))
+
+
+def test_free_strands_cost_no_closure_work():
+    w = BraidWord(1000, (1, 2, 3, 4, 5, 6, 7) * 2)
+    start = time.perf_counter()
+    e = closure_word(w)
+    assert time.perf_counter() - start < 1.0
+    # the same word with one free strand, closed through the Hecke algebra
+    narrow = closure(from_word(BraidWord(9, w.letters)))
+    assert e == AnnulusElement._from({key[:-1] + (1,) * 992: c for key, c in narrow.terms.items()})
 
 
 def test_closure_is_conjugation_invariant():

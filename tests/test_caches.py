@@ -3,11 +3,14 @@ memoised one."""
 
 import importlib
 import pkgutil
+from collections import Counter
 
 import pytest
 
 import qskein
-from qskein.adams_skein import P, negative_cycle, negative_cycle_expansion, positive_cycle_expansion
+import qskein.adams_skein
+import qskein.verify
+from qskein.adams_skein import P, a_braid, cycle_closure, negative_cycle_expansion, positive_cycle_expansion
 from qskein.annulus import Q, _closure_step, _theta_key, a_in_Q_basis, closed_idempotent
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import e_lambda
@@ -30,22 +33,23 @@ def _cached_functions():
 
 CACHED = _cached_functions()
 
+# (memo, its arguments)
 CASES = [
-    (Q, Partition((2, 1))),
-    (Q, Partition((1, 1, 1))),
-    (closed_idempotent, Partition((2, 1))),
-    (positive_cycle_expansion, 4),
-    (negative_cycle_expansion, 4),
-    (negative_cycle, 4),
-    (e_lambda, Partition((2, 1))),
-    (e_lambda, Partition((3, 1))),
-    (d, 5),
-    (a_in_Q_basis, 4),
-    (cyclotomic_factors, (-1, 0, 0, 0, 1)),
-    (cyclotomic_factors, (1, 3, 1)),
-    (reduced_word, (2, 0, 3, 1)),
-    (_closure_step, (3, 2, 0, 1)),
+    (Q, (Partition((2, 1)),)),
+    (Q, (Partition((1, 1, 1)),)),
+    (closed_idempotent, (Partition((2, 1)),)),
+    (cycle_closure, (3, 0)),
+    (cycle_closure, (0, 3)),
+    (e_lambda, (Partition((2, 1)),)),
+    (e_lambda, (Partition((3, 1)),)),
+    (d, (5,)),
+    (a_in_Q_basis, (4,)),
+    (cyclotomic_factors, ((-1, 0, 0, 0, 1),)),
+    (cyclotomic_factors, ((1, 3, 1),)),
+    (reduced_word, ((2, 0, 3, 1),)),
+    (_closure_step, ((3, 2, 0, 1),)),
 ]
+IDS = [fn.__name__ + str(args[0] if len(args) == 1 else args) for fn, args in CASES]
 
 
 def test_the_scan_finds_every_memo():
@@ -54,14 +58,14 @@ def test_the_scan_finds_every_memo():
         assert any(fn is cached for cached in CACHED), fn.__name__
 
 
-@pytest.mark.parametrize("fn,arg", CASES, ids=[f"{fn.__name__}{arg}" for fn, arg in CASES])
-def test_cold_value_equals_warm(fn, arg):
-    warm = fn(arg)
-    assert fn(arg) is warm
+@pytest.mark.parametrize("fn,args", CASES, ids=IDS)
+def test_cold_value_equals_warm(fn, args):
+    warm = fn(*args)
+    assert fn(*args) is warm
     for cached in CACHED:
         cached.cache_clear()
     assert fn.cache_info().currsize == 0
-    cold = fn(arg)
+    cold = fn(*args)
     assert fn.cache_info().misses >= 1
     assert cold == warm
 
@@ -72,9 +76,24 @@ def test_every_cached_function_reports_its_table():
         assert info.maxsize is None, fn.__name__
 
 
-def test_the_series_suite_builds_each_cycle_closure_and_expansion_once():
+def test_the_series_suite_builds_each_cycle_closure_and_expansion_once(monkeypatch):
     for cached in CACHED:
         cached.cache_clear()
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(arg):
+            calls[fn.__name__, str(arg)] += 1
+            return fn(arg)
+        return wrapper
+
+    for module, fn in ((qskein.verify, positive_cycle_expansion), (qskein.verify, negative_cycle_expansion),
+                       (qskein.adams_skein, qskein.adams_skein.closure_word)):
+        monkeypatch.setattr(module, fn.__name__, counted(fn))
     run_suite("series")
-    for fn in (positive_cycle_expansion, negative_cycle_expansion, negative_cycle):
-        assert fn.cache_info().misses == DEFAULT_MAX["series"], fn.__name__
+    cap = DEFAULT_MAX["series"]
+    # P(m) for m <= cap sums the cycle braids a_braid(i, j) with i + j < cap
+    want = Counter({("closure_word", str(a_braid(i, j))): 1 for i in range(cap) for j in range(cap - i)})
+    for name in ("positive_cycle_expansion", "negative_cycle_expansion"):
+        want.update({(name, str(m)): 1 for m in range(1, cap + 1)})
+    assert calls == want

@@ -1,6 +1,7 @@
 """The verification suites themselves: coverage, determinism, reporting."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -37,3 +38,32 @@ def test_idempotents_at_size_six():
     rows = run_suite("idempotents", 6)
     assert len(rows) == 64
     assert all(ok for ok, label in rows), [label for ok, label in rows if not ok]
+
+
+def test_the_series_rows_name_the_first_failure(monkeypatch):
+    import qskein.verify
+    from qskein.adams_skein import positive_cycle_expansion, series_plus
+    from qskein.annulus import AnnulusElement, a_gen
+
+    def wrong_at_three(m):
+        return positive_cycle_expansion(m) + (a_gen(3) if m == 3 else AnnulusElement.zero())
+
+    def extra_from_four(order):
+        return series_plus(order) + (a_gen(4) if order >= 4 else AnnulusElement.zero())
+
+    monkeypatch.setattr(qskein.verify, "positive_cycle_expansion", wrong_at_three)
+    monkeypatch.setattr(qskein.verify, "series_plus", extra_from_four)
+    failed = [text for ok, text in run_suite("series") if not ok]
+    assert failed == [
+        "series positive-cycle m=3",
+        "series positive-cycle-expansion (fails at m=3)",
+        "series plus-factorization (first mismatch at degree 3)",
+    ]
+
+
+def test_the_docstring_lists_every_suite_and_default_cap():
+    import qskein.verify
+
+    table = re.findall(r"^  (\S+) +(\d+) ", qskein.verify.__doc__, re.M)
+    assert [name for name, _ in table] == SUITE_ORDER
+    assert {name: int(cap) for name, cap in table} == DEFAULT_MAX
