@@ -1,16 +1,23 @@
-"""Chord diagrams on the circle and the sheet-summing Adams operation.
+"""Chord diagrams on the circle and their lifts to cyclic covers.
 
 A diagram is a perfect matching on 2n cyclically ordered points, kept in a
 rotation-canonical form so that diagrams agreeing up to rotation compare
-equal.  The Adams operation lifts a diagram to the m-fold cover of the
-circle in every possible way and tallies the results.
+equal.  The Adams operation psi_m (Bar-Natan, "On the Vassiliev knot
+invariants", Topology 34, 1995) lifts a diagram to the m-fold cover of the
+circle in every possible way and tallies the results.  A lift depends only
+on the order in which the lifted points meet the base points, so the lifts
+are enumerated by order, grouped by their number of descents, and each
+order is weighted by the number of sheet assignments that produce it.
 """
 
-from itertools import product
+from math import comb
 
-# Most sheet assignments psi_chords enumerates for one diagram: m^(2n-1) for
-# n chords on the m-fold cover.  It admits n = 5 at m = 5 (5^9), the largest
-# size `verify --suite cd --max 5` reaches.
+# Most lift orders psi_chords enumerates for one diagram: the orders of the
+# 2n - 1 endpoints after the first with fewer than m descents, for n chords
+# on the m-fold cover (_lift_order_count).  n = 5 at m = 5, the largest size
+# `verify --suite cd --max 5` reaches, has 259,535 and takes about 0.6 s;
+# n = 7 at m = 3 has 1,487,905 and takes about 5 s; 6 chords at m = 9 have
+# 39,914,763 and are refused.  The count is made before any enumeration.
 LIFT_CAP = 2_000_000
 
 
@@ -94,21 +101,95 @@ def all_diagrams(n: int) -> list[ChordDiagram]:
     return sorted(found)
 
 
+def _lift_order_count(points: int, m: int) -> int:
+    """Orders of the points 1..points-1 with fewer than m descents: the sum
+    of the Eulerian numbers A(points - 1, d) over d < m, from the recurrence
+    A(j, d) = (d + 1) A(j - 1, d) + (j - d) A(j - 1, d - 1).  The sum grows
+    with j, so the rows stop once it passes LIFT_CAP: a count over the cap
+    is only a lower bound.
+
+    >>> _lift_order_count(10, 5)
+    259535
+    """
+    row = [1]  # A(0, 0): the empty order
+    for j in range(1, points):
+        row = [(d + 1) * (row[d] if d < len(row) else 0) + (j - d) * (row[d - 1] if d else 0)
+               for d in range(min(j, m))]
+        if sum(row) > LIFT_CAP:
+            break
+    return sum(row)
+
+
+def _order_weights(points: int, m: int) -> list[int]:
+    """Entry d counts the sheet assignments with point 0 on sheet 0 whose
+    stable order is one given order with d descents: the sheet sequences
+    along the order that start at 0, never fall, rise at each descent and
+    stay below m, C(m - 1 - d + points - 1, points - 1) of them."""
+    return [comb(m - 1 - d + points - 1, points - 1) for d in range(min(m, points))]
+
+
+def _lift_orders(points: int, m: int):
+    """Yield (order, d) for each order of the points 0..points-1 that starts
+    at 0 and has d < m descents; order[k] is the point at lifted position k.
+
+    The orders are built by inserting 1, 2, ..., points - 1 in turn.  The
+    new largest value adds a descent unless it goes at the end or inside a
+    descent, and it never removes one, so every order kept can be completed.
+    One list is reused for every order: read it before asking for the next.
+    """
+    top = points - 1
+    order = [0]
+    placed = []  # (slot, descents before it) of each value placed below the current one
+    value, slot, d = 1, 1, 0
+    while True:
+        if value == top:
+            for slot in range(1, top + 1):
+                grown = d if slot == top or order[slot - 1] > order[slot] else d + 1
+                if grown < m:
+                    order.insert(slot, top)
+                    yield order, grown
+                    del order[slot]
+        elif slot <= value:
+            grown = d if slot == value or order[slot - 1] > order[slot] else d + 1
+            if grown < m:
+                order.insert(slot, value)
+                placed.append((slot, d))
+                value, slot, d = value + 1, 1, grown
+            else:
+                slot += 1
+            continue
+        if not placed:
+            return
+        value -= 1
+        slot, d = placed.pop()
+        del order[slot]
+        slot += 1
+
+
 def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
-    """Sum of all lifts of the diagram to the m-fold cover of the circle.
+    """Sum of all lifts of the diagram to the m-fold cover of the circle,
+    sorted by diagram.
 
     Every endpoint independently picks a sheet; the lifted points are
     reordered by (sheet, original position) and the induced matching is
     canonicalized.  The multiplicities total m^(2n).
 
-    Only the assignments with point 0 on sheet 0 are enumerated, each
-    counting m times.  Raising every sheet by one (mod m) is a deck
-    transformation of the cover: it rotates the lifted circle, so it keeps
-    the class of the lift.  It moves point 0 to another sheet, so each of its
-    orbits holds exactly m assignments, and exactly one of them puts point 0
-    on sheet 0.  A lift is keyed by the least rotation of its offset word,
-    the distance mod 2n from each lifted point to its partner: two matchings
-    agree up to rotation exactly when their words do.
+    Raising every sheet by one (mod m) is a deck transformation of the
+    cover: it rotates the lifted circle, so it keeps the class of the lift,
+    and each of its orbits puts point 0 on sheet 0 exactly once.  So only
+    those assignments are counted, m times each.  Such an assignment lifts
+    through its order, the base points by lifted position, which starts at
+    0.  An order with d descents comes from C(m - 1 - d + 2n - 1, 2n - 1)
+    of them (_order_weights), none once d >= m, so only the orders with
+    fewer than m descents are enumerated (_lift_orders).  Summed over all
+    orders the weights give Worpitzky's identity
+    m^(2n-1) = sum_d A(2n-1, d) C(m + 2n - 2 - d, 2n - 1).
+
+    Each order adds its weight under its raw word, the lifted position of
+    each lifted point's partner.  Each distinct word is then keyed by the
+    least rotation of its offset word, the distance mod 2n from each lifted
+    point to its partner: two matchings agree up to rotation exactly when
+    their offset words do.
 
     >>> psi_chords(ChordDiagram([(0, 1)]), 3)
     {ChordDiagram([(0, 1)]): 9}
@@ -120,24 +201,25 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     points = 2 * diagram.chords
     if not points:
         return {diagram: 1}
-    if m ** (points - 1) > LIFT_CAP:
-        raise ValueError(
-            "lifting %d chords to the %d-fold cover enumerates %d^%d sheet assignments, "
-            "over the cap of %d" % (diagram.chords, m, m, points - 1, LIFT_CAP))
+    if _lift_order_count(points, m) > LIFT_CAP:
+        raise ValueError("lifting %d chords to the %d-fold cover enumerates more lift orders "
+                         "than the cap of %d" % (diagram.chords, m, LIFT_CAP))
     partner = [0] * points
     for a, b in diagram.pairs:
         partner[a], partner[b] = b, a
+    weights = [m * w for w in _order_weights(points, m)]
+    span = range(points)
+    words: dict[tuple, int] = {}
+    for order, d in _lift_orders(points, m):
+        lifted = sorted(span, key=order.__getitem__)
+        word = tuple(map(lifted.__getitem__, map(partner.__getitem__, order)))
+        words[word] = words.get(word, 0) + weights[d]
     classes: dict[tuple, int] = {}
-    for sheets in product(range(1), *[range(m)] * (points - 1)):
-        # lifted position -> base point, stable by (sheet, position), and back
-        order = sorted(range(points), key=sheets.__getitem__)
-        lifted = sorted(range(points), key=order.__getitem__)
-        # (partner's lifted position - own lifted position) mod 2n, in lifted order
-        word = tuple((lifted[partner[p]] - k) % points for k, p in enumerate(order))
-        doubled = word + word
-        key = min(doubled[r:r + points] for r in range(points))
-        classes[key] = classes.get(key, 0) + 1
-    return {
-        ChordDiagram((i, i + step) for i, step in enumerate(word) if i + step < points): m * count
-        for word, count in classes.items()
-    }
+    for word, count in words.items():
+        offsets = tuple((q - k) % points for k, q in enumerate(word))
+        doubled = offsets + offsets
+        key = min(doubled[r:r + points] for r in span)
+        classes[key] = classes.get(key, 0) + count
+    return dict(sorted(
+        (ChordDiagram((i, i + step) for i, step in enumerate(key) if i + step < points), count)
+        for key, count in classes.items()))

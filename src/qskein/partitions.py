@@ -93,6 +93,14 @@ class Partition:
 EMPTY = Partition(())
 
 
+def _built(parts: tuple[int, ...]) -> Partition:
+    """The Partition of a tuple this module built, known to be positive and
+    weakly decreasing, made without checking it again."""
+    shape = object.__new__(Partition)
+    shape.parts = parts
+    return shape
+
+
 def partitions_of(n: int):
     """All partitions of n, largest part first, in lexicographic descending order.
 
@@ -226,7 +234,7 @@ def _lr_cached(lam_parts: tuple[int, ...], mu_parts: tuple[int, ...]) -> dict[Pa
     counts: dict[tuple[int, ...], int] = {}
     for (shape, _), n in states.items():
         counts[shape] = counts.get(shape, 0) + n
-    return {Partition(shape): counts[shape] for shape in sorted(counts, reverse=True)}
+    return {_built(shape): counts[shape] for shape in sorted(counts, reverse=True)}
 
 
 def lr_product(lam: Partition, mu: Partition) -> dict[Partition, int]:

@@ -1,13 +1,18 @@
 """Chord diagrams and their lifts to cyclic covers."""
 
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qskein.chords
-from qskein.chords import CROSSING, PARALLEL, LIFT_CAP, ChordDiagram, all_diagrams, psi_chords
+from qskein.chords import (
+    CROSSING, PARALLEL, LIFT_CAP, ChordDiagram, _lift_order_count, _lift_orders, _order_weights,
+    all_diagrams, psi_chords,
+)
 
 
 def _psi_chords_brute(diagram, m):
@@ -40,11 +45,14 @@ def _psi_chords_brute(diagram, m):
     return out
 
 
-def _psi_linear(tally, m):
-    """psi_chords extended linearly to a tally of diagrams."""
+def _psi_linear(tally, m, lifts):
+    """psi_chords extended linearly to a tally of diagrams; lifts memoises
+    psi_chords by (diagram, m)."""
     out: dict[ChordDiagram, int] = {}
     for dg, n in tally.items():
-        for lifted, k in psi_chords(dg, m).items():
+        if (dg, m) not in lifts:
+            lifts[dg, m] = psi_chords(dg, m)
+        for lifted, k in lifts[dg, m].items():
             out[lifted] = out.get(lifted, 0) + n * k
     return out
 
@@ -143,12 +151,60 @@ def test_empty_matching():
 
 
 def test_matches_brute_force():
-    cases = [(n, m) for n in range(1, 4) for m in range(1, 5)] + [(4, 1), (4, 2)]
-    for n, m in cases:
-        for dg in all_diagrams(n):
+    cases = [(n, m, all_diagrams(n)) for n in range(1, 4) for m in range(1, 5)]
+    cases += [(4, 1, all_diagrams(4)), (4, 2, all_diagrams(4)), (5, 2, all_diagrams(5)[::7])]
+    for n, m, diagrams in cases:
+        for dg in diagrams:
             tally = psi_chords(dg, m)
-            # same classes, counts and first-seen order as the full enumeration
-            assert list(tally.items()) == list(_psi_chords_brute(dg, m).items()), (dg, m)
+            # same classes and counts as the full enumeration, sorted by diagram
+            assert list(tally.items()) == sorted(_psi_chords_brute(dg, m).items()), (dg, m)
+
+
+def _eulerian(j, d):
+    """Orders of j values with d descents, by the alternating-sum formula."""
+    return sum((-1) ** i * comb(j + 1, i) * (d + 1 - i) ** j for i in range(d + 2))
+
+
+def _descents(order):
+    return sum(a > b for a, b in zip(order, order[1:]))
+
+
+@pytest.mark.parametrize("points", [2, 4, 6, 8, 10])
+def test_lift_orders_follow_eulerian_and_worpitzky(points):
+    for m in range(1, 7):
+        per_d = Counter(d for _, d in _lift_orders(points, m))
+        assert per_d == Counter({d: _eulerian(points - 1, d) for d in range(min(m, points))}), (points, m)
+        assert _lift_order_count(points, m) == sum(per_d.values())
+        # Worpitzky: the weights count every sheet assignment with point 0 on sheet 0 once
+        weights = _order_weights(points, m)
+        assert sum(weights[d] * k for d, k in per_d.items()) == m ** (points - 1), (points, m)
+
+
+@pytest.mark.parametrize("points", [2, 3, 4, 5, 6, 7])
+def test_lift_orders_are_the_orders_with_few_descents(points):
+    for m in range(1, points + 1):
+        got = [(tuple(order), d) for order, d in _lift_orders(points, m)]
+        assert all(d == _descents(order) for order, d in got)
+        want = {(0,) + rest for rest in permutations(range(1, points)) if _descents(rest) < m}
+        assert len(got) == len(want) and {order for order, _ in got} == want, (points, m)
+
+
+def test_order_count_never_exceeds_the_assignments():
+    for n in range(1, 7):
+        for m in range(1, 10):
+            orders = sum(_eulerian(2 * n - 1, d) for d in range(min(m, 2 * n - 1)))
+            # so no size the sheet-assignment count admitted under LIFT_CAP is refused
+            assert orders <= min(m ** (2 * n - 1), factorial(2 * n - 1)), (n, m)
+            count = _lift_order_count(2 * n, m)
+            assert count == orders if orders <= LIFT_CAP else LIFT_CAP < count <= orders, (n, m)
+
+
+def test_a_huge_count_stops_soon_after_the_cap():
+    # 1000 chords at m = 1000 have over 10^5000 lift orders
+    assert LIFT_CAP < _lift_order_count(2000, 1000) < 100 * LIFT_CAP
+    hundred = ChordDiagram([(2 * i, 2 * i + 1) for i in range(100)])
+    with pytest.raises(ValueError, match=r"100 chords to the 2-fold cover enumerates more lift orders"):
+        psi_chords(hundred, 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -161,21 +217,23 @@ def test_random_matchings(dg, m):
     assert psi_chords(_mirrored(dg), m) == mirrored
 
 
-@pytest.mark.parametrize("m, k, max_chords", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
+@pytest.mark.parametrize("m, k, max_chords", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3), (2, 5, 4)])
 def test_composition(m, k, max_chords):
     # psi_k(psi_m(D)) = psi_mk(D): the mk-fold cover factors through the m-fold one
+    lifts: dict = {}
     for n in range(1, max_chords + 1):
         for dg in all_diagrams(n):
-            assert _psi_linear(psi_chords(dg, m), k) == psi_chords(dg, m * k), (dg, m, k)
+            assert _psi_linear(psi_chords(dg, m), k, lifts) == psi_chords(dg, m * k), (dg, m, k)
 
 
 def test_lift_cap(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the enumeration started")
 
-    monkeypatch.setattr(qskein.chords, "product", no_enumeration)
+    monkeypatch.setattr(qskein.chords, "_lift_orders", no_enumeration)
     six = ChordDiagram([(2 * i, 2 * i + 1) for i in range(6)])
-    with pytest.raises(ValueError, match=r"9\^11 sheet assignments, over the cap of %d" % LIFT_CAP):
+    with pytest.raises(ValueError, match=r"6 chords to the 9-fold cover enumerates more lift orders "
+                                         r"than the cap of %d" % LIFT_CAP):
         psi_chords(six, 9)
     # the largest size verify reaches at --max 5 stays admitted
-    assert 5 ** 9 <= LIFT_CAP
+    assert _lift_order_count(10, 5) == 259535 <= LIFT_CAP

@@ -392,6 +392,13 @@ def test_psi_chords(capsys):
     assert out.splitlines() == ["8  1-2,3-4", "8  1-3,2-4"]
 
 
+def test_psi_chords_past_the_old_assignment_cap(capsys):
+    # 8^7 sheet assignments, over LIFT_CAP, but only 7! = 5040 lift orders
+    code, out, _ = run(capsys, "psi-chords", "1-2,3-4,5-6,7-8", "8")
+    assert code == 0
+    assert sum(int(line.split()[0]) for line in out.splitlines()) == 8 ** 8
+
+
 def test_verify_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "xbiff", "--max", "2")
     assert code == 0

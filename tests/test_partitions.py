@@ -430,3 +430,13 @@ def test_lr_returns_a_fresh_dict():
     first[Partition((3, 1))] = 99
     first[Partition((9,))] = 1
     assert lr_product(lam, mu) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs_of_partitions(cells=20))
+def test_lr_shapes_are_valid_partitions(pair):
+    lam, mu = pair
+    # the product builds its shapes without the constructor's checks
+    for nu in lr_product(lam, mu):
+        assert type(nu) is Partition and all(type(p) is int for p in nu.parts)
+        assert Partition(nu.parts) == nu and Partition(nu.parts).parts == nu.parts
