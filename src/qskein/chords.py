@@ -21,12 +21,36 @@ from math import comb
 LIFT_CAP = 2_000_000
 
 
+# Most chords parse_matching admits; it refuses an endpoint past 2 * CHORD_CAP
+# as it reads it.  Canonicalising a diagram costs O(n) per rotation it
+# compares, and a diagram with many least-offset chords and no rotational
+# symmetry compares about n of them: 998 short chords and two others take
+# about 0.3 s.
+CHORD_CAP = 1000
+
+
 def _canonical(pairs, points):
-    return min(
-        (tuple(sorted(tuple(sorted(((a + r) % points, (b + r) % points))) for a, b in pairs))
-         for r in range(points)),
-        default=(),
-    )
+    """The least, over the rotations of the circle, of the sorted pairs.
+
+    Sorted pairs start with (0, partner of 0), so only a rotation that takes
+    a point of least offset (the distance mod 2n to its partner) to 0 can
+    win.  The rotated pairs are (i, i + o) for each offset o at rotated
+    position i that does not wrap, and rotations one period of the offset
+    word apart give the same pairs, so only the least-offset points within
+    one period are tried."""
+    if not points:
+        return ()
+    partner = [0] * points
+    for a, b in pairs:
+        partner[a], partner[b] = b, a
+    offsets = [(q - k) % points for k, q in enumerate(partner)]
+    # a rotation that fixes the word is a multiple of its period, which
+    # divides 2n; testing divisors only keeps this O(n) per divisor
+    period = next(p for p in range(1, points + 1)
+                  if not points % p and offsets[p:] + offsets[:p] == offsets)
+    least = min(offsets)
+    return min(tuple((i, i + o) for i, o in enumerate(offsets[k:] + offsets[:k]) if i + o < points)
+               for k in range(period) if offsets[k] == least)
 
 
 class ChordDiagram:

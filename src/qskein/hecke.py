@@ -6,9 +6,12 @@ braid word acts on the right one letter at a time through the quadratic
 relation x^-1*s_i - x*s_i^-1 = z.  On top of the algebra sit the full
 symmetrizer-style sums a_n and b_n, the quasi-idempotents e_lambda
 (Aiston-Morton 1998), and the cabling used to decorate braids by partitions.
-A product by e_lambda applies a_n = a_(n-1) F_(n-1), F_k = sum_j q^j T_k ...
-T_(k-j+1) over distinguished coset representatives (Dipper-James 1986), with
-q = x^-1 s for a_n and -x^-1 s^-1 for b_n; a_element and b_element enumerate.
+A product by e_lambda multiplies by the row and column Young-subgroup sums
+sum_tau q^l(tau) T_tau, q = x^-1 s for rows and -x^-1 s^-1 for columns, by
+cosets: T_pi = T_d T_sigma with d the least element of pi S (Dipper-James
+1986) and T_sigma absorbed as a scalar, so one pass folds the element onto
+the coset representatives and one pass spreads each over its coset;
+a_element and b_element enumerate.
 Products run in raw kernels on dicts perm -> {(a, b, c): coeff}, merged in
 place, on the numerators of each denominator class of the coefficients;
 that raw format and its helpers live in linear.
@@ -20,7 +23,8 @@ Coxeter groups and Iwahori-Hecke algebras*).
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import factorial, prod
+from operator import itemgetter
 
 from .linear import FormalSum, add_shifted, join_raw, split_raw
 from .partitions import Partition, hook_content_product, transpose_permutation
@@ -158,11 +162,10 @@ _ROW_Q = (-1, 0, 1, 1)                                    # x^-1 s, as (ex, ev, 
 _COL_Q = (-1, 0, -1, -1)                                  # -x^-1 s^-1
 
 
-def _right_word(terms: dict, n: int, letters, q=(0, 0, 0, 1)) -> dict:
-    """Raw kernel: terms times each letter and the monomial q in turn, refused
-    past ENUMERATION_CAP! terms.  T_i^e sends T_pi to T_(pi s_i) when that
-    is e steps longer, and otherwise to x^(2e) T_(pi s_i) + e x^e z T_pi."""
-    a, b, c, k = q
+def _right_word(terms: dict, n: int, letters) -> dict:
+    """Raw kernel: terms times each letter in turn, refused past
+    ENUMERATION_CAP! terms.  T_i^e sends T_pi to T_(pi s_i) when that is e
+    steps longer, and otherwise to x^(2e) T_(pi s_i) + e x^e z T_pi."""
     for j in letters:
         i = abs(j) - 1
         if j == 0 or i >= n - 1:
@@ -172,13 +175,13 @@ def _right_word(terms: dict, n: int, letters, q=(0, 0, 0, 1)) -> dict:
         for pi, p in terms.items():
             flipped = pi[:i] + (pi[i + 1], pi[i]) + pi[i + 2:]
             if (pi[i] < pi[i + 1]) == (j > 0):
-                add_shifted(acc, flipped, p, a, b, c, k)
+                add_shifted(acc, flipped, p, 0, 0, 0, 1)
             else:
-                add_shifted(acc, pi, p, a + e, b, c + 1, e * k)
-                add_shifted(acc, pi, p, a + e, b, c - 1, -e * k)
-                add_shifted(acc, flipped, p, a + 2 * e, b, c, k)
+                add_shifted(acc, pi, p, e, 0, 1, e)
+                add_shifted(acc, pi, p, e, 0, -1, -e)
+                add_shifted(acc, flipped, p, 2 * e, 0, 0, 1)
         terms = acc
-        _check_support(n, terms)
+        _check_support(n, len(terms))
     return terms
 
 
@@ -233,12 +236,12 @@ def tensor(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     return HeckeElement._from(n, acc)
 
 
-def _check_support(n: int, terms: dict) -> None:
-    """Refuse a Hecke element with more than ENUMERATION_CAP! terms, which
-    no product on ENUMERATION_CAP or fewer strands reaches."""
+def _check_support(n: int, count: int) -> None:
+    """Refuse a Hecke element of count terms past ENUMERATION_CAP! of them,
+    which no product on ENUMERATION_CAP or fewer strands reaches."""
     cap = factorial(ENUMERATION_CAP)
-    if len(terms) > cap:
-        raise ValueError(f"a Hecke element on {n} strands reached {len(terms)} terms, "
+    if count > cap:
+        raise ValueError(f"a Hecke element on {n} strands reached {count} terms, "
                          f"over the cap of {ENUMERATION_CAP}! = {cap}")
 
 
@@ -280,26 +283,66 @@ def b_element(n: int) -> HeckeElement:
     return _enumerated_sum(n, _COL_Q)
 
 
+@cache
+def _symmetric_group(r: int) -> tuple:
+    """Each tau in S_r as (itemgetter(*tau), l(tau)), built by inserting the
+    largest value into each element of S_(r-1): at slot j of a tuple of v
+    values it passes the v - j after it.  r >= 2, so every getter returns a
+    tuple; both weights and every block offset share the table."""
+    perms = [((), 0)]
+    for v in range(r):
+        perms = [(tau[:j] + (v,) + tau[j:], l + v - j) for tau, l in perms for j in range(v + 1)]
+    return tuple((itemgetter(*tau), l) for tau, l in perms)
+
+
 def _right_young(terms: dict, n: int, blocks, offset: int, q) -> dict:
-    """Raw kernel: terms times the Young-subgroup sum over consecutive strand
-    blocks, each block's sum taken as F_1 F_2 ... F_(r-1), F_k = sum_j q^j T_k
-    ... T_(k-j+1), refused as soon as a partial sum passes ENUMERATION_CAP! terms."""
+    """Raw kernel: terms times the Young-subgroup sum A = sum_tau q^l(tau) T_tau
+    over the subgroup S of consecutive strand blocks from offset, by cosets.
+
+    T_pi = T_d T_sigma, where d is pi sorted within each block, the least
+    element of pi S, and sigma in S has l(sigma) inversions within the
+    blocks; T_sigma A = (q x^2)^l(sigma) A and T_d T_tau = T_(d tau).  So
+    h A = sum_d g_d sum_tau q^l(tau) T_(d tau) with
+    g_d = sum_sigma (q x^2)^l(sigma) h_(d sigma): one pass over h folds it
+    onto the g_d, and the output has exactly len(g) * prod r! terms, refused
+    past ENUMERATION_CAP! before any S_r table or output term is built.
+    The g_d are then spread over their cosets one block at a time.
+    One-strand blocks are skipped."""
+    spans = []
     for r in blocks:
-        for k in range(offset + 1, offset + r):
-            acc = {pi: dict(p) for pi, p in terms.items()}
-            cur = terms
-            for i in range(k, offset, -1):
-                cur = _right_word(cur, n, (i,), q)
-                for pi, p in cur.items():
-                    add_shifted(acc, pi, p, 0, 0, 0, 1)
-                _check_support(n, acc)
-            terms = acc
+        if r > 1:
+            if offset < 0 or offset + r > n:
+                raise ValueError(f"a block of {r} strands at offset {offset} does not fit {n} strands")
+            spans.append((offset, offset + r))
         offset += r
-    return terms
+    a, b, c, k = q
+    folded: dict = {}
+    for pi, p in terms.items():
+        d, l = pi, 0
+        for lo, hi in spans:
+            block = pi[lo:hi]
+            l += inversions(block)
+            d = d[:lo] + tuple(sorted(block)) + d[hi:]
+        add_shifted(folded, d, p, (a + 2) * l, b * l, c * l, k ** l)
+    _check_support(n, len(folded) * prod(factorial(hi - lo) for lo, hi in spans))
+    if not folded:
+        return folded  # the count bounds no S_r table for a zero element
+    for lo, hi in spans:
+        shifts = [(a * l, b * l, c * l, k ** l) for l in range((hi - lo) * (hi - lo - 1) // 2 + 1)]
+        spread = {}
+        for d, p in folded.items():
+            head, block, tail = d[:lo], d[lo:hi], d[hi:]
+            for get, l in _symmetric_group(hi - lo):
+                sa, sb, sc, m = shifts[l]
+                spread[head + get(block) + tail] = {(e1 + sa, e2 + sb, e3 + sc): v * m
+                                                    for (e1, e2, e3), v in p.items()}
+        folded = spread
+    return folded
 
 
 def right_e_lambda(h: HeckeElement, lam: Partition, offset: int) -> HeckeElement:
-    """h times e_lambda on strands offset+1 .. offset+|lam|, in O(|lam|^2) letters."""
+    """h times e_lambda on strands offset+1 .. offset+|lam|: the row sum, the
+    letters of T_w, the column sum and the letters of T_w^-1."""
     check_enumeration_cap(max(lam.parts[0], len(lam.parts)))
     # Basis labels are position-to-strand maps, so the braid whose strands
     # carry row cell i to column cell pi(i) is labelled by the inverse.
@@ -317,7 +360,7 @@ def right_e_lambda(h: HeckeElement, lam: Partition, offset: int) -> HeckeElement
 def e_lambda(lam: Partition) -> HeckeElement:
     """The quasi-idempotent a_row T_w b_col T_w^-1 of Aiston-Morton, with
     e^2 = alpha * e: a_row and b_col are the row and column Young-subgroup
-    sums, each built from its coset factors F_k, not by enumeration."""
+    sums, applied by cosets (_right_young), not enumerated and multiplied."""
     if lam.size < 1:
         raise ValueError("partition must be nonempty")
     return right_e_lambda(HeckeElement.unit(lam.size), lam, 0)

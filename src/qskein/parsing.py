@@ -5,7 +5,7 @@ parser here.  All errors carry the offending position in the input."""
 
 from math import comb, lcm, log2, prod
 
-from .chords import ChordDiagram
+from .chords import CHORD_CAP, ChordDiagram
 from .diagram_ring import CPoly, gen
 from .hecke import BraidWord
 from .partitions import Partition
@@ -285,7 +285,8 @@ def parse_braid_word(text: str, strands: int | None = None) -> BraidWord:
 
 
 def parse_matching(text: str) -> ChordDiagram:
-    """Parse a chord matching literal like "1-3,2-4" (1-based endpoints).
+    """Parse a chord matching literal like "1-3,2-4" (1-based endpoints),
+    refusing an endpoint past 2 * CHORD_CAP as soon as it is read.
 
     >>> str(parse_matching("2-4,1-3"))
     '1-3,2-4'
@@ -302,6 +303,8 @@ def parse_matching(text: str) -> ChordDiagram:
         for endpoint, where in ((a, start), (b, b_start)):
             if endpoint < 1:
                 sc.error("endpoints are numbered from 1", where)
+            if endpoint > 2 * CHORD_CAP:
+                sc.error("endpoint %d needs more chords than the cap of %d" % (endpoint, CHORD_CAP), where)
             if endpoint in seen:
                 sc.error("endpoint %d matched twice" % endpoint, where)
             seen[endpoint] = where

@@ -69,6 +69,37 @@ def matchings(draw, max_chords):
     return ChordDiagram(zip(points[::2], points[1::2]))
 
 
+def _canonical_by_all_rotations(pairs, points):
+    """The sorted pairs at every one of the 2n rotations, least first: the
+    definition of the canonical form, kept as the oracle for ChordDiagram."""
+    return min(
+        (tuple(sorted(tuple(sorted(((a + r) % points, (b + r) % points))) for a, b in pairs))
+         for r in range(points)),
+        default=(),
+    )
+
+
+@st.composite
+def tiled_matchings(draw):
+    """(pairs, points): j copies of a random matching on 2c points, each
+    chord from its copy t to copy t + s mod j for a shift s drawn per chord,
+    so the diagram is unchanged by rotating 2c points (j = 1: any matching)."""
+    c, j = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    ends = draw(st.permutations(range(2 * c)))
+    pairs = []
+    for a, b in zip(ends[::2], ends[1::2]):
+        s = draw(st.integers(0, j - 1))
+        pairs += [(a + 2 * c * t, b + 2 * c * ((t + s) % j)) for t in range(j)]
+    return pairs, 2 * c * j
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiled_matchings())
+def test_canonical_form_matches_all_rotations(drawn):
+    pairs, points = drawn
+    assert ChordDiagram(pairs).pairs == _canonical_by_all_rotations(pairs, points)
+
+
 def test_canonical_form():
     # rotations are identified
     assert ChordDiagram([(0, 1), (2, 3)]) == ChordDiagram([(0, 3), (1, 2)])

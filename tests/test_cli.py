@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qskein.chords import CHORD_CAP
 from qskein.cli import _format_hseries, main
 from qskein.diagram_ring import DiagramVector
 from qskein.jsonio import decode_annulus, decode_diagrams, decode_outcome
@@ -397,6 +398,19 @@ def test_psi_chords_past_the_old_assignment_cap(capsys):
     code, out, _ = run(capsys, "psi-chords", "1-2,3-4,5-6,7-8", "8")
     assert code == 0
     assert sum(int(line.split()[0]) for line in out.splitlines()) == 8 ** 8
+
+
+def test_psi_chords_refuses_a_matching_past_the_chord_cap(capsys):
+    def matching(n):
+        return ",".join("%d-%d" % (2 * i + 1, 2 * i + 2) for i in range(n))
+
+    code, out, _ = run(capsys, "psi-chords", matching(CHORD_CAP), "1")
+    assert code == 0 and out == "1  %s\n" % matching(CHORD_CAP)
+    code, out, err = run(capsys, "psi-chords", matching(CHORD_CAP + 1), "1")
+    assert code == 2 and out == ""
+    first_line = err.splitlines()[0]
+    assert first_line == "error: endpoint %d needs more chords than the cap of %d at position %d" % (
+        2 * CHORD_CAP + 1, CHORD_CAP, len(matching(CHORD_CAP)) + 1)
 
 
 def test_verify_suite(capsys):

@@ -1,6 +1,7 @@
 """Hecke algebra elements in the permutation-braid basis."""
 
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -13,6 +14,7 @@ from qskein.hecke import (
     ENUMERATION_CAP,
     BraidWord,
     HeckeElement,
+    _right_word,
     _right_young,
     a_element,
     alpha,
@@ -25,10 +27,12 @@ from qskein.hecke import (
     right_e_lambda,
     tensor,
 )
+from qskein.linear import add_shifted
 from qskein.parsing import ParseError, parse_braid_word
 from qskein.partitions import Partition, partitions_of, transpose_permutation
 from qskein.perms import all_perms, identity, inverse, reduced_word
 from qskein.scalars import Scalar, Z, quantum_int
+from test_kernels import SCALAR_KINDS, elements
 
 
 def rand_word(rng, n, length):
@@ -257,6 +261,25 @@ def young(h: HeckeElement, blocks, offset: int, q) -> HeckeElement:
     return h._apply(_right_young, blocks, offset, q)
 
 
+def _young_by_letters(terms: dict, n: int, blocks, offset: int, q) -> dict:
+    """Raw kernel: terms times the Young-subgroup sum, each block's sum taken
+    as F_1 F_2 ... F_(r-1), F_k = sum_j q^j T_k ... T_(k-j+1) over the
+    distinguished coset representatives of S_(k-1) in S_k, one letter pass
+    per term: the route the coset fold-and-spread replaced, kept as its oracle."""
+    a, b, c, m = q
+    for r in blocks:
+        for k in range(offset + 1, offset + r):
+            acc = {pi: dict(p) for pi, p in terms.items()}
+            cur = terms
+            for j, i in enumerate(range(k, offset, -1), 1):
+                cur = _right_word(cur, n, (i,))
+                for pi, p in cur.items():
+                    add_shifted(acc, pi, p, a * j, b * j, c * j, m ** j)
+            terms = acc
+        offset += r
+    return terms
+
+
 def test_young_factorisation_of_the_unit():
     for n in range(1, 7):
         unit = HeckeElement.unit(n)
@@ -266,6 +289,8 @@ def test_young_factorisation_of_the_unit():
     assert young(HeckeElement.unit(6), (2, 3, 1), 0, _ROW_Q) == blocks
     shifted = tensor(HeckeElement.unit(1), tensor(b_element(3), HeckeElement.unit(1)))
     assert young(HeckeElement.unit(5), (3,), 1, _COL_Q) == shifted
+    with pytest.raises(ValueError, match="a block of 3 strands at offset 4 does not fit 5 strands"):
+        young(HeckeElement.unit(5), (2, 1, 3), 1, _COL_Q)
 
 
 @st.composite
@@ -311,12 +336,47 @@ def test_word_support_cap(monkeypatch):
 
 
 def test_young_sums_check_the_support(monkeypatch):
-    # F_3 adds six terms to the six of F_1 F_2: refused at the first partial sum
+    # the unit folds onto one coset, which spreads to 4! terms: refused before the spread
     monkeypatch.setattr("qskein.hecke.ENUMERATION_CAP", 3)
     h = HeckeElement.unit(4)
     assert len(young(h, (3,), 0, _ROW_Q).terms) == 6
-    with pytest.raises(ValueError, match=r"on 4 strands reached 12 terms, over the cap of 3! = 6"):
+    with pytest.raises(ValueError, match=r"on 4 strands reached 24 terms, over the cap of 3! = 6"):
         young(h, (4,), 0, _ROW_Q)
+
+
+def test_young_sums_are_refused_before_any_allocation(monkeypatch):
+    monkeypatch.setattr("qskein.hecke.ENUMERATION_CAP", 7)
+    h = HeckeElement.unit(8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"on 8 strands reached 40320 terms, over the cap of 7! = 5040"):
+            young(h, (8,), 0, _ROW_Q)
+        # zero has no terms to refuse, and builds no S_9 table either
+        assert young(HeckeElement(9, {}), (9,), 0, _COL_Q) == HeckeElement(9, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@st.composite
+def young_arguments(draw, kind):
+    n = draw(st.integers(1, 5))
+    h = draw(elements(n, (0, 5), SCALAR_KINDS[kind]))
+    offset = draw(st.integers(0, n))
+    blocks, room = [], n - offset
+    while room and draw(st.booleans()):
+        blocks.append(draw(st.integers(1, room)))
+        room -= blocks[-1]
+    return h, tuple(blocks), offset, draw(st.sampled_from((_ROW_Q, _COL_Q)))
+
+
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_young_by_cosets_equals_the_letter_passes(kind, data):
+    h, blocks, offset, q = data.draw(young_arguments(kind))
+    assert young(h, blocks, offset, q) == h._apply(_young_by_letters, blocks, offset, q)
 
 
 def test_decorate_refuses_a_colour_past_the_cap():

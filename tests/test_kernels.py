@@ -175,9 +175,9 @@ def test_a_letter_times_a_symmetriser_takes_one_word_pass(monkeypatch):
 
     words = []
 
-    def right_word(terms, n, letters, *q):
+    def right_word(terms, n, letters):
         words.append(tuple(letters))
-        return right_word_kernel(terms, n, letters, *q)
+        return right_word_kernel(terms, n, letters)
 
     right_word_kernel = qskein.hecke._right_word
     monkeypatch.setattr(qskein.hecke, "_right_word", right_word)
