@@ -8,18 +8,29 @@ circle in every possible way and tallies the results.  A lift depends only
 on the order in which the lifted points meet the base points, so the lifts
 are enumerated by order, grouped by their number of descents, and each
 order is weighted by the number of sheet assignments that produce it.
+The orders, their inverses and their descents do not depend on the diagram,
+so up to LIFT_TABLE_ROWS of them are built once per number of points and
+shared by every diagram of that size (_lift_table).
 """
 
+from functools import cache
 from math import comb
+from operator import itemgetter
 
 # Most lift orders psi_chords enumerates for one diagram: the orders of the
 # 2n - 1 endpoints after the first with fewer than m descents, for n chords
 # on the m-fold cover (_lift_order_count).  n = 5 at m = 5, the largest size
-# `verify --suite cd --max 5` reaches, has 259,535 and takes about 0.6 s;
-# n = 7 at m = 3 has 1,487,905 and takes about 5 s; 6 chords at m = 9 have
+# `verify --suite cd --max 5` reaches, has 259,535 and takes about 1 s;
+# n = 7 at m = 3 has 1,487,905 and takes about 8 s; 6 chords at m = 9 have
 # 39,914,763 and are refused.  The count is made before any enumeration.
 LIFT_CAP = 2_000_000
 
+# Most rows _lift_table keeps for one size.  A row costs 340-410 bytes at
+# 8-12 points: 4 chords at m = 3 keep 1,312 rows in 0.45 MB, 5 chords at
+# m = 3 keep 15,111 in 5.7 MB, and all 16 tables the bound admits (up to 7
+# chords, at m = 2) hold 46,359 rows in 17 MB.  A larger count is walked
+# afresh by each call in O(2n) memory, as any count up to LIFT_CAP may be.
+LIFT_TABLE_ROWS = 20_000
 
 # Most chords parse_matching admits; it refuses an endpoint past 2 * CHORD_CAP
 # as it reads it.  Canonicalising a diagram costs O(n) per rotation it
@@ -190,6 +201,24 @@ def _lift_orders(points: int, m: int):
         slot += 1
 
 
+def _lift_rows(points: int, m: int):
+    """Yield (order, lifted, d) for each order _lift_orders yields: the order
+    as an itemgetter, so order(t)[k] = t[order[k]], and its inverse, the
+    lifted position lifted[p] of each point p.  Neither depends on the
+    diagram being lifted."""
+    span = range(points)
+    for order, d in _lift_orders(points, m):
+        yield itemgetter(*order), tuple(sorted(span, key=order.__getitem__)), d
+
+
+@cache
+def _lift_table(points: int, m: int) -> tuple:
+    """Every row of _lift_rows(points, m), kept for the next diagram of the
+    same size: called only for m <= points - 1 (larger m admits no more
+    orders) and for at most LIFT_TABLE_ROWS rows."""
+    return tuple(_lift_rows(points, m))
+
+
 def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     """Sum of all lifts of the diagram to the m-fold cover of the circle,
     sorted by diagram.
@@ -210,10 +239,12 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     m^(2n-1) = sum_d A(2n-1, d) C(m + 2n - 2 - d, 2n - 1).
 
     Each order adds its weight under its raw word, the lifted position of
-    each lifted point's partner.  Each distinct word is then keyed by the
-    least rotation of its offset word, the distance mod 2n from each lifted
-    point to its partner: two matchings agree up to rotation exactly when
-    their offset words do.
+    each lifted point's partner.  The orders and their inverses are the
+    same for every diagram with 2n points, so for up to LIFT_TABLE_ROWS
+    orders they are read from a table built once per size (_lift_table).
+    Each distinct word is then keyed by the least rotation of its offset
+    word, the distance mod 2n from each lifted point to its partner: two
+    matchings agree up to rotation exactly when their offset words do.
 
     >>> psi_chords(ChordDiagram([(0, 1)]), 3)
     {ChordDiagram([(0, 1)]): 9}
@@ -223,21 +254,26 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     if m < 1:
         raise ValueError("cover index must be positive")
     points = 2 * diagram.chords
-    if not points:
+    if m == 1 or not points:
+        # the 1-fold cover is the circle itself: psi_1 is the identity
         return {diagram: 1}
-    if _lift_order_count(points, m) > LIFT_CAP:
+    orders = _lift_order_count(points, m)
+    if orders > LIFT_CAP:
         raise ValueError("lifting %d chords to the %d-fold cover enumerates more lift orders "
                          "than the cap of %d" % (diagram.chords, m, LIFT_CAP))
     partner = [0] * points
     for a, b in diagram.pairs:
         partner[a], partner[b] = b, a
+    # across(lifted)[p] = lifted[partner[p]], so order(across(lifted))[k] is
+    # the lifted position of the partner of the point at lifted position k
+    across = itemgetter(*partner)
     weights = [m * w for w in _order_weights(points, m)]
-    span = range(points)
+    rows = _lift_table(points, min(m, points - 1)) if orders <= LIFT_TABLE_ROWS else _lift_rows(points, m)
     words: dict[tuple, int] = {}
-    for order, d in _lift_orders(points, m):
-        lifted = sorted(span, key=order.__getitem__)
-        word = tuple(map(lifted.__getitem__, map(partner.__getitem__, order)))
+    for order, lifted, d in rows:
+        word = order(across(lifted))
         words[word] = words.get(word, 0) + weights[d]
+    span = range(points)
     classes: dict[tuple, int] = {}
     for word, count in words.items():
         offsets = tuple((q - k) % points for k, q in enumerate(word))

@@ -12,6 +12,11 @@ from .partitions import Partition
 from .scalars import Scalar
 
 
+# Longest input ParseError.annotated echoes whole; a longer one is echoed as
+# this many characters around the error position.
+ECHO_WIDTH = 72
+
+
 class ParseError(ValueError):
     """Syntax error with a 0-based position into the parsed text."""
 
@@ -22,8 +27,22 @@ class ParseError(ValueError):
         self.pos = pos
 
     def annotated(self) -> str:
-        """Multi-line rendering with a caret under the offending position."""
-        return "%s at position %d\n  %s\n  %s" % (self.reason, self.pos, self.text, " " * self.pos + "^")
+        """Multi-line rendering with a caret under the offending position.
+        Past ECHO_WIDTH characters the input is clipped to a window of that
+        width around the position, and "..." marks each end cut off.
+
+        >>> print(ParseError("bad digit", "7" * 100 + "x" + "7" * 100, 100).annotated())
+        bad digit at position 100
+          ...777777777777777777777777777777777777x77777777777777777777777777777777777...
+                                                 ^
+        """
+        text, pos = self.text, self.pos
+        start = max(0, min(pos - ECHO_WIDTH // 2, len(text) - ECHO_WIDTH))
+        end = start + ECHO_WIDTH
+        head = "..." if start else ""
+        tail = "..." if end < len(text) else ""
+        return "%s at position %d\n  %s%s%s\n  %s^" % (
+            self.reason, pos, head, text[start:end], tail, " " * (len(head) + pos - start))
 
 
 class _Scanner:

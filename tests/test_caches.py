@@ -13,6 +13,7 @@ import qskein.adams_skein
 import qskein.verify
 from qskein.adams_skein import P, a_braid, cycle_closure, negative_cycle_expansion, positive_cycle_expansion
 from qskein.annulus import Q, _closure_step, _theta_key, a_in_Q_basis, closed_idempotent
+from qskein.chords import _lift_table
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import _symmetric_group, e_lambda
 from qskein.partitions import Partition
@@ -50,6 +51,7 @@ CASES = [
     (reduced_word, ((2, 0, 3, 1),)),
     (_closure_step, ((3, 2, 0, 1),)),
     (_symmetric_group, (4,)),
+    (_lift_table, (8, 3)),
 ]
 IDS = [fn.__name__ + str(args[0] if len(args) == 1 else args) for fn, args in CASES]
 

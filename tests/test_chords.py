@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import qskein.chords
 from qskein.chords import (
-    CROSSING, PARALLEL, LIFT_CAP, ChordDiagram, _lift_order_count, _lift_orders, _order_weights,
-    all_diagrams, psi_chords,
+    CROSSING, PARALLEL, LIFT_CAP, LIFT_TABLE_ROWS, ChordDiagram, _lift_order_count, _lift_orders,
+    _lift_table, _order_weights, all_diagrams, psi_chords,
 )
 
 
@@ -268,3 +268,55 @@ def test_lift_cap(monkeypatch):
         psi_chords(six, 9)
     # the largest size verify reaches at --max 5 stays admitted
     assert _lift_order_count(10, 5) == 259535 <= LIFT_CAP
+
+
+def test_walked_orders_give_the_tallies_of_the_shared_table(monkeypatch):
+    tables = {(dg, m): psi_chords(dg, m) for n in range(1, 5) for dg in all_diagrams(n) for m in range(1, 5)}
+    assert _lift_order_count(8, 4) <= LIFT_TABLE_ROWS
+    # with no table admitted every call walks its own orders
+    monkeypatch.setattr(qskein.chords, "LIFT_TABLE_ROWS", 0)
+    _lift_table.cache_clear()
+    for (dg, m), tally in tables.items():
+        walked = psi_chords(dg, m)
+        assert list(walked.items()) == list(tally.items()), (dg, m)
+        if dg.chords <= 3:
+            assert walked == _psi_chords_brute(dg, m), (dg, m)
+    assert _lift_table.cache_info().currsize == 0
+
+
+def test_interleaved_sizes_share_tables_without_mixing_them():
+    cases = [(dg, m) for n in (2, 3, 4) for dg in all_diagrams(n)[:3] for m in (2, 3, 5, 9)]
+    separate = {}
+    for dg, m in cases:
+        _lift_table.cache_clear()
+        separate[dg, m] = psi_chords(dg, m)
+    _lift_table.cache_clear()
+    for dg, m in cases[::2] + cases[1::2] + cases[::-1]:
+        assert psi_chords(dg, m) == separate[dg, m], (dg, m)
+    # every m >= 2n - 1 admits every order of 2n points, so such m share a
+    # table: m = 3, 5, 9 at 4 points and m = 5, 9 at 6 points
+    assert _lift_table.cache_info().currsize == 2 + 3 + 4
+
+
+def test_a_count_over_the_row_bound_keeps_no_table(monkeypatch):
+    four = ChordDiagram([(0, 2), (1, 4), (3, 6), (5, 7)])
+    want = psi_chords(four, 3)
+    rows = _lift_order_count(8, 3)
+    monkeypatch.setattr(qskein.chords, "LIFT_TABLE_ROWS", rows - 1)
+    _lift_table.cache_clear()
+    assert psi_chords(four, 3) == want
+    assert _lift_table.cache_info().currsize == 0
+    monkeypatch.setattr(qskein.chords, "LIFT_TABLE_ROWS", rows)
+    assert psi_chords(four, 3) == want
+    assert _lift_table.cache_info().currsize == 1 and len(_lift_table(8, 3)) == rows
+
+
+def test_the_identity_cover_walks_no_orders(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(qskein.chords, "_lift_orders", no_enumeration)
+    _lift_table.cache_clear()
+    parallel = ChordDiagram([(2 * i, 2 * i + 1) for i in range(qskein.chords.CHORD_CAP)])
+    assert psi_chords(parallel, 1) == {parallel: 1}
+    assert _lift_table.cache_info().currsize == 0

@@ -11,6 +11,7 @@ from qskein.chords import CHORD_CAP
 from qskein.cli import _format_hseries, main
 from qskein.diagram_ring import DiagramVector
 from qskein.jsonio import decode_annulus, decode_diagrams, decode_outcome
+from qskein.parsing import ECHO_WIDTH
 from qskein.partitions import Partition, lr_product
 from qskein.scalars import Scalar
 from qskein.adams_skein import Inconsistent
@@ -115,6 +116,12 @@ def test_parse_error_annotated(capsys):
     assert out == ""
     assert "position" in err
     assert "^" in err
+    # an input of up to ECHO_WIDTH characters is echoed whole, wherever the error is
+    text = "c1 + " * ((ECHO_WIDTH - 1) // 5) + "%"
+    assert len(text) > ECHO_WIDTH - 5
+    code, out, err = run(capsys, "theta", text)
+    assert (code, out) == (2, "")
+    assert err == "error: expected a value at position %d\n  %s\n  %s^\n" % (len(text) - 1, text, " " * (len(text) - 1))
 
 
 def test_theta_of_a_long_monomial(capsys):
@@ -411,6 +418,22 @@ def test_psi_chords_refuses_a_matching_past_the_chord_cap(capsys):
     first_line = err.splitlines()[0]
     assert first_line == "error: endpoint %d needs more chords than the cap of %d at position %d" % (
         2 * CHORD_CAP + 1, CHORD_CAP, len(matching(CHORD_CAP)) + 1)
+
+
+def test_a_long_refused_literal_is_echoed_clipped_around_the_caret(capsys):
+    literal = ",".join("%d-%d" % (2 * i + 1, 2 * i + 2) for i in range(3 * CHORD_CAP))
+    code, out, err = run(capsys, "psi-chords", literal, "2")
+    assert code == 2 and out == ""
+    reason, echo, caret = err.splitlines()
+    assert max(map(len, (reason, echo, caret))) <= ECHO_WIDTH + 8
+    pos = int(reason.rsplit(" ", 1)[1])
+    assert 0 < pos < len(literal) - ECHO_WIDTH
+    assert echo.startswith("  ...") and echo.endswith("...") and caret.strip() == "^"
+    # the window shown is the literal's own text, placed so the caret is under pos
+    col = len(caret) - 1
+    shown = echo[5:-3]
+    assert literal[pos - (col - 5):][:len(shown)] == shown
+    assert echo[col] == literal[pos]
 
 
 def test_verify_suite(capsys):
