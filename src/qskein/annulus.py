@@ -31,7 +31,7 @@ from .hecke import BraidWord, HeckeElement, alpha, check_enumeration_cap, check_
 from .linear import Polynomial, add_shifted, join_raw, linear_map, multiset_text, split_raw
 from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
-from .scalars import Scalar, delta
+from .scalars import Z_LP, LaurentPoly, Scalar, scalar_sum
 
 
 class AnnulusElement(Polynomial):
@@ -226,9 +226,20 @@ def epsilon_plane(e: AnnulusElement) -> Scalar:
     Ring homomorphism determined by the value of a single winding-m
     curve: delta times the curl monomial to the power m-1.
     """
-    d = delta()
-    acc = Scalar.zero()
+    # delta^k = (v^-1 - v)^k / Z^k with Z = s - s^-1: the terms with k
+    # components are added first, then all over Z^K for the largest K
+    by_count: dict[int, list] = {}
     for key, c in e.terms.items():
         exp = sum(key) - len(key)
-        acc = acc + c * d ** len(key) * Scalar.monomial(exp, -exp, 0)
-    return acc
+        by_count.setdefault(len(key), []).append(c * Scalar.monomial(exp, -exp, 0))
+    if not by_count:
+        return Scalar.zero()
+    top = max(by_count)
+    acc = scalar_sum([scalar_sum(terms) * _loops(k, top) for k, terms in by_count.items()])
+    return acc / Scalar.from_poly(Z_LP**top)
+
+
+@cache
+def _loops(k: int, top: int) -> LaurentPoly:
+    """(v^-1 - v)^k (s - s^-1)^(top - k): delta^k times Z^top."""
+    return LaurentPoly({(0, -1, 0): 1, (0, 1, 0): -1}) ** k * Z_LP ** (top - k)

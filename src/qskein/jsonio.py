@@ -39,6 +39,8 @@ from .scalars import LaurentPoly, Scalar, TFraction
 
 
 def encode_coeff(c):
+    if type(c) is int:
+        return c
     c = Fraction(c)
     return int(c) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
 

@@ -16,6 +16,12 @@ from .scalars import Scalar
 # this many characters around the error position.
 ECHO_WIDTH = 72
 
+# Most digits an integer literal may have.  A longer run is refused at its
+# first digit before it is converted: Python's int() refuses more than 4,300
+# digits with advice meant for programmers, and the longest integer in the
+# README, the verify suites and the golden outputs has 12.
+INTEGER_DIGITS_CAP = 1000
+
 
 class ParseError(ValueError):
     """Syntax error with a 0-based position into the parsed text."""
@@ -80,11 +86,19 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == digits:
             self.error("expected an integer", start)
+        self.check_digits(digits)
         return int(self.text[start:self.pos])
+
+    def check_digits(self, start: int):
+        """Refuse the digit run from start to the current position, at its
+        first digit, when it is longer than INTEGER_DIGITS_CAP."""
+        if self.pos - start > INTEGER_DIGITS_CAP:
+            self.error("an integer of %d digits is over the cap of %d digits"
+                       % (self.pos - start, INTEGER_DIGITS_CAP), start)
 
     def name(self) -> str:
         self.skip_space()
@@ -157,7 +171,8 @@ def _atom(sc: _Scanner) -> CPoly:
         if word in ("x", "v", "s"):
             exps = {"x": (1, 0, 0), "v": (0, 1, 0), "s": (0, 0, 1)}[word]
             return CPoly.one().scale(Scalar.monomial(*exps))
-        if word[0] == "c" and word[1:].isdigit():
+        if word[0] == "c" and word[1:].isascii() and word[1:].isdigit():
+            sc.check_digits(start + 1)
             return gen(int(word[1:]))
         sc.error("unknown name '%s'" % word, start)
     sc.error("expected a value")

@@ -25,21 +25,25 @@ this way, once), and a product first divides each numerator by the factors
 of the other denominator.  A product by a single term over 1 keeps the
 other denominator as it is, since a monomial shares no factor with it.  A
 denominator that is not such a product, or that involves x or v, takes the
-general route through Scalar(): the univariate gcd over Fractions
-(_s_reduce_gcd) or no cancellation at all.
+general route through Scalar(): univariate gcds over the integers by
+primitive remainder sequences (_s_reduce_gcd, _poly_gcd), or no
+cancellation at all.
 
 specialize_sln() substitutes s = t^N, x = t^-1, v = t^(-N^2), collapsing a
 Scalar to a one-variable Laurent fraction in t, a TFraction.  A TFraction
 holds a Scalar in s alone with t in the place of s, so it shares the Scalar
 normal form, arithmetic and printer.  h_expand() then expands that fraction
-around t = e^(h/2N) and returns the Taylor coefficients in h.
+around t = e^(h/2N) and returns the Taylor coefficients in h, dividing the
+integer power sums of numerator and denominator in integers and taking one
+rational division per coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
 
 Triple = tuple[int, int, int]
 
@@ -327,7 +331,7 @@ class Scalar:
             num, den = _s_reduce(num, den)
         if len(den.terms) == 1:
             ((a, b, c), k), = den.terms.items()
-            self.num = num.mul_monomial(-a, -b, -c, Fraction(1, 1) / k)
+            self.num = num.mul_monomial(-a, -b, -c, _ratio(Fraction(1, k)))
             self.den = ONE_LP
             return
         # scale so the denominator has integer coefficients with positive
@@ -661,8 +665,11 @@ def _s_reduce_gcd(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
 
     A factor divides the numerator exactly when it divides every
     (x, v)-slice, so the gcd of the denominator with every slice is the
-    factor to cancel.  _s_reduce sends the denominators that are not
-    products of cyclotomic polynomials here.
+    factor to cancel.  Each gcd is taken over the integers (_poly_gcd), as
+    a primitive polynomial with a positive leading coefficient, so a gcd
+    that is a product of Phi_d(s) is the monic one and leaves num and den
+    as _s_reduce's trial division does.  _s_reduce sends the denominators
+    that are not products of cyclotomic polynomials here.
     """
     if any(e[0] or e[1] for e in den.terms):
         return num, den
@@ -678,10 +685,10 @@ def _s_reduce_gcd(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laur
         g = _poly_gcd(g, coe)
         if len(g) == 1:
             return num, den
-    dq = _exact_quo(dcoe, g)
+    dq = _divide(dcoe, g)
     terms = {}
     for ab, coe, lo in packs:
-        q = _exact_quo(coe, g)
+        q = _divide(coe, g)
         for e, c in enumerate(q):
             if c:
                 terms[(ab[0], ab[1], e + lo)] = _ratio(c)
@@ -832,7 +839,7 @@ def _reciprocal(sc: Scalar) -> Scalar | None:
     if split is None or _den_factors(sc.den) is None:
         return None
     (a, b, c), k, factors = split
-    return Scalar._raw(sc.den.mul_monomial(-a, -b, -c, Fraction(1, 1) / k), _cyclotomic_poly(factors))
+    return Scalar._raw(sc.den.mul_monomial(-a, -b, -c, _ratio(Fraction(1, k))), _cyclotomic_poly(factors))
 
 
 def delta() -> Scalar:
@@ -910,37 +917,87 @@ class PoleError(ValueError):
         self.order = order
 
 
-def _dense(p: dict[int, object]) -> tuple[list[Fraction], int]:
+def _dense(p: dict[int, object]) -> tuple[list, int]:
     """Laurent dict -> (dense coefficient list from degree 0, minimum exponent)."""
     lo = min(p)
-    hi = max(p)
-    coeffs = [Fraction(0)] * (hi - lo + 1)
+    coeffs = [0] * (max(p) - lo + 1)
     for e, c in p.items():
-        coeffs[e - lo] = Fraction(c)
+        coeffs[e - lo] = c
     return coeffs, lo
 
 
-def _poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        while a and not a[-1]:
-            a.pop()
-        if len(a) < len(b):
-            break
-        q = a[-1] / b[-1]
-        off = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[off + i] -= q * bc
-        a.pop()
+def _primitive(a: list) -> list[int]:
+    """The integer multiple of the nonzero dense polynomial a whose
+    coefficients have gcd 1 and whose leading coefficient is positive."""
+    if any(type(c) is not int for c in a):
+        scale = lcm(*(c.denominator for c in a))
+        a = [int(c * scale) for c in a]
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b, with the
+    zero leading terms stripped: each step scales a by no more than it
+    needs to cancel its top term against b."""
+    a = list(a)
+    nb = len(b) - 1
+    lead, low = b[-1], b[:nb]
+    for i in range(len(a) - 1, nb - 1, -1):
+        c = a[i]
+        if c:
+            g = gcd(c, lead)
+            m, c = lead // g, c // g
+            if m != 1:
+                a[:i] = [x * m for x in a[:i]]
+            off = i - nb
+            for j, bj in enumerate(low):
+                if bj:
+                    a[off + j] -= c * bj
+    del a[nb:]
     while a and not a[-1]:
         a.pop()
     return a
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        a, b = b, _poly_rem(a, b)
-    return [c / a[-1] for c in a]
+def _poly_gcd(a: list, b: list) -> list[int]:
+    """The gcd of two nonzero dense polynomials with rational coefficients,
+    as a primitive integer polynomial with a positive leading coefficient.
+
+    A primitive remainder sequence (Knuth, TAOCP 2, 4.6.1): each remainder
+    is a pseudo-remainder reduced to its primitive part, so the arithmetic
+    stays in integers and builds no Fraction.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _divide(a: list, b: list[int]) -> list:
+    """a / b for an integer b that divides a exactly; integer coefficients
+    stay ints where the quotient's coefficient is one."""
+    lead = b[-1]
+    nb = len(b) - 1
+    a = list(a)
+    q = [0] * (len(a) - nb)
+    low = b[:nb]
+    for i in range(len(a) - nb - 1, -1, -1):
+        c = a[i + nb]
+        if c:
+            c = c // lead if type(c) is int and not c % lead else Fraction(c, lead)
+            q[i] = c
+            for j, bj in enumerate(low):
+                if bj:
+                    a[i + j] -= c * bj
+    return q
 
 
 def _t_poly(terms: dict[int, object]) -> LaurentPoly:
@@ -1026,18 +1083,18 @@ def specialize_sln(value, n: int) -> TFraction:
     return TFraction(num, den)
 
 
-def _h_series(tpoly: dict[int, object], n: int, order: int) -> list[Fraction]:
-    """Taylor coefficients in h of sum c_k t^k at t = e^(h/2N), through h^order."""
-    coeffs = []
-    for j in range(order + 1):
-        acc = Fraction(0)
-        fact = 1
-        for i in range(1, j + 1):
-            fact *= i
-        for k, c in tpoly.items():
-            acc += Fraction(c) * Fraction(k, 2 * n) ** j
-        coeffs.append(acc / fact)
-    return coeffs
+def _h_series(tpoly: dict[int, object]):
+    """Yield the power sums sum c_k k^j of sum c_k t^k for j = 0, 1, 2, ...
+
+    The j-th is j! (2N)^j times the Taylor coefficient of h^j at
+    t = e^(h/2N), so the sums are the coefficients of an exponential
+    generating function in u = h/2N, and they stay ints when the c_k are.
+    """
+    ks = list(tpoly)
+    terms = list(tpoly.values())
+    while True:
+        yield sum(terms)
+        terms = [c * k for c, k in zip(terms, ks)]
 
 
 def h_expand(f, n: int, order: int) -> list:
@@ -1048,6 +1105,10 @@ def h_expand(f, n: int, order: int) -> list:
     at least the same order (the singularity is then removable, as happens
     for delta at any N).  A genuine pole raises PoleError with the
     denominator's vanishing order.
+
+    Both sides are taken as exponential generating functions in u = h/2N
+    (_h_series), scaled to integer ordinary series, and divided in
+    integers; each coefficient takes one division at the end.
     """
     if order < 0:
         raise ValueError("h_expand needs order >= 0")
@@ -1055,18 +1116,32 @@ def h_expand(f, n: int, order: int) -> list:
         raise TypeError("specialise first: h_expand takes the result of specialize_sln")
     # a nonzero finite sum of exponentials e^(k h/2N) vanishes at h = 0 to
     # order at most (number of distinct exponents - 1)
-    probe = _h_series(f.den, n, len(f.den))
-    van = next(i for i, c in enumerate(probe) if c)
-    num_series = _h_series(f.num, n, order + van)
-    den_series = _h_series(f.den, n, order + van)
-    if any(num_series[i] for i in range(van)):
+    den_sums = _h_series(f.den)
+    van = 0
+    while not (b0 := next(den_sums)):
+        van += 1
+    den = [b0, *islice(den_sums, order)]
+    num = list(islice(_h_series(f.num), order + van + 1))
+    if any(num[:van]):
         raise PoleError(van)
-    num_series = num_series[van:]
-    den_series = den_series[van:]
-    out: list[Fraction] = []
+    # the u^(j + van) terms carry 1/(j + van)!; scale both sides by
+    # (order + van)!, which leaves the quotient as it is
+    scale = [1] * (order + 1)
+    for j in range(order - 1, -1, -1):
+        scale[j] = scale[j + 1] * (j + van + 1)
+    num = [c * m for c, m in zip(num[van:], scale)]
+    den = [c * m for c, m in zip(den, scale)]
+    # quotient coefficient j of u is w[j] / den[0]^(j + 1), w[j] integral
+    # when both sides are
+    lead = [1]
+    for _ in range(order + 1):
+        lead.append(lead[-1] * den[0])
+    w: list = []
+    out = []
     for j in range(order + 1):
-        acc = num_series[j]
+        acc = num[j] * lead[j]
         for i in range(j):
-            acc -= out[i] * den_series[j - i]
-        out.append(acc / den_series[0])
-    return [_ratio(c) for c in out]
+            acc -= w[i] * den[j - i] * lead[j - i - 1]
+        w.append(acc)
+        out.append(_ratio(Fraction(acc, lead[j + 1] * (2 * n) ** j)))
+    return out

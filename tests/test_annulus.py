@@ -245,6 +245,51 @@ def test_plane_evaluation():
         assert val == delta() * curl ** (m - 1), m
 
 
+def _epsilon_plane_per_key(e):
+    """Oracle: the planar value as one rational sum per key,
+    c * delta^k * (x v^-1)^(sum(key) - k) for a key of k windings."""
+    acc = Scalar.zero()
+    for key, c in e.terms.items():
+        exp = sum(key) - len(key)
+        acc = acc + c * delta() ** len(key) * Scalar.monomial(exp, -exp, 0)
+    return acc
+
+
+_small_polys = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3)), st.integers(-4, 4), max_size=3
+).map(LaurentPoly)
+# coefficients over 1, over quantum integers as the skein computations
+# build them, and over a denominator in v, which takes the general route
+_plane_coefficients = st.one_of(
+    _small_polys.map(Scalar),
+    st.builds(Scalar, _small_polys, st.sampled_from([quantum_int(k) for k in range(2, 5)])),
+    st.builds(Scalar, _small_polys, st.just(LaurentPoly({(0, 1, 0): 1, (0, 0, 0): 2}))),
+)
+_annulus_elements = st.dictionaries(
+    st.lists(st.integers(1, 3), max_size=4).map(lambda ks: tuple(sorted(ks, reverse=True))),
+    _plane_coefficients,
+    max_size=4,
+).map(AnnulusElement)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_annulus_elements)
+def test_epsilon_plane_matches_the_per_key_sum(e):
+    got, want = epsilon_plane(e), _epsilon_plane_per_key(e)
+    assert got == want
+    if not any(a or b for c in e.terms.values() for a, b, _ in c.den.terms):
+        # denominators in s alone have one normal form
+        assert repr(got) == repr(want)
+
+
+def test_epsilon_plane_of_closures_prints_as_the_per_key_sum():
+    rng = random.Random(31)
+    for n in (2, 3, 4):
+        for _ in range(6):
+            e = closure_word(BraidWord(n, rand_word(rng, n, 8)))
+            assert repr(epsilon_plane(e)) == repr(_epsilon_plane_per_key(e))
+
+
 def test_q_normalization():
     assert Q(Partition((1,))) == a_gen(1)
     xinv = Scalar.monomial(-1, 0, 0)

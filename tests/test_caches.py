@@ -12,7 +12,7 @@ import qskein
 import qskein.adams_skein
 import qskein.verify
 from qskein.adams_skein import P, a_braid, cycle_closure, negative_cycle_expansion, positive_cycle_expansion
-from qskein.annulus import Q, _closure_step, _theta_key, a_in_Q_basis, closed_idempotent
+from qskein.annulus import Q, _closure_step, _loops, _theta_key, a_in_Q_basis, closed_idempotent
 from qskein.chords import _lift_table
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import _symmetric_group, e_lambda
@@ -52,6 +52,7 @@ CASES = [
     (_closure_step, ((3, 2, 0, 1),)),
     (_symmetric_group, (4,)),
     (_lift_table, (8, 3)),
+    (_loops, (2, 3)),
 ]
 IDS = [fn.__name__ + str(args[0] if len(args) == 1 else args) for fn, args in CASES]
 

@@ -11,7 +11,7 @@ from qskein.chords import CHORD_CAP
 from qskein.cli import _format_hseries, main
 from qskein.diagram_ring import DiagramVector
 from qskein.jsonio import decode_annulus, decode_diagrams, decode_outcome
-from qskein.parsing import ECHO_WIDTH
+from qskein.parsing import ECHO_WIDTH, INTEGER_DIGITS_CAP
 from qskein.partitions import Partition, lr_product
 from qskein.scalars import Scalar
 from qskein.adams_skein import Inconsistent
@@ -434,6 +434,38 @@ def test_a_long_refused_literal_is_echoed_clipped_around_the_caret(capsys):
     shown = echo[5:-3]
     assert literal[pos - (col - 5):][:len(shown)] == shown
     assert echo[col] == literal[pos]
+
+
+@pytest.mark.parametrize("command,head,digits,tail", [
+    ("psi-chords", "1-", 5000, ["2"]),
+    ("psi-chords", "1-", 4000, ["2"]),
+    ("theta", "c", 5000, []),
+    ("theta", "", INTEGER_DIGITS_CAP + 1, []),
+])
+def test_an_integer_over_the_digit_cap_is_refused_at_its_first_digit(capsys, command, head, digits, tail):
+    # past 4,300 digits int() itself refuses, and below that the chord
+    # refusal would repeat the whole endpoint in its reason
+    code, out, err = run(capsys, command, head + "9" * digits, *tail)
+    assert code == 2 and out == ""
+    reason, echo, caret = err.splitlines()
+    assert reason == "error: an integer of %d digits is over the cap of %d digits at position %d" % (
+        digits, INTEGER_DIGITS_CAP, len(head))
+    assert max(map(len, (reason, echo, caret))) <= ECHO_WIDTH + 8
+    assert caret == "  " + " " * len(head) + "^"
+
+
+@pytest.mark.parametrize("argv", [("psi-chords", "1-\u00b2", "2"), ("theta", "s^\u00b2"), ("theta", "c1\u00b2")])
+def test_a_digit_that_is_not_ascii_is_a_parse_error(capsys, argv):
+    # str.isdigit() holds for superscripts, which int() refuses
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert " at position " in err.splitlines()[0] and "int()" not in err
+
+
+def test_an_integer_at_the_digit_cap_is_read(capsys):
+    literal = "7" * INTEGER_DIGITS_CAP
+    code, out, err = run(capsys, "theta", literal)
+    assert (code, out, err) == (0, literal + "\n", "")
 
 
 def test_verify_suite(capsys):
