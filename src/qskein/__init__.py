@@ -69,7 +69,7 @@ from .adams_skein import (
     torus_braid,
     torus_invariant,
 )
-from .chords import CROSSING, PARALLEL, ChordDiagram, all_diagrams, psi_chords
+from .chords import CROSSING, PARALLEL, ChordDiagram, all_diagrams, psi_chords, weight_system
 from .verify import run_suite, suite_names
 
 __all__ = [
@@ -87,5 +87,5 @@ __all__ = [
     "psi_chords", "q_hook", "quantum_factorial", "quantum_int", "rosso_jones",
     "run_suite", "solve_pattern", "specialize_sln",
     "suite_names", "tensor", "theta", "torus_braid", "torus_invariant",
-    "transpose_permutation",
+    "transpose_permutation", "weight_system",
 ]

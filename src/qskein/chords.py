@@ -10,9 +10,14 @@ are enumerated by order, grouped by their number of descents, and each
 order is weighted by the number of sheet assignments that produce it.
 The orders, their inverses and their descents do not depend on the diagram,
 so up to LIFT_TABLE_ROWS of them are built once per number of points and
-shared by every diagram of that size (_lift_table).
+shared by every diagram of that size (_lift_table).  Nor does the class of
+a lifted word, a matching on the lifted points, so up to LIFT_TABLE_ROWS
+words per number of points keep their canonical ChordDiagram across calls
+(_word_class).
 """
 
+from collections import namedtuple
+from fractions import Fraction
 from functools import cache
 from math import comb
 from operator import itemgetter
@@ -25,11 +30,16 @@ from operator import itemgetter
 # 39,914,763 and are refused.  The count is made before any enumeration.
 LIFT_CAP = 2_000_000
 
-# Most rows _lift_table keeps for one size.  A row costs 340-410 bytes at
-# 8-12 points: 4 chords at m = 3 keep 1,312 rows in 0.45 MB, 5 chords at
-# m = 3 keep 15,111 in 5.7 MB, and all 16 tables the bound admits (up to 7
-# chords, at m = 2) hold 46,359 rows in 17 MB.  A larger count is walked
-# afresh by each call in O(2n) memory, as any count up to LIFT_CAP may be.
+# Most rows _lift_table keeps for one size, and most words _word_class keeps
+# for one number of points.  A row costs 340-410 bytes at 8-12 points: 4
+# chords at m = 3 keep 1,312 rows in 0.45 MB, 5 chords at m = 3 keep 15,111
+# in 5.7 MB, and all 16 tables the bound admits (up to 7 chords, at m = 2)
+# hold 46,359 rows in 17 MB.  A larger count is walked afresh by each call in
+# O(2n) memory, as any count up to LIFT_CAP may be.  A word is one of the
+# (2n - 1)!! matchings on 2n points and costs about 165 bytes at 12 points,
+# so 6 chords keep all 10,395 in 1.7 MB, and only from 7 chords on (135,135
+# matchings) does the bound stop the word memo; a word past it is
+# canonicalised afresh by each call and not kept.
 LIFT_TABLE_ROWS = 20_000
 
 # Most chords parse_matching admits; it refuses an endpoint past 2 * CHORD_CAP
@@ -219,6 +229,70 @@ def _lift_table(points: int, m: int) -> tuple:
     return tuple(_lift_rows(points, m))
 
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _WordClasses:
+    """The ChordDiagram of each lifted word psi_chords meets, kept for every
+    later call: a word is a matching on the lifted points, word[k] the
+    partner of point k, and does not depend on the diagram lifted.
+
+    A new word is keyed by the least rotation of its offset word, the
+    distance mod 2n from each point to its partner: two matchings agree up
+    to rotation exactly when their offset words do.  At most LIFT_TABLE_ROWS
+    words are kept per number of points; a word past that is keyed afresh
+    by each call.  cache_info and cache_clear are those of functools.cache;
+    maxsize is None because no word is ever evicted."""
+
+    __name__ = "_word_class"
+
+    def __init__(self):
+        self.tables: dict[int, dict[tuple, ChordDiagram]] = {}
+        self.hits = self.misses = 0
+
+    def __call__(self, word: tuple) -> ChordDiagram:
+        """The class of one word."""
+        (diagram,) = self.tally({word: 1}, len(word))
+        return diagram
+
+    def tally(self, words: dict[tuple, int], points: int) -> dict[ChordDiagram, int]:
+        """Sum the counts of words on points points by class."""
+        known = self.tables.setdefault(points, {})
+        room = LIFT_TABLE_ROWS - len(known)
+        classes: dict[ChordDiagram, int] = {}
+        keyed: dict[tuple, ChordDiagram] = {}
+        span = range(points)
+        misses = 0
+        for word, count in words.items():
+            diagram = known.get(word)
+            if diagram is None:
+                misses += 1
+                offsets = tuple((q - k) % points for k, q in enumerate(word))
+                doubled = offsets + offsets
+                key = min(doubled[r:r + points] for r in span)
+                diagram = keyed.get(key)
+                if diagram is None:
+                    diagram = keyed[key] = ChordDiagram(
+                        (i, i + step) for i, step in enumerate(key) if i + step < points)
+                if room > 0:
+                    known[word] = diagram
+                    room -= 1
+            classes[diagram] = classes.get(diagram, 0) + count
+        self.hits += len(words) - misses
+        self.misses += misses
+        return classes
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, None, sum(map(len, self.tables.values())))
+
+    def cache_clear(self) -> None:
+        self.tables.clear()
+        self.hits = self.misses = 0
+
+
+_word_class = _WordClasses()
+
+
 def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     """Sum of all lifts of the diagram to the m-fold cover of the circle,
     sorted by diagram.
@@ -242,9 +316,8 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     each lifted point's partner.  The orders and their inverses are the
     same for every diagram with 2n points, so for up to LIFT_TABLE_ROWS
     orders they are read from a table built once per size (_lift_table).
-    Each distinct word is then keyed by the least rotation of its offset
-    word, the distance mod 2n from each lifted point to its partner: two
-    matchings agree up to rotation exactly when their offset words do.
+    Each distinct word then takes its class from a memo shared by every call
+    (_word_class).
 
     >>> psi_chords(ChordDiagram([(0, 1)]), 3)
     {ChordDiagram([(0, 1)]): 9}
@@ -273,13 +346,58 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     for order, lifted, d in rows:
         word = order(across(lifted))
         words[word] = words.get(word, 0) + weights[d]
-    span = range(points)
-    classes: dict[tuple, int] = {}
-    for word, count in words.items():
-        offsets = tuple((q - k) % points for k, q in enumerate(word))
-        doubled = offsets + offsets
-        key = min(doubled[r:r + points] for r in span)
-        classes[key] = classes.get(key, 0) + count
-    return dict(sorted(
-        (ChordDiagram((i, i + step) for i, step in enumerate(key) if i + step < points), count)
-        for key, count in classes.items()))
+    return dict(sorted(_word_class.tally(words, points).items()))
+
+
+# Most chords weight_system sums over: its state sum has 2^n states of O(n)
+# steps each, and n = 16 takes about 0.35 s.  A larger diagram is refused
+# before the sum.
+WEIGHT_SYSTEM_CHORD_CAP = 16
+
+
+def weight_system(diagram: ChordDiagram, n: int) -> Fraction:
+    """The weight system of the sl(N) invariant coloured by the fundamental
+    representation, at N = n, on a chord diagram.
+
+    Each chord is resolved either into the exchange of its two strands,
+    with weight 1, or into the identity, with weight -1/N, and each circle
+    the 2^chords resolutions leave counts N.  With the exchanged chords'
+    points joined to their partners, the circles are the cycles of
+    k -> (partner of k if its chord is exchanged, else k) + 1 mod 2n, and
+    the bare circle counts N.
+
+    >>> weight_system(ChordDiagram([(0, 1)]), 3)
+    Fraction(8, 1)
+    >>> weight_system(ChordDiagram([(0, 2), (1, 3)]), 3)
+    Fraction(-8, 3)
+    """
+    if n < 1:
+        raise ValueError("N must be positive")
+    if diagram.chords > WEIGHT_SYSTEM_CHORD_CAP:
+        raise ValueError("the weight system of %d chords sums 2^%d states, over the cap of %d chords"
+                         % (diagram.chords, diagram.chords, WEIGHT_SYSTEM_CHORD_CAP))
+    points = 2 * diagram.chords
+    if not points:
+        return Fraction(n)
+    partner = [0] * points
+    chord = [0] * points
+    for i, (a, b) in enumerate(diagram.pairs):
+        partner[a], partner[b] = b, a
+        chord[a] = chord[b] = i
+    # signed count of the states by circles minus identity chords
+    states: dict[int, int] = {}
+    for state in range(1 << diagram.chords):
+        step = [(partner[k] if state >> chord[k] & 1 else k) + 1 for k in range(points)]
+        step[step.index(points)] = 0
+        seen = [False] * points
+        circles = 0
+        for k in range(points):
+            if not seen[k]:
+                circles += 1
+                while not seen[k]:
+                    seen[k] = True
+                    k = step[k]
+        identities = diagram.chords - state.bit_count()
+        exponent = circles - identities
+        states[exponent] = states.get(exponent, 0) + (-1) ** identities
+    return sum((Fraction(n) ** e * c for e, c in states.items()), Fraction(0))

@@ -3,7 +3,7 @@ column-polynomial expressions, partition literals, braid words (returned
 as a BraidWord), and chord matchings.  Each literal type has exactly one
 parser here.  All errors carry the offending position in the input."""
 
-from math import comb, lcm, log2, prod
+from math import comb, lcm, log2, log10, prod
 
 from .chords import CHORD_CAP, ChordDiagram
 from .diagram_ring import CPoly, gen
@@ -121,23 +121,28 @@ class _Scanner:
 # Values are carried as column polynomials; purely scalar subexpressions stay
 # invertible, so fractions like (s - s^-1)/(v - v^-1) parse fine.  An
 # exponent larger than EXPONENT_CAP in absolute value is a parse error, raised
-# before the power is taken.  So is a power of a base with more than one term
-# whose result _power_size puts over POWER_SIZE_CAP bits.
+# before the power is taken.  So is a power whose result _power_size puts
+# over POWER_SIZE_CAP bits, counted over the powers of bases with more than
+# one term, or whose longest coefficient it puts over COEFFICIENT_DIGITS_CAP
+# decimal digits: Python refuses to print an int of more than 4,300 digits.
 
 EXPONENT_CAP = 5000
 POWER_SIZE_CAP = 2_000_000
+COEFFICIENT_DIGITS_CAP = 4000
 
 
-def _power_size(value: CPoly, n: int) -> int:
-    """Estimated bits in value^n.  N alone does not bound the work: (s+1)^N
-    has N+1 terms of up to N bits, (x+v+s)^N about N^2/2 terms.  The sum
-    runs over the polynomials the power expands: the numerator over every
-    column monomial, and each distinct denominator.  One of k > 1 terms
-    gets the fewer of the monomials in the box n times its exponents span
-    and the multisets of n terms; each holds n * log2(1-norm * L^2) bits,
-    L the common denominator, and n times the longest key's column indices
-    at 64 bits each.  (s+1)^1000 holds about 10^6 bits; (s+1)^5000,
-    (x+v+s)^150 and (c1+c2)^200 are over the cap."""
+def _power_size(value: CPoly, n: int) -> tuple[int, float]:
+    """Estimated bits in value^n, and in its longest coefficient.  N alone
+    does not bound the work: (s+1)^N has N+1 terms of up to N bits,
+    (x+v+s)^N about N^2/2 terms.  The sum runs over the polynomials the
+    power expands: the numerator over every column monomial, and each
+    distinct denominator.  Each coefficient of a polynomial's n-th power
+    holds at most n * log2(1-norm * L^2) bits, L the common denominator.
+    One of k > 1 terms gets the fewer of the monomials in the box n times
+    its exponents span and the multisets of n terms, each with those bits
+    and n times the longest key's column indices at 64 bits each.
+    (s+1)^1000 holds about 10^6 bits; (s+1)^5000, (x+v+s)^150 and
+    (c1+c2)^200 are over the cap."""
     cols = sorted({j for key in value.terms for j in key})
     numerator = {
         exps + tuple(key.count(j) for j in cols): k
@@ -146,14 +151,17 @@ def _power_size(value: CPoly, n: int) -> int:
     }
     polys = [(numerator, 64 * max(map(len, value.terms), default=0))]
     polys += [(den.terms, 0) for den in {c.den for c in value.terms.values()}]
-    size = 0
+    size, longest = 0, 0.0
     for poly, key_bits in polys:
+        if not poly:
+            continue
+        den = lcm(*(k.denominator for k in poly.values()))
+        bits = max(1.0, log2(int(sum(map(abs, poly.values())) * den) * den))
+        longest = max(longest, n * bits)
         if len(poly) > 1:
             terms = min(prod(n * (max(a) - min(a)) + 1 for a in zip(*poly)), comb(n + len(poly) - 1, n))
-            den = lcm(*(k.denominator for k in poly.values()))
-            bits = max(1.0, log2(int(sum(map(abs, poly.values())) * den) * den))
             size += int(terms * n * (bits + key_bits))
-    return size
+    return size, longest
 
 
 def _atom(sc: _Scanner) -> CPoly:
@@ -194,9 +202,13 @@ def _factor(sc: _Scanner) -> CPoly:
         n = sc.integer()
         if abs(n) > EXPONENT_CAP:
             sc.error("exponent %d is over the cap of %d" % (n, EXPONENT_CAP), at)
-        size = _power_size(value, abs(n))
+        size, longest = _power_size(value, abs(n))
         if size > POWER_SIZE_CAP:
             sc.error("the power would hold about %d bits, over the cap of %d" % (size, POWER_SIZE_CAP), at)
+        digits = int(longest * log10(2)) + 1
+        if digits > COEFFICIENT_DIGITS_CAP:
+            sc.error("the power's coefficients would have up to %d digits, over the cap of %d"
+                     % (digits, COEFFICIENT_DIGITS_CAP), at)
         if n < 0:
             return CPoly.one().scale(_scalar_part(sc, value, start) ** n)
         return value ** n

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+import qskein.adams_skein
 from qskein.adams_skein import (
     Inconsistent,
     P,
     PatternSystem,
+    TORUS_HOOK_CAP,
+    TORUS_WORK_CAP,
     Solution,
     a_braid,
     cable_counterexample,
@@ -27,7 +30,7 @@ from qskein.adams_skein import (
     torus_invariant,
     truncate,
 )
-from qskein.annulus import Q, a_gen, closure_word
+from qskein.annulus import Q, a_gen, closure_word, epsilon_plane
 from qskein.diagram_ring import CPoly, gen
 from qskein.hecke import BraidWord
 from qskein.partitions import Partition
@@ -152,6 +155,55 @@ def test_torus_invariant_normalization():
     assert normalized == want
     series = h_expand(torus_invariant(2, 3, sl=2, normalize=True), 2, 3)
     assert series == [2, 0, Fraction(-23, 4), 12]
+
+
+def test_torus_invariant_equals_the_closed_braid():
+    # knots take the planar Rosso-Jones sum and links the braid closure
+    for m in range(1, 20):
+        for p in range(1, 20):
+            if (m - 1) * p > 18:
+                continue
+            want = epsilon_plane(closure_word(torus_braid(m, p)))
+            got = torus_invariant(m, p)
+            assert got == want, (m, p)
+            assert (str(got), repr(got)) == (str(want), repr(want)), (m, p)
+
+
+def test_a_wide_torus_knot_is_the_narrow_braid_reframed():
+    # the (m, p) and (p, m) braids close to one knot, with writhes differing
+    # by m - p; the narrow braid closes fast where the wide one would not
+    for m, p in ((12, 5), (9, 4), (11, 3), (13, 2)):
+        want = epsilon_plane(closure_word(torus_braid(p, m))) * Scalar.monomial(m - p, p - m, 0)
+        got = torus_invariant(m, p)
+        assert got == want and str(got) == str(want), (m, p)
+
+
+def test_a_torus_knot_never_closes_its_braid(monkeypatch):
+    def no_closure(word):
+        raise AssertionError("closed the braid %s" % word)
+
+    monkeypatch.setattr(qskein.adams_skein, "closure_word", no_closure)
+    assert torus_invariant(2, 3, normalize=True) * Scalar.monomial(3, -3, 0) == torus_invariant(2, 3)
+    for m, p in ((12, 5), (5, 12), (7, 20), (1, 7), (7, 1), (1000, 1)):
+        assert not torus_invariant(m, p, sl=3, normalize=True).is_zero()
+    with pytest.raises(AssertionError, match="closed the braid"):
+        torus_invariant(2, 4)
+
+
+def test_torus_knot_caps_refuse_before_any_work(monkeypatch):
+    def no_hooks(k):
+        raise AssertionError("built the hook numerators")
+
+    monkeypatch.setattr(qskein.adams_skein, "_hook_numerators", no_hooks)
+    k = TORUS_HOOK_CAP + 1
+    with pytest.raises(ValueError, match="sums hooks of %d cells, over the cap of %d" % (k, TORUS_HOOK_CAP)):
+        torus_invariant(k + 1, k)
+    # the work cap bounds top * k^3 at any k under the hook cap
+    top = TORUS_WORK_CAP // 8 + 1
+    with pytest.raises(ValueError, match="estimated work %d, over the cap of %d" % (8 * top, TORUS_WORK_CAP)):
+        torus_invariant(2, top)
+    with pytest.raises(ValueError, match="must be positive"):
+        torus_invariant(0, 1)
 
 
 def test_pattern_solution_exact():

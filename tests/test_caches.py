@@ -11,9 +11,11 @@ import pytest
 import qskein
 import qskein.adams_skein
 import qskein.verify
-from qskein.adams_skein import P, a_braid, cycle_closure, negative_cycle_expansion, positive_cycle_expansion
+from qskein.adams_skein import (
+    P, _hook_numerators, a_braid, cycle_closure, negative_cycle_expansion, positive_cycle_expansion,
+)
 from qskein.annulus import Q, _closure_step, _loops, _theta_key, a_in_Q_basis, closed_idempotent
-from qskein.chords import _lift_table
+from qskein.chords import _lift_table, _word_class
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import _symmetric_group, e_lambda
 from qskein.partitions import Partition
@@ -23,12 +25,13 @@ from qskein.verify import DEFAULT_MAX, run_suite
 
 
 def _cached_functions():
-    """Every object with cache_clear in the globals of a qskein module, once."""
+    """Every object with cache_clear in the globals of a qskein module, once,
+    but not a class, whose cache_clear is its instances'."""
     found = {}
     for info in pkgutil.iter_modules(qskein.__path__):
         module = importlib.import_module("qskein." + info.name)
         for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
+            if hasattr(obj, "cache_clear") and not isinstance(obj, type):
                 found[id(obj)] = obj
     return list(found.values())
 
@@ -42,6 +45,7 @@ CASES = [
     (closed_idempotent, (Partition((2, 1)),)),
     (cycle_closure, (3, 0)),
     (cycle_closure, (0, 3)),
+    (_hook_numerators, (4,)),
     (e_lambda, (Partition((2, 1)),)),
     (e_lambda, (Partition((3, 1)),)),
     (d, (5,)),
@@ -52,6 +56,7 @@ CASES = [
     (_closure_step, ((3, 2, 0, 1),)),
     (_symmetric_group, (4,)),
     (_lift_table, (8, 3)),
+    (_word_class, ((3, 4, 5, 0, 1, 2),)),
     (_loops, (2, 3)),
 ]
 IDS = [fn.__name__ + str(args[0] if len(args) == 1 else args) for fn, args in CASES]

@@ -1,6 +1,7 @@
 """Chord diagrams and their lifts to cyclic covers."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import qskein.chords
 from qskein.chords import (
     CROSSING, PARALLEL, LIFT_CAP, LIFT_TABLE_ROWS, ChordDiagram, _lift_order_count, _lift_orders,
-    _lift_table, _order_weights, all_diagrams, psi_chords,
+    _lift_table, _order_weights, _word_class, all_diagrams, psi_chords, weight_system,
 )
 
 
@@ -320,3 +321,109 @@ def test_the_identity_cover_walks_no_orders(monkeypatch):
     parallel = ChordDiagram([(2 * i, 2 * i + 1) for i in range(qskein.chords.CHORD_CAP)])
     assert psi_chords(parallel, 1) == {parallel: 1}
     assert _lift_table.cache_info().currsize == 0
+
+
+_MEMO_CASES = [(dg, m) for n in (1, 2, 3, 4) for dg in all_diagrams(n) for m in (2, 3)]
+
+
+def test_tallies_do_not_depend_on_the_word_memo():
+    _word_class.cache_clear()
+    cold = {(dg, m): psi_chords(dg, m) for dg, m in _MEMO_CASES}
+    assert _word_class.cache_info().currsize > 0
+    for dg, m in _MEMO_CASES:
+        assert list(psi_chords(dg, m).items()) == list(cold[dg, m].items()), (dg, m)
+    # the memo filled in the reverse order serves the same tallies
+    _word_class.cache_clear()
+    for dg, m in reversed(_MEMO_CASES):
+        assert list(psi_chords(dg, m).items()) == list(cold[dg, m].items()), (dg, m)
+        if dg.chords <= 2:
+            assert psi_chords(dg, m) == _psi_chords_brute(dg, m), (dg, m)
+
+
+def test_the_word_memo_keys_each_word_once_across_calls():
+    _word_class.cache_clear()
+    for dg in all_diagrams(4):
+        psi_chords(dg, 3)
+    info = _word_class.cache_info()
+    # every word met is one of the 7!! = 105 matchings on 8 points
+    assert info.misses == info.currsize == len(_word_class.tables[8]) <= 105
+    for dg in all_diagrams(4):
+        psi_chords(dg, 3)
+    again = _word_class.cache_info()
+    assert (again.misses, again.currsize) == (info.misses, info.currsize)
+    assert again.hits > info.hits
+
+
+def test_the_word_memo_stays_within_its_bound(monkeypatch):
+    want = {(dg, m): psi_chords(dg, m) for dg, m in _MEMO_CASES}
+    _word_class.cache_clear()
+    monkeypatch.setattr(qskein.chords, "LIFT_TABLE_ROWS", 7)
+    for dg, m in _MEMO_CASES:
+        assert psi_chords(dg, m) == want[dg, m], (dg, m)
+        assert all(len(table) <= 7 for table in _word_class.tables.values())
+    assert len(_word_class.tables[8]) == 7
+    # past the bound every call keys its words afresh and keeps none
+    monkeypatch.setattr(qskein.chords, "LIFT_TABLE_ROWS", 0)
+    _word_class.cache_clear()
+    for dg, m in _MEMO_CASES:
+        assert psi_chords(dg, m) == want[dg, m], (dg, m)
+    assert _word_class.cache_info().currsize == 0
+
+
+def test_weight_system_values():
+    for n in (1, 2, 3, 4, 7):
+        assert weight_system(ChordDiagram([]), n) == n
+        assert weight_system(ChordDiagram([(0, 1)]), n) == n * n - 1
+        # an isolated chord splits off the factor (N^2 - 1) / N
+        assert weight_system(PARALLEL, n) == Fraction((n * n - 1) ** 2, n)
+    assert weight_system(CROSSING, 3) == Fraction(-8, 3)
+    assert weight_system(PARALLEL, 3) == Fraction(64, 3)
+    with pytest.raises(ValueError):
+        weight_system(PARALLEL, 0)
+
+
+def _matchings(points):
+    """Every perfect matching of the list points, as lists of pairs."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, other in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other)] + tail
+
+
+def _four_term_configurations(max_chords):
+    """(u-, u+, w-, w+) for every four-term configuration of at most
+    max_chords chords: a moving chord from a fixed point 0 whose other end
+    sits just before or just after an end u or w of one chord (u, w) of a
+    matching of the points 1..2k after it, for k < max_chords."""
+    for k in range(1, max_chords):
+        for matching in _matchings(list(range(1, 2 * k + 1))):
+            for u, w in matching:
+                def moved(end):
+                    # half-integer ends place the free end between two points
+                    ends = sorted(p for chord in matching for p in chord) + [0, end]
+                    rank = {p: r for r, p in enumerate(sorted(ends))}
+                    return ChordDiagram([(rank[a], rank[b]) for a, b in matching + [(0, end)]])
+                yield tuple(moved(end) for end in (u - 0.5, u + 0.5, w - 0.5, w + 0.5))
+
+
+def test_weight_system_satisfies_the_four_term_relation():
+    configurations = list(_four_term_configurations(4))
+    # (2k - 1)!! matchings of k chords times their k chords, for k = 1, 2, 3
+    assert len(configurations) == 1 + 3 * 2 + 15 * 3
+    for n in (2, 3, 4):
+        for u_before, u_after, w_before, w_after in configurations:
+            w = {dg: weight_system(dg, n) for dg in (u_before, u_after, w_before, w_after)}
+            assert w[u_before] - w[u_after] + w[w_before] - w[w_after] == 0
+            # the relation with its last two signs flipped fails, so each row discriminates
+            assert w[u_before] - w[u_after] - w[w_before] + w[w_after] != 0
+
+
+def test_weight_system_refuses_past_its_cap_before_the_sum(monkeypatch):
+    monkeypatch.setattr(qskein.chords, "WEIGHT_SYSTEM_CHORD_CAP", 2)
+    assert weight_system(CROSSING, 2) == Fraction(-3, 2)
+    three = ChordDiagram([(0, 1), (2, 3), (4, 5)])
+    with pytest.raises(ValueError, match="weight system of 3 chords sums 2\\^3 states, over the cap of 2"):
+        weight_system(three, 2)

@@ -227,6 +227,29 @@ def test_power_size_cap_refuses_before_the_power(capsys, monkeypatch):
         assert "bits, over the cap of %d at position %d\n" % (POWER_SIZE_CAP, at) in err
 
 
+def test_a_power_with_coefficients_past_the_digit_cap_is_refused_at_the_exponent(capsys, monkeypatch):
+    from qskein.linear import FormalSum
+    from qskein.parsing import COEFFICIENT_DIGITS_CAP
+    from qskein.scalars import LaurentPoly, Scalar
+
+    def no_power(*args):
+        raise AssertionError("took a power past the cap")
+
+    big = "1" + "0" * 100
+    # (10^100 s + 1)^39 has a coefficient 10^3900, which prints
+    code, out, err = run(capsys, "theta", "(%s*s+1)^39" % big)
+    assert (code, err) == (0, "")
+    assert out.startswith("1%s*s^39 + 39%s*s^38 + " % ("0" * 3900, "0" * 3800))
+    for cls in (FormalSum, Scalar, LaurentPoly):
+        monkeypatch.setattr(cls, "__pow__", no_power)
+    # at 45 it would be 10^4500, past Python's 4,300-digit limit on printing
+    for text in ("(%s*s+1)^45" % big, "(%s*s)^45" % big, "(%s*s+1)^-45" % big, "(%s)^45" % big):
+        code, out, err = run(capsys, "theta", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the power's coefficients would have up to ")
+        assert " digits, over the cap of %d at position %d\n" % (COEFFICIENT_DIGITS_CAP, text.index("^") + 1) in err
+
+
 def test_powers_under_the_size_cap_run(capsys):
     code, out, err = run(capsys, "theta", "c1^4500")
     assert (code, out, err) == (0, "A1^4500\n", "")
@@ -347,11 +370,14 @@ def test_power_size_bounds_the_result(text):
 
     base = parse_cpoly(text)
     for n in (1, 2, 5, 9):
+        size, longest = _power_size(base, n)
         bits = 0.0
         for key, c in (base ** n).terms.items():
             for k in c.num.terms.values():
-                bits += log2(abs(k.numerator)) + log2(k.denominator) + 64 * len(key)
-        assert bits <= _power_size(base, n), (text, n)
+                coefficient = log2(abs(k.numerator)) + log2(k.denominator)
+                assert coefficient <= longest, (text, n)
+                bits += coefficient + 64 * len(key)
+        assert bits <= size, (text, n)
 
 
 def test_recursion_error_is_reported(capsys, monkeypatch):
@@ -576,6 +602,27 @@ def test_torus_link_two_components(capsys):
     code, out, _ = run(capsys, "torus", "2", "4", "--sl", "2", "--h-order", "2")
     assert code == 0
     assert out == "4 + 7*h^2\n"
+
+
+def test_torus_knots_past_the_caps_exit_2(capsys):
+    from qskein.adams_skein import TORUS_HOOK_CAP, TORUS_WORK_CAP
+
+    k = TORUS_HOOK_CAP + 1
+    assert run(capsys, "torus", str(k), str(k + 1), "--sl", "3") == (
+        2, "", "error: the (%d, %d) torus knot sums hooks of %d cells, over the cap of %d\n"
+        % (k, k + 1, k, TORUS_HOOK_CAP))
+    top = TORUS_WORK_CAP // 8 + 1
+    assert run(capsys, "torus", str(top), "2") == (
+        2, "", "error: the (%d, 2) torus knot has estimated work %d, over the cap of %d\n"
+        % (top, 8 * top, TORUS_WORK_CAP))
+
+
+def test_torus_knots_that_used_to_hang_answer(capsys):
+    code, out, err = run(capsys, "torus", "12", "5", "--sl", "3", "--h-order", "4", "--normalize")
+    assert (code, out, err) == (0, "3 - 3431*h^2 + 102960*h^3 - 19116239/12*h^4\n", "")
+    code, out, err = run(capsys, "torus", "7", "20", "--sl", "2", "--h-order", "2", "--normalize")
+    assert (code, err) == (0, "")
+    assert out.startswith("2 - ")
 
 
 def _format_hseries_oracle(coeffs) -> str:
