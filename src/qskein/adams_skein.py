@@ -19,7 +19,7 @@ from .diagram_ring import CPoly, d, gen, psi
 from .hecke import BraidWord, decorate
 from .linear import Polynomial
 from .partitions import Partition, hook_framing_root
-from .scalars import ONE_LP, Z_LP, LaurentPoly, Scalar, quantum_int, specialize_sln
+from .scalars import ONE_LP, Z_LP, LaurentPoly, Scalar, exact_quo, quantum_int, slices, specialize_sln, unslice
 
 
 def a_braid(i: int, j: int) -> BraidWord:
@@ -223,23 +223,16 @@ def _hook_numerators(k: int) -> tuple[LaurentPoly, ...]:
 
 
 def _over_s_binomial(num: LaurentPoly, i: int) -> LaurentPoly:
-    """num / (s^i - s^-i), which must divide it.  Slice by slice in (x, v),
-    the quotient g has g_e = num_(e+i) + g_(e+2i), from the top s-degree down,
-    and the remainder num_c + g_(c+i) at the 2i lowest degrees must vanish."""
-    slices: dict[tuple[int, int], dict[int, object]] = {}
-    for (a, b, c), coeff in num.terms.items():
-        slices.setdefault((a, b), {})[c] = coeff
-    terms = {}
-    for (a, b), f in slices.items():
-        lo, hi = min(f), max(f)
-        g: dict[int, object] = {}
-        for e in range(hi - i, lo + i - 1, -1):
-            coeff = f.get(e + i, 0) + g.get(e + 2 * i, 0)
-            if coeff:
-                g[e] = terms[(a, b, e)] = coeff
-        if any(f.get(c, 0) + g.get(c + i, 0) for c in range(lo, lo + 2 * i)):
+    """num / (s^i - s^-i), which must divide it: each (x, v)-slice is
+    divided exactly by s^(2i) - 1, and the quotient raised by s^i."""
+    binomial = [-1] + [0] * (2 * i - 1) + [1]
+    packs = []
+    for ab, coe, lo in slices(num):
+        q = exact_quo(coe, binomial)
+        if q is None:
             raise ArithmeticError("s^%d - s^-%d does not divide the numerator" % (i, i))
-    return LaurentPoly._raw(terms)
+        packs.append((ab, q, lo + i))
+    return unslice(packs)
 
 
 def _torus_knot(m: int, p: int) -> Scalar:

@@ -125,6 +125,7 @@ class _Scanner:
 # over POWER_SIZE_CAP bits, counted over the powers of bases with more than
 # one term, or whose longest coefficient it puts over COEFFICIENT_DIGITS_CAP
 # decimal digits: Python refuses to print an int of more than 4,300 digits.
+# A product or quotient is held to the same digit cap, before it is taken.
 
 EXPONENT_CAP = 5000
 POWER_SIZE_CAP = 2_000_000
@@ -219,15 +220,22 @@ def _term(sc: _Scanner) -> CPoly:
     value = _factor(sc)
     while True:
         c = sc.peek()
-        if c == "*":
-            sc.take()
-            value = value * _factor(sc)
-        elif c == "/":
-            sc.take()
-            start = sc.pos
-            value = value.scale(Scalar.one() / _scalar_part(sc, _factor(sc), start))
-        else:
+        if c not in ("*", "/"):
             return value
+        at = sc.pos
+        sc.take()
+        start = sc.pos
+        operand = _factor(sc)
+        # a coefficient of a product or quotient holds at most the bits of
+        # the longest coefficients of both sides together
+        digits = int((_power_size(value, 1)[1] + _power_size(operand, 1)[1]) * log10(2)) + 1
+        if digits > COEFFICIENT_DIGITS_CAP:
+            sc.error("the %s's coefficients would have up to %d digits, over the cap of %d"
+                     % ("product" if c == "*" else "quotient", digits, COEFFICIENT_DIGITS_CAP), at)
+        if c == "*":
+            value = value * operand
+        else:
+            value = value.scale(Scalar.one() / _scalar_part(sc, operand, start))
 
 
 def _expr(sc: _Scanner) -> CPoly:

@@ -11,23 +11,23 @@ The quantum integer [i] is (s^i - s^-i)/(s - s^-1), a genuine polynomial,
 and [i]! is the product [1][2]...[i].  delta() is the value of a single
 0-framed loop in the plane, (v^-1 - v)/(s - s^-1).
 
-A Scalar is a fraction in one normal form (see Scalar).  Denominators
-built by the skein computations are monomials times products of quantum
-integers, and [k] = s^(1-k) * prod Phi_d(s) over the d > 2 dividing 2k, so
-a reduced one is the monic product of its cyclotomic factors Phi_d(s).
-Each such denominator is factored once (cyclotomic_factors, memoised), and
-Scalar() cancels each factor against the numerator by exact trial division.
-Arithmetic on such fractions works on the factorisations, as in Henrici's
-gcd-saving rational arithmetic (Knuth, TAOCP 2, 4.5.1): a sum goes over the
-lcm of the denominators and is trial-divided only by the factors that two
-or more terms hold as often as the lcm does (scalar_sum adds a whole list
-this way, once), and a product first divides each numerator by the factors
-of the other denominator.  A product by a single term over 1 keeps the
-other denominator as it is, since a monomial shares no factor with it.  A
-denominator that is not such a product, or that involves x or v, takes the
-general route through Scalar(): univariate gcds over the integers by
-primitive remainder sequences (_s_reduce_gcd, _poly_gcd), or no
-cancellation at all.
+A Scalar is a fraction in one normal form (see Scalar).  Scalar() reduces
+a fraction one way: a denominator in s alone loses its gcd with every
+(x, v)-slice of the numerator, taken over the integers by a primitive
+remainder sequence (_s_reduce, _poly_gcd); one in x or v is not reduced.
+Denominators built by the skein computations are monomials times products
+of quantum integers, and [k] = s^(1-k) * prod Phi_d(s) over the d > 2
+dividing 2k, so a reduced one is the monic product of its cyclotomic
+factors Phi_d(s).  Each such denominator is factored once
+(cyclotomic_factors, memoised), and + and * work on the factorisations, as
+in Henrici's gcd-saving rational arithmetic (Knuth, TAOCP 2, 4.5.1): a sum
+goes over the lcm of the denominators and is trial-divided only by the
+factors that two or more terms hold as often as the lcm does (scalar_sum
+adds a whole list this way, once), and a product first divides each
+numerator by the factors of the other denominator.  A product by a single
+term over 1 keeps the other denominator as it is, since a monomial shares
+no factor with it.  Every other sum, product and quotient goes through
+Scalar().
 
 specialize_sln() substitutes s = t^N, x = t^-1, v = t^(-N^2), collapsing a
 Scalar to a one-variable Laurent fraction in t, a TFraction.  A TFraction
@@ -289,19 +289,17 @@ class Scalar:
     """An element of the fraction field of LaurentPoly.
 
     Stored as num/den.  Construction folds any single-term denominator into
-    the numerator.  A longer denominator loses its monomial content, then
-    every s-polynomial factor it shares with the numerator: by trial
-    division when it is a product of cyclotomic polynomials, by gcd
-    otherwise (see _s_reduce).  It is then scaled to integer coefficients
-    with gcd 1 and a positive leading coefficient.  A denominator in x or v
-    is not reduced further, so equality is decided by cross
-    multiplication, and unreduced representations of the same value compare
-    equal.  Every zero is Scalar.zero(), over 1.
+    the numerator.  A longer denominator loses its monomial content, then,
+    when it is in s alone, its gcd with every (x, v)-slice of the numerator
+    (see _s_reduce).  It is then scaled to integer coefficients with gcd 1
+    and a positive leading coefficient.  A denominator in x or v is not
+    reduced further, so equality is decided by cross multiplication, and
+    unreduced representations of the same value compare equal.  Every zero
+    is Scalar.zero(), over 1.
 
-    +, -, * and / build the same normal form straight from the
-    factorisations when both denominators, and for / the divisor's numerator
-    up to a monomial, are 1 or products of Phi_d(s) with d <=
-    CYCLOTOMIC_ORDER_CAP; the others go through Scalar(num, den).
+    + and * build the same normal form straight from the factorisations
+    when both denominators are 1 or products of Phi_d(s) with d <=
+    CYCLOTOMIC_ORDER_CAP; the others, and /, go through Scalar(num, den).
     """
 
     __slots__ = ("num", "den")
@@ -449,10 +447,7 @@ class Scalar:
                 return other
         if other.is_zero():
             raise ZeroDivisionError("division of Scalar by zero")
-        inverse = _reciprocal(other)
-        if inverse is None or _den_factors(self.den) is None:
-            return Scalar(self.num * other.den, self.den * other.num)
-        return _product(self, inverse)
+        return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar(other) / self
@@ -598,39 +593,13 @@ def _fold(terms) -> Scalar:
     return acc or Scalar.zero()
 
 
-def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Cancel the common s-polynomial factor of num and den.
-
-    Denominators arise from quantum-integer products, so they only involve s
-    and factor into cyclotomic polynomials Phi_d(s).  Each such factor is
-    cancelled as often as it divides every (x, v)-slice of the numerator,
-    found by exact trial division; Phi_d is irreducible, so this removes the
-    same gcd as _s_reduce_gcd, which handles every other denominator.
-    """
-    split = _cyclotomic_split(den)
-    if split is None:
-        return _s_reduce_gcd(num, den)
-    lo, k, factors = split
-    exps = dict(factors)
-    reduced = _cancel(num, factors, exps)
-    if reduced is num:
-        return num, den
-    return reduced, _cyclotomic_poly(_pairs(exps)).mul_monomial(*lo, k)
-
-
 def _cancel(num: LaurentPoly, factors, exps: dict[int, int]) -> LaurentPoly:
     """Divide num by each Phi_d of factors, (d, mult) pairs, as often as it
     divides every (x, v)-slice of num and at most mult times, and take each
     division off exps[d].  Returns num itself when nothing divides it."""
     if not factors:
         return num
-    slices: dict[tuple[int, int], dict[int, object]] = {}
-    for (a, b, c), k in num.terms.items():
-        slices.setdefault((a, b), {})[c] = k
-    packs = []
-    for ab, sl in slices.items():
-        lo = min(sl)
-        packs.append((ab, [sl.get(e, 0) for e in range(lo, max(sl) + 1)], lo))
+    packs = slices(num)
     cancelled = False
     for d, mult in factors:
         f = cyclotomic(d)
@@ -638,7 +607,7 @@ def _cancel(num: LaurentPoly, factors, exps: dict[int, int]) -> LaurentPoly:
         for _, coe, _ in packs:
             chain = [coe]
             while len(chain) <= mult:
-                q = _exact_quo(chain[-1], f)
+                q = exact_quo(chain[-1], f)
                 if q is None:
                     break
                 chain.append(q)
@@ -650,83 +619,156 @@ def _cancel(num: LaurentPoly, factors, exps: dict[int, int]) -> LaurentPoly:
             packs = [(ab, chain[mult], lo) for (ab, _, lo), chain in zip(packs, chains)]
             exps[d] -= mult
             cancelled = True
-    if not cancelled:
-        return num
-    terms = {}
-    for ab, coe, lo in packs:
-        for e, c in enumerate(coe):
-            if c:
-                terms[(ab[0], ab[1], e + lo)] = c
-    return LaurentPoly(terms)
+    return unslice(packs) if cancelled else num
 
 
-def _s_reduce_gcd(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Cancel the common s-polynomial factor of num and den by univariate gcds.
+# ---------------------------------------------------------------------------
+# exact division and gcds of polynomials in s
+#
+# Dense coefficient lists start at the constant term.  A polynomial in x, v
+# and s is cut into its (x, v)-slices, each a dense polynomial in s; a
+# polynomial in s alone divides it exactly when it divides every slice.
 
-    A factor divides the numerator exactly when it divides every
-    (x, v)-slice, so the gcd of the denominator with every slice is the
-    factor to cancel.  Each gcd is taken over the integers (_poly_gcd), as
-    a primitive polynomial with a positive leading coefficient, so a gcd
-    that is a product of Phi_d(s) is the monic one and leaves num and den
-    as _s_reduce's trial division does.  _s_reduce sends the denominators
-    that are not products of cyclotomic polynomials here.
+
+def _s_reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Cancel the common s-polynomial factor of num and den.
+
+    The gcd of the denominator with every (x, v)-slice of the numerator is
+    the factor to cancel.  Each gcd is taken over the integers (_poly_gcd),
+    as a primitive polynomial with a positive leading coefficient, so a
+    product of Phi_d(s) cancels as the monic one.  A denominator in x or v
+    is left as it is.
     """
     if any(e[0] or e[1] for e in den.terms):
         return num, den
     dcoe, dlo = _dense({c: k for (_, _, c), k in den.terms.items()})
-    slices: dict[tuple[int, int], dict[int, object]] = {}
-    for (a, b, c), k in num.terms.items():
-        slices.setdefault((a, b), {})[c] = k
+    packs = slices(num)
     g = dcoe
-    packs = []
-    for ab, sl in slices.items():
-        coe, lo = _dense(sl)
-        packs.append((ab, coe, lo))
+    for _, coe, _ in packs:
         g = _poly_gcd(g, coe)
         if len(g) == 1:
             return num, den
-    dq = _divide(dcoe, g)
+    return (unslice([(ab, exact_quo(coe, g), lo) for ab, coe, lo in packs]),
+            unslice([((0, 0), exact_quo(dcoe, g), dlo)]))
+
+
+def slices(p: LaurentPoly) -> list[tuple[tuple[int, int], list, int]]:
+    """The (x, v)-slices of the nonzero p, as (x and v exponents, dense
+    coefficients in s, lowest s exponent) triples."""
+    by_xv: dict[tuple[int, int], dict[int, object]] = {}
+    for (a, b, c), k in p.terms.items():
+        by_xv.setdefault((a, b), {})[c] = k
+    return [(ab, *_dense(sl)) for ab, sl in by_xv.items()]
+
+
+def unslice(packs) -> LaurentPoly:
+    """The polynomial whose (x, v)-slices are packs, triples as slices gives
+    them.  Coefficients must be normalised, as exact_quo leaves them."""
     terms = {}
-    for ab, coe, lo in packs:
-        q = _divide(coe, g)
-        for e, c in enumerate(q):
+    for (a, b), coe, lo in packs:
+        for e, c in enumerate(coe, lo):
             if c:
-                terms[(ab[0], ab[1], e + lo)] = _ratio(c)
-    new_den = LaurentPoly({(0, 0, e + dlo): _ratio(c) for e, c in enumerate(dq) if c})
-    return LaurentPoly(terms), new_den
+                terms[(a, b, e)] = c
+    return LaurentPoly._raw(terms)
+
+
+def exact_quo(a: list, b: list[int]) -> list | None:
+    """a / b for dense polynomials, b with integer coefficients, when b
+    divides a exactly, else None.  Each step walks only the nonzero
+    coefficients of b below its lead, so dividing by a binomial takes one
+    step per coefficient of a.  Integral quotient coefficients are ints."""
+    nb = len(b) - 1
+    if len(a) <= nb:
+        return None
+    lead = b[-1]
+    low = [(j, bj) for j, bj in enumerate(b[:nb]) if bj]
+    a = list(a)
+    q = [0] * (len(a) - nb)
+    for i in range(len(a) - nb - 1, -1, -1):
+        c = a[i + nb]
+        if c:
+            if type(c) is not int:
+                c = _ratio(c / lead)
+            elif lead != 1:
+                c = c // lead if not c % lead else Fraction(c, lead)
+            q[i] = c
+            for j, bj in low:
+                a[i + j] -= c * bj
+    return None if any(a[:nb]) else q
+
+
+def _dense(p: dict[int, object]) -> tuple[list, int]:
+    """Laurent dict -> (dense coefficient list from degree 0, minimum exponent)."""
+    lo = min(p)
+    coeffs = [0] * (max(p) - lo + 1)
+    for e, c in p.items():
+        coeffs[e - lo] = c
+    return coeffs, lo
+
+
+def _primitive(a: list) -> list[int]:
+    """The integer multiple of the nonzero dense polynomial a whose
+    coefficients have gcd 1 and whose leading coefficient is positive."""
+    if any(type(c) is not int for c in a):
+        scale = lcm(*(c.denominator for c in a))
+        a = [int(c * scale) for c in a]
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [c // g for c in a]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b, with the
+    zero leading terms stripped: each step scales a by no more than it
+    needs to cancel its top term against b."""
+    a = list(a)
+    nb = len(b) - 1
+    lead, low = b[-1], b[:nb]
+    for i in range(len(a) - 1, nb - 1, -1):
+        c = a[i]
+        if c:
+            g = gcd(c, lead)
+            m, c = lead // g, c // g
+            if m != 1:
+                a[:i] = [x * m for x in a[:i]]
+            off = i - nb
+            for j, bj in enumerate(low):
+                if bj:
+                    a[off + j] -= c * bj
+    del a[nb:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_gcd(a: list, b: list) -> list[int]:
+    """The gcd of two nonzero dense polynomials with rational coefficients,
+    as a primitive integer polynomial with a positive leading coefficient.
+
+    A primitive remainder sequence (Knuth, TAOCP 2, 4.6.1): each remainder
+    is a pseudo-remainder reduced to its primitive part, so the arithmetic
+    stays in integers and builds no Fraction.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_rem(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic factorisation of denominators in s
-#
-# Dense coefficient lists start at the constant term.  Phi_d is monic with
-# integer coefficients, so dividing by it never divides a coefficient.
 
-# Trial division tries Phi_d for d up to this order.  [k] is s^(1-k) times
-# the Phi_d(s) for the d > 2 dividing 2k, so every product of [1], ..., [32]
-# factors; a denominator with any other factor takes the gcd route.  The cap
-# keeps factoring a new denominator linear in its degree.
+# _den_factors tries Phi_d for d up to this order.  [k] is s^(1-k) times the
+# Phi_d(s) for the d > 2 dividing 2k, so every product of [1], ..., [32]
+# factors; a denominator with any other factor goes through Scalar().  The
+# cap keeps factoring a new denominator linear in its degree.
 CYCLOTOMIC_ORDER_CAP = 64
-
-
-def _exact_quo(a, b) -> list | None:
-    """a / b for a monic b when b divides a exactly, else None."""
-    nb = len(b) - 1
-    if len(a) <= nb:
-        return None
-    a = list(a)
-    q = [0] * (len(a) - nb)
-    low = b[:nb]
-    for i in range(len(a) - nb - 1, -1, -1):
-        c = a[i + nb]
-        if c:
-            q[i] = c
-            for j, bj in enumerate(low):
-                if bj:
-                    a[i + j] -= c * bj
-    if any(a[:nb]):
-        return None
-    return q
 
 
 @cache
@@ -740,33 +782,34 @@ def cyclotomic(d: int) -> tuple[int, ...]:
     p = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d // 2 + 1):
         if d % e == 0:
-            p = _exact_quo(p, cyclotomic(e))
+            p = exact_quo(p, cyclotomic(e))
     return tuple(p)
 
 
 @cache
 def cyclotomic_factors(coeffs) -> tuple[tuple[int, int], ...] | None:
-    """Factor a polynomial in s, dense from a nonzero constant term, into
-    cyclotomic polynomials.
+    """Factor a monic integer polynomial in s, dense from a nonzero constant
+    term, into cyclotomic polynomials.
 
     Returns the pairs (d, multiplicity) ascending in d when coeffs is a
-    rational multiple of a product of Phi_d(s) with d <= CYCLOTOMIC_ORDER_CAP,
-    and None otherwise.  Such a product is monic up to that multiple, with
-    constant term +-1, and is palindromic or antipalindromic, so most other
-    polynomials are rejected before any division.
+    product of Phi_d(s) with d <= CYCLOTOMIC_ORDER_CAP, and None otherwise.
+    Such a product has constant term +-1 and is palindromic or
+    antipalindromic, so most other polynomials are rejected before any
+    division.  A normal-form denominator is primitive with a positive
+    leading coefficient, so when it is such a product it is the monic one.
 
     >>> cyclotomic_factors((-1, 0, 0, 0, 1))        # s^4 - 1
     ((1, 1), (2, 1), (4, 1))
-    >>> cyclotomic_factors((3, 0, 3, 0, 3))         # 3*(s^4 + s^2 + 1)
+    >>> cyclotomic_factors((1, 0, 1, 0, 1))         # s^4 + s^2 + 1
     ((3, 1), (6, 1))
+    >>> cyclotomic_factors((3, 0, 3, 0, 3)) is None  # not monic
+    True
     >>> cyclotomic_factors((1, 3, 1)) is None
     True
     """
-    lead = Fraction(coeffs[-1])
-    rest = [Fraction(c) / lead for c in coeffs]
-    if any(c.denominator != 1 for c in rest) or abs(rest[0]) != 1:
+    if coeffs[-1] != 1 or abs(coeffs[0]) != 1:
         return None
-    rest = [int(c) for c in rest]
+    rest = list(coeffs)
     mirror = rest[::-1]
     if mirror != rest and mirror != [-c for c in rest]:
         return None
@@ -775,7 +818,7 @@ def cyclotomic_factors(coeffs) -> tuple[tuple[int, int], ...] | None:
         f = cyclotomic(d)
         mult = 0
         while len(rest) >= len(f):
-            q = _exact_quo(rest, f)
+            q = exact_quo(rest, f)
             if q is None:
                 break
             rest = q
@@ -806,40 +849,20 @@ def _times(p: LaurentPoly, exps: dict[int, int]) -> LaurentPoly:
     return p * _cyclotomic_poly(factors) if factors else p
 
 
-def _cyclotomic_split(p: LaurentPoly):
-    """(e, k, factors) with p = k x^e[0] v^e[1] s^e[2] prod Phi_d(s)^mult
-    over the (d, mult) pairs of factors, or None if p is not such a product."""
-    terms = p.terms
-    # every exponent lies between these two in the lexicographic order, so
-    # all share the powers of x and v when these two do
-    lo, hi = min(terms), max(terms)
-    if lo[0] != hi[0] or lo[1] != hi[1]:
-        return None
-    key = [0] * (hi[2] - lo[2] + 1)
-    for e, k in terms.items():
-        key[e[2] - lo[2]] = k
-    factors = cyclotomic_factors(tuple(key))
-    return None if factors is None else (lo, key[-1], factors)
-
-
 def _den_factors(den: LaurentPoly) -> tuple[tuple[int, int], ...] | None:
     """The (d, mult) pairs of a normal-form Scalar denominator that is 1 or
     a product of Phi_d(s) with d <= CYCLOTOMIC_ORDER_CAP, else None.  Such a
     denominator is the monic product itself, lowest term s^0."""
-    split = _cyclotomic_split(den)
-    if split is None or split[0] != _ZERO3 or split[1] != 1:
+    terms = den.terms
+    # every exponent lies between these two in the lexicographic order, so
+    # all are powers of s alone when these two are
+    lo, hi = min(terms), max(terms)
+    if lo != _ZERO3 or hi[0] or hi[1]:
         return None
-    return split[2]
-
-
-def _reciprocal(sc: Scalar) -> Scalar | None:
-    """1/sc in normal form when sc's numerator is a monomial times a product
-    of Phi_d(s) and its denominator is 1 or such a product, else None."""
-    split = _cyclotomic_split(sc.num)
-    if split is None or _den_factors(sc.den) is None:
-        return None
-    (a, b, c), k, factors = split
-    return Scalar._raw(sc.den.mul_monomial(-a, -b, -c, _ratio(Fraction(1, k))), _cyclotomic_poly(factors))
+    key = [0] * (hi[2] + 1)
+    for e, k in terms.items():
+        key[e[2]] = k
+    return cyclotomic_factors(tuple(key))
 
 
 def delta() -> Scalar:
@@ -915,89 +938,6 @@ class PoleError(ValueError):
     def __init__(self, order: int):
         super().__init__(f"pole at h = 0: denominator vanishes to order {order}, numerator does not")
         self.order = order
-
-
-def _dense(p: dict[int, object]) -> tuple[list, int]:
-    """Laurent dict -> (dense coefficient list from degree 0, minimum exponent)."""
-    lo = min(p)
-    coeffs = [0] * (max(p) - lo + 1)
-    for e, c in p.items():
-        coeffs[e - lo] = c
-    return coeffs, lo
-
-
-def _primitive(a: list) -> list[int]:
-    """The integer multiple of the nonzero dense polynomial a whose
-    coefficients have gcd 1 and whose leading coefficient is positive."""
-    if any(type(c) is not int for c in a):
-        scale = lcm(*(c.denominator for c in a))
-        a = [int(c * scale) for c in a]
-    g = gcd(*a)
-    if a[-1] < 0:
-        g = -g
-    return a if g == 1 else [c // g for c in a]
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """A nonzero integer multiple of the remainder of a by b, with the
-    zero leading terms stripped: each step scales a by no more than it
-    needs to cancel its top term against b."""
-    a = list(a)
-    nb = len(b) - 1
-    lead, low = b[-1], b[:nb]
-    for i in range(len(a) - 1, nb - 1, -1):
-        c = a[i]
-        if c:
-            g = gcd(c, lead)
-            m, c = lead // g, c // g
-            if m != 1:
-                a[:i] = [x * m for x in a[:i]]
-            off = i - nb
-            for j, bj in enumerate(low):
-                if bj:
-                    a[off + j] -= c * bj
-    del a[nb:]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_gcd(a: list, b: list) -> list[int]:
-    """The gcd of two nonzero dense polynomials with rational coefficients,
-    as a primitive integer polynomial with a positive leading coefficient.
-
-    A primitive remainder sequence (Knuth, TAOCP 2, 4.6.1): each remainder
-    is a pseudo-remainder reduced to its primitive part, so the arithmetic
-    stays in integers and builds no Fraction.
-    """
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _pseudo_rem(a, b)
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
-
-
-def _divide(a: list, b: list[int]) -> list:
-    """a / b for an integer b that divides a exactly; integer coefficients
-    stay ints where the quotient's coefficient is one."""
-    lead = b[-1]
-    nb = len(b) - 1
-    a = list(a)
-    q = [0] * (len(a) - nb)
-    low = b[:nb]
-    for i in range(len(a) - nb - 1, -1, -1):
-        c = a[i + nb]
-        if c:
-            c = c // lead if type(c) is int and not c % lead else Fraction(c, lead)
-            q[i] = c
-            for j, bj in enumerate(low):
-                if bj:
-                    a[i + j] -= c * bj
-    return q
 
 
 def _t_poly(terms: dict[int, object]) -> LaurentPoly:

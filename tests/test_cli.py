@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main()."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,37 @@ def test_a_power_with_coefficients_past_the_digit_cap_is_refused_at_the_exponent
         assert (code, out) == (2, "")
         assert err.startswith("error: the power's coefficients would have up to ")
         assert " digits, over the cap of %d at position %d\n" % (COEFFICIENT_DIGITS_CAP, text.index("^") + 1) in err
+
+
+def test_products_of_long_literals_are_refused_at_the_operator(capsys, monkeypatch):
+    from qskein.diagram_ring import CPoly
+    from qskein.parsing import COEFFICIENT_DIGITS_CAP
+
+    real_mul = CPoly.__mul__
+
+    def mul_under_the_cap(a, b):
+        out = real_mul(a, b)
+        parts = [Fraction(c) for sc in out.terms.values() for p in (sc.num, sc.den) for c in p.terms.values()]
+        if max(abs(k).bit_length() for c in parts for k in (c.numerator, c.denominator)) > (
+                COEFFICIENT_DIGITS_CAP * math.log2(10)):
+            raise AssertionError("multiplied past the cap")
+        return out
+
+    monkeypatch.setattr(CPoly, "__mul__", mul_under_the_cap)
+    nines = "9" * INTEGER_DIGITS_CAP
+    # five factors of 1,000 digits each: the fourth operator would pass the
+    # cap, and is refused at its position
+    for prefix, factor, op, name in ((("", nines, "*", "product"), ("", "(%s*s+1)" % nines, "*", "product"),
+                                      ("1/", nines, "/", "quotient"))):
+        code, out, err = run(capsys, "theta", prefix + op.join([factor] * 5))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the %s's coefficients would have up to " % name)
+        at = len(prefix) + 3 * len(factor) + 2
+        assert " digits, over the cap of %d at position %d\n" % (COEFFICIENT_DIGITS_CAP, at) in err
+    # a product of 3,999 digits prints
+    code, out, err = run(capsys, "theta", "*".join([nines] * 3 + ["9" * 999]))
+    assert (code, err) == (0, "")
+    assert len(out) == 3999 + 1
 
 
 def test_powers_under_the_size_cap_run(capsys):
