@@ -11,16 +11,18 @@ order is weighted by the number of sheet assignments that produce it.
 The orders, their inverses and their descents do not depend on the diagram,
 so up to LIFT_TABLE_ROWS of them are built once per number of points and
 shared by every diagram of that size (_lift_table).  Nor does the class of
-a lifted word, a matching on the lifted points, so up to LIFT_TABLE_ROWS
-words per number of points keep their canonical ChordDiagram across calls
-(_word_class).
+a lifted word, a matching on the lifted points, so the LIFT_TABLE_ROWS
+words met last keep their canonical ChordDiagram across calls
+(_word_class), and each class is built once for all its words
+(_rotation_class).
 """
 
-from collections import namedtuple
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 from operator import itemgetter
+
+from .perms import cycles
 
 # Most lift orders psi_chords enumerates for one diagram: the orders of the
 # 2n - 1 endpoints after the first with fewer than m descents, for n chords
@@ -30,16 +32,18 @@ from operator import itemgetter
 # 39,914,763 and are refused.  The count is made before any enumeration.
 LIFT_CAP = 2_000_000
 
-# Most rows _lift_table keeps for one size, and most words _word_class keeps
-# for one number of points.  A row costs 340-410 bytes at 8-12 points: 4
-# chords at m = 3 keep 1,312 rows in 0.45 MB, 5 chords at m = 3 keep 15,111
-# in 5.7 MB, and all 16 tables the bound admits (up to 7 chords, at m = 2)
-# hold 46,359 rows in 17 MB.  A larger count is walked afresh by each call in
-# O(2n) memory, as any count up to LIFT_CAP may be.  A word is one of the
-# (2n - 1)!! matchings on 2n points and costs about 165 bytes at 12 points,
-# so 6 chords keep all 10,395 in 1.7 MB, and only from 7 chords on (135,135
-# matchings) does the bound stop the word memo; a word past it is
-# canonicalised afresh by each call and not kept.
+# Most rows _lift_table keeps for one size, and most entries each of
+# _word_class and _rotation_class keeps over all sizes, least recently used
+# evicted first.  A row costs 340-410 bytes at 8-12 points: 4 chords at m = 3
+# keep 1,312 rows in 0.45 MB, 5 chords at m = 3 keep 15,111 in 5.7 MB, and
+# all 16 tables the bound admits (up to 7 chords, at m = 2) hold 46,359 rows
+# in 17 MB.  A larger count is walked afresh by each call in O(2n) memory, as
+# any count up to LIFT_CAP may be.  A word is one of the (2n - 1)!! matchings
+# on 2n points, so up to 6 chords all 11,464 words fit, and only from 7
+# chords on (135,135 matchings) are words evicted and keyed again when next
+# met.  Measured with tracemalloc at 14 points, 20,000 words take 5.7-6.4 MB
+# and all 9,749 classes of 7 chords 7.9 MB; 20,000 classes of 8 chords take
+# 17.9 MB, so both memos full hold about 24 MB.
 LIFT_TABLE_ROWS = 20_000
 
 # Most chords parse_matching admits; it refuses an endpoint past 2 * CHORD_CAP
@@ -48,6 +52,14 @@ LIFT_TABLE_ROWS = 20_000
 # symmetry compares about n of them: 998 short chords and two others take
 # about 0.3 s.
 CHORD_CAP = 1000
+
+
+def _partners(pairs, points: int) -> list[int]:
+    """partner[k], the other end of the chord at point k."""
+    partner = [0] * points
+    for a, b in pairs:
+        partner[a], partner[b] = b, a
+    return partner
 
 
 def _canonical(pairs, points):
@@ -61,10 +73,7 @@ def _canonical(pairs, points):
     one period are tried."""
     if not points:
         return ()
-    partner = [0] * points
-    for a, b in pairs:
-        partner[a], partner[b] = b, a
-    offsets = [(q - k) % points for k, q in enumerate(partner)]
+    offsets = [(q - k) % points for k, q in enumerate(_partners(pairs, points))]
     # a rotation that fixes the word is a multiple of its period, which
     # divides 2n; testing divisors only keeps this O(n) per divisor
     period = next(p for p in range(1, points + 1)
@@ -229,68 +238,26 @@ def _lift_table(points: int, m: int) -> tuple:
     return tuple(_lift_rows(points, m))
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+@lru_cache(maxsize=LIFT_TABLE_ROWS)
+def _word_class(word: tuple) -> ChordDiagram:
+    """The ChordDiagram of a lifted word, a matching on the lifted points
+    with word[k] the partner of point k; it does not depend on the diagram
+    lifted, so it is kept for every later call.  Two matchings agree up to
+    rotation exactly when their offset words, the distance mod 2n from each
+    point to its partner, do, so the word is keyed by the least rotation of
+    its offset word."""
+    points = len(word)
+    offsets = tuple((q - k) % points for k, q in enumerate(word))
+    doubled = offsets + offsets
+    return _rotation_class(min(doubled[r:r + points] for r in range(points)))
 
 
-class _WordClasses:
-    """The ChordDiagram of each lifted word psi_chords meets, kept for every
-    later call: a word is a matching on the lifted points, word[k] the
-    partner of point k, and does not depend on the diagram lifted.
-
-    A new word is keyed by the least rotation of its offset word, the
-    distance mod 2n from each point to its partner: two matchings agree up
-    to rotation exactly when their offset words do.  At most LIFT_TABLE_ROWS
-    words are kept per number of points; a word past that is keyed afresh
-    by each call.  cache_info and cache_clear are those of functools.cache;
-    maxsize is None because no word is ever evicted."""
-
-    __name__ = "_word_class"
-
-    def __init__(self):
-        self.tables: dict[int, dict[tuple, ChordDiagram]] = {}
-        self.hits = self.misses = 0
-
-    def __call__(self, word: tuple) -> ChordDiagram:
-        """The class of one word."""
-        (diagram,) = self.tally({word: 1}, len(word))
-        return diagram
-
-    def tally(self, words: dict[tuple, int], points: int) -> dict[ChordDiagram, int]:
-        """Sum the counts of words on points points by class."""
-        known = self.tables.setdefault(points, {})
-        room = LIFT_TABLE_ROWS - len(known)
-        classes: dict[ChordDiagram, int] = {}
-        keyed: dict[tuple, ChordDiagram] = {}
-        span = range(points)
-        misses = 0
-        for word, count in words.items():
-            diagram = known.get(word)
-            if diagram is None:
-                misses += 1
-                offsets = tuple((q - k) % points for k, q in enumerate(word))
-                doubled = offsets + offsets
-                key = min(doubled[r:r + points] for r in span)
-                diagram = keyed.get(key)
-                if diagram is None:
-                    diagram = keyed[key] = ChordDiagram(
-                        (i, i + step) for i, step in enumerate(key) if i + step < points)
-                if room > 0:
-                    known[word] = diagram
-                    room -= 1
-            classes[diagram] = classes.get(diagram, 0) + count
-        self.hits += len(words) - misses
-        self.misses += misses
-        return classes
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, None, sum(map(len, self.tables.values())))
-
-    def cache_clear(self) -> None:
-        self.tables.clear()
-        self.hits = self.misses = 0
-
-
-_word_class = _WordClasses()
+@lru_cache(maxsize=LIFT_TABLE_ROWS)
+def _rotation_class(key: tuple) -> ChordDiagram:
+    """The ChordDiagram of a least-rotation offset word, built once for all
+    the words that share it."""
+    points = len(key)
+    return ChordDiagram((i, i + step) for i, step in enumerate(key) if i + step < points)
 
 
 def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
@@ -316,8 +283,9 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     each lifted point's partner.  The orders and their inverses are the
     same for every diagram with 2n points, so for up to LIFT_TABLE_ROWS
     orders they are read from a table built once per size (_lift_table).
-    Each distinct word then takes its class from a memo shared by every call
-    (_word_class).
+    Each distinct word then takes its class from a bounded memo shared by
+    every call (_word_class), which builds one ChordDiagram per class
+    (_rotation_class), and the words' weights are summed by class.
 
     >>> psi_chords(ChordDiagram([(0, 1)]), 3)
     {ChordDiagram([(0, 1)]): 9}
@@ -334,9 +302,7 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     if orders > LIFT_CAP:
         raise ValueError("lifting %d chords to the %d-fold cover enumerates more lift orders "
                          "than the cap of %d" % (diagram.chords, m, LIFT_CAP))
-    partner = [0] * points
-    for a, b in diagram.pairs:
-        partner[a], partner[b] = b, a
+    partner = _partners(diagram.pairs, points)
     # across(lifted)[p] = lifted[partner[p]], so order(across(lifted))[k] is
     # the lifted position of the partner of the point at lifted position k
     across = itemgetter(*partner)
@@ -346,11 +312,15 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     for order, lifted, d in rows:
         word = order(across(lifted))
         words[word] = words.get(word, 0) + weights[d]
-    return dict(sorted(_word_class.tally(words, points).items()))
+    classes: dict[ChordDiagram, int] = {}
+    for word, count in words.items():
+        diagram = _word_class(word)
+        classes[diagram] = classes.get(diagram, 0) + count
+    return dict(sorted(classes.items()))
 
 
 # Most chords weight_system sums over: its state sum has 2^n states of O(n)
-# steps each, and n = 16 takes about 0.35 s.  A larger diagram is refused
+# steps each, and n = 16 takes about 0.5 s.  A larger diagram is refused
 # before the sum.
 WEIGHT_SYSTEM_CHORD_CAP = 16
 
@@ -379,25 +349,14 @@ def weight_system(diagram: ChordDiagram, n: int) -> Fraction:
     points = 2 * diagram.chords
     if not points:
         return Fraction(n)
-    partner = [0] * points
-    chord = [0] * points
-    for i, (a, b) in enumerate(diagram.pairs):
-        partner[a], partner[b] = b, a
-        chord[a] = chord[b] = i
+    partner = _partners(diagram.pairs, points)
+    chord = {k: i for i, pair in enumerate(diagram.pairs) for k in pair}
     # signed count of the states by circles minus identity chords
     states: dict[int, int] = {}
     for state in range(1 << diagram.chords):
         step = [(partner[k] if state >> chord[k] & 1 else k) + 1 for k in range(points)]
         step[step.index(points)] = 0
-        seen = [False] * points
-        circles = 0
-        for k in range(points):
-            if not seen[k]:
-                circles += 1
-                while not seen[k]:
-                    seen[k] = True
-                    k = step[k]
         identities = diagram.chords - state.bit_count()
-        exponent = circles - identities
+        exponent = len(cycles(step)) - identities
         states[exponent] = states.get(exponent, 0) + (-1) ** identities
     return sum((Fraction(n) ** e * c for e, c in states.items()), Fraction(0))

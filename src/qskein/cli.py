@@ -101,18 +101,11 @@ def _cmd_psi_chords(args):
 
 
 def _cmd_verify(args):
-    suites = SUITE_ORDER if args.suite == "all" else [args.suite]
-    if args.max is not None:
-        for tag in suites:
-            if args.max > DEFAULT_MAX[tag]:
-                print(
-                    "warning: --max %d exceeds the tested size %d for suite %s; "
-                    "runtime grows factorially" % (args.max, DEFAULT_MAX[tag], tag),
-                    file=sys.stderr,
-                )
-    rows = []
-    for tag in suites:
-        rows.extend(run_suite(tag, args.max))
+    for tag in SUITE_ORDER if args.suite == "all" else [args.suite]:
+        if args.max is not None and args.max > DEFAULT_MAX[tag]:
+            print("warning: --max %d exceeds the tested size %d for suite %s; "
+                  "runtime grows factorially" % (args.max, DEFAULT_MAX[tag], tag), file=sys.stderr)
+    rows = run_suite(args.suite, args.max)
     if args.json:
         print(json.dumps([["PASS" if ok else "FAIL", text] for ok, text in rows]))
     else:

@@ -132,18 +132,17 @@ POWER_SIZE_CAP = 2_000_000
 COEFFICIENT_DIGITS_CAP = 4000
 
 
-def _power_size(value: CPoly, n: int) -> tuple[int, float]:
-    """Estimated bits in value^n, and in its longest coefficient.  N alone
-    does not bound the work: (s+1)^N has N+1 terms of up to N bits,
-    (x+v+s)^N about N^2/2 terms.  The sum runs over the polynomials the
-    power expands: the numerator over every column monomial, and each
-    distinct denominator.  Each coefficient of a polynomial's n-th power
-    holds at most n * log2(1-norm * L^2) bits, L the common denominator.
-    One of k > 1 terms gets the fewer of the monomials in the box n times
-    its exponents span and the multisets of n terms, each with those bits
-    and n times the longest key's column indices at 64 bits each.
-    (s+1)^1000 holds about 10^6 bits; (s+1)^5000, (x+v+s)^150 and
-    (c1+c2)^200 are over the cap."""
+def _power_size(value: CPoly, n: int) -> tuple[int, int]:
+    """Estimated bits in value^n, and the largest base, 1-norm * L^2 with L
+    the common denominator, over the polynomials the power expands: the
+    numerator over every column monomial, and each distinct denominator.
+    Each coefficient of a polynomial's n-th power is at most base^n.  N
+    alone does not bound the work: (s+1)^N has N+1 terms of up to N bits,
+    (x+v+s)^N about N^2/2 terms.  One of k > 1 terms gets the fewer of the
+    monomials in the box n times its exponents span and the multisets of n
+    terms, each with n * log2(base) bits and n times the longest key's
+    column indices at 64 bits each.  (s+1)^1000 holds about 10^6 bits;
+    (s+1)^5000, (x+v+s)^150 and (c1+c2)^200 are over the cap."""
     cols = sorted({j for key in value.terms for j in key})
     numerator = {
         exps + tuple(key.count(j) for j in cols): k
@@ -152,17 +151,27 @@ def _power_size(value: CPoly, n: int) -> tuple[int, float]:
     }
     polys = [(numerator, 64 * max(map(len, value.terms), default=0))]
     polys += [(den.terms, 0) for den in {c.den for c in value.terms.values()}]
-    size, longest = 0, 0.0
+    size, largest = 0, 1
     for poly, key_bits in polys:
         if not poly:
             continue
         den = lcm(*(k.denominator for k in poly.values()))
-        bits = max(1.0, log2(int(sum(map(abs, poly.values())) * den) * den))
-        longest = max(longest, n * bits)
+        base = int(sum(map(abs, poly.values())) * den) * den
+        largest = max(largest, base)
         if len(poly) > 1:
             terms = min(prod(n * (max(a) - min(a)) + 1 for a in zip(*poly)), comb(n + len(poly) - 1, n))
-            size += int(terms * n * (bits + key_bits))
-    return size, longest
+            size += int(terms * n * (max(1.0, log2(base)) + key_bits))
+    return size, largest
+
+
+def _coefficient_digits(bound: int, n: int) -> int:
+    """Decimal digits of bound^n, exact up to COEFFICIENT_DIGITS_CAP + 1:
+    in floats, (10^1000 - 1)^4, of 4,000 digits, reads 4000.0.  Further
+    past the cap bound^n is not taken, and the estimate names the size."""
+    estimate = n * log2(bound) * log10(2)
+    if estimate > COEFFICIENT_DIGITS_CAP + 1:
+        return int(estimate) + 1
+    return len(str(bound ** n))
 
 
 def _atom(sc: _Scanner) -> CPoly:
@@ -203,10 +212,10 @@ def _factor(sc: _Scanner) -> CPoly:
         n = sc.integer()
         if abs(n) > EXPONENT_CAP:
             sc.error("exponent %d is over the cap of %d" % (n, EXPONENT_CAP), at)
-        size, longest = _power_size(value, abs(n))
+        size, bound = _power_size(value, abs(n))
         if size > POWER_SIZE_CAP:
             sc.error("the power would hold about %d bits, over the cap of %d" % (size, POWER_SIZE_CAP), at)
-        digits = int(longest * log10(2)) + 1
+        digits = _coefficient_digits(bound, abs(n))
         if digits > COEFFICIENT_DIGITS_CAP:
             sc.error("the power's coefficients would have up to %d digits, over the cap of %d"
                      % (digits, COEFFICIENT_DIGITS_CAP), at)
@@ -226,9 +235,9 @@ def _term(sc: _Scanner) -> CPoly:
         sc.take()
         start = sc.pos
         operand = _factor(sc)
-        # a coefficient of a product or quotient holds at most the bits of
-        # the longest coefficients of both sides together
-        digits = int((_power_size(value, 1)[1] + _power_size(operand, 1)[1]) * log10(2)) + 1
+        # a coefficient of a product or quotient is at most the product of
+        # both sides' bounds
+        digits = _coefficient_digits(_power_size(value, 1)[1] * _power_size(operand, 1)[1], 1)
         if digits > COEFFICIENT_DIGITS_CAP:
             sc.error("the %s's coefficients would have up to %d digits, over the cap of %d"
                      % ("product" if c == "*" else "quotient", digits, COEFFICIENT_DIGITS_CAP), at)

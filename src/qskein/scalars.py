@@ -447,7 +447,8 @@ class Scalar:
                 return other
         if other.is_zero():
             raise ZeroDivisionError("division of Scalar by zero")
-        return Scalar(self.num * other.den, self.den * other.num)
+        return Scalar(self.num if other.den.is_one() else self.num * other.den,
+                      other.num if self.den.is_one() else self.den * other.num)
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar(other) / self

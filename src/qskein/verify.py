@@ -71,21 +71,6 @@ from .partitions import (
 from .perms import all_perms, reduced_word
 from .scalars import Scalar, Z, delta, h_expand, quantum_int
 
-DEFAULT_MAX = {
-    "ring": 8,
-    "hecke": 5,
-    "idempotents": 5,
-    "hook": 6,
-    "series": 6,
-    "xbiff": 6,
-    "rosso-jones": 4,
-    "cd": 3,
-    "pattern": 2,
-}
-
-SUITE_ORDER = list(DEFAULT_MAX)
-
-
 def _suite_xbiff(cap):
     rows = []
     for m in range(1, cap + 1):
@@ -433,17 +418,20 @@ def _suite_pattern(cap):
     return rows
 
 
+# tag: (suite, default size cap), in the order "all" runs them
 _SUITES = {
-    "ring": _suite_ring,
-    "hecke": _suite_hecke,
-    "idempotents": _suite_idempotents,
-    "hook": _suite_hook,
-    "series": _suite_series,
-    "xbiff": _suite_xbiff,
-    "rosso-jones": _suite_rosso_jones,
-    "cd": _suite_cd,
-    "pattern": _suite_pattern,
+    "ring": (_suite_ring, 8),
+    "hecke": (_suite_hecke, 5),
+    "idempotents": (_suite_idempotents, 5),
+    "hook": (_suite_hook, 6),
+    "series": (_suite_series, 6),
+    "xbiff": (_suite_xbiff, 6),
+    "rosso-jones": (_suite_rosso_jones, 4),
+    "cd": (_suite_cd, 3),
+    "pattern": (_suite_pattern, 2),
 }
+DEFAULT_MAX = {tag: cap for tag, (_, cap) in _SUITES.items()}
+SUITE_ORDER = list(_SUITES)
 
 
 def suite_names():
@@ -459,7 +447,8 @@ def run_suite(name: str, max_size: int | None = None):
         return rows
     if name not in _SUITES:
         raise ValueError("unknown suite %r; choose from %s" % (name, ", ".join(suite_names())))
-    cap = DEFAULT_MAX[name] if max_size is None else max_size
+    suite, cap = _SUITES[name]
+    cap = cap if max_size is None else max_size
     if cap < 1:
         raise ValueError("size cap must be positive")
-    return _SUITES[name](cap)
+    return suite(cap)

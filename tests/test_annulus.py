@@ -245,6 +245,23 @@ def test_plane_evaluation():
         assert val == delta() * curl ** (m - 1), m
 
 
+def test_the_division_by_z_power_multiplies_by_no_one(monkeypatch):
+    from qskein.adams_skein import torus_braid
+    from qskein.scalars import ONE_LP
+
+    closures = [closure_word(torus_braid(m, p)) for m, p in ((2, 3), (3, 4), (3, 3))]
+    want = [epsilon_plane(e) for e in closures]
+    real_mul = LaurentPoly.__mul__
+
+    def no_product_by_one(a, b):
+        if a is ONE_LP or b is ONE_LP:
+            raise AssertionError("multiplied by 1")
+        return real_mul(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", no_product_by_one)
+    assert [epsilon_plane(e) for e in closures] == want
+
+
 def _epsilon_plane_per_key(e):
     """Oracle: the planar value as one rational sum per key,
     c * delta^k * (x v^-1)^(sum(key) - k) for a key of k windings."""

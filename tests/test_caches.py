@@ -15,7 +15,7 @@ from qskein.adams_skein import (
     P, _hook_numerators, a_braid, cycle_closure, negative_cycle_expansion, positive_cycle_expansion,
 )
 from qskein.annulus import Q, _closure_step, _loops, _theta_key, a_in_Q_basis, closed_idempotent
-from qskein.chords import _lift_table, _word_class
+from qskein.chords import LIFT_TABLE_ROWS, _lift_table, _rotation_class, _word_class
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import _symmetric_group, e_lambda
 from qskein.partitions import Partition
@@ -25,13 +25,12 @@ from qskein.verify import DEFAULT_MAX, run_suite
 
 
 def _cached_functions():
-    """Every object with cache_clear in the globals of a qskein module, once,
-    but not a class, whose cache_clear is its instances'."""
+    """Every object with cache_clear in the globals of a qskein module, once."""
     found = {}
     for info in pkgutil.iter_modules(qskein.__path__):
         module = importlib.import_module("qskein." + info.name)
         for obj in vars(module).values():
-            if hasattr(obj, "cache_clear") and not isinstance(obj, type):
+            if hasattr(obj, "cache_clear"):
                 found[id(obj)] = obj
     return list(found.values())
 
@@ -57,6 +56,7 @@ CASES = [
     (_symmetric_group, (4,)),
     (_lift_table, (8, 3)),
     (_word_class, ((3, 4, 5, 0, 1, 2),)),
+    (_rotation_class, ((1, 5, 1, 5, 1, 5),)),
     (_loops, (2, 3)),
 ]
 IDS = [fn.__name__ + str(args[0] if len(args) == 1 else args) for fn, args in CASES]
@@ -89,9 +89,11 @@ def test_cold_value_equals_warm(fn, args):
 
 
 def test_every_cached_function_reports_its_table():
+    # the two chord-word memos are the only bounded ones
+    bounded = {_word_class, _rotation_class}
     for fn in CACHED:
-        info = fn.cache_info()
-        assert info.maxsize is None, fn.__name__
+        want = LIFT_TABLE_ROWS if fn in bounded else None
+        assert fn.cache_info().maxsize == want, fn.__name__
 
 
 def test_the_series_suite_builds_each_cycle_closure_and_expansion_once(monkeypatch):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import qskein.chords
 from qskein.chords import (
     CROSSING, PARALLEL, LIFT_CAP, LIFT_TABLE_ROWS, ChordDiagram, _lift_order_count, _lift_orders,
-    _lift_table, _order_weights, _word_class, all_diagrams, psi_chords, weight_system,
+    _lift_table, _order_weights, _rotation_class, _word_class, all_diagrams, psi_chords, weight_system,
 )
 
 
@@ -328,12 +329,14 @@ _MEMO_CASES = [(dg, m) for n in (1, 2, 3, 4) for dg in all_diagrams(n) for m in 
 
 def test_tallies_do_not_depend_on_the_word_memo():
     _word_class.cache_clear()
+    _rotation_class.cache_clear()
     cold = {(dg, m): psi_chords(dg, m) for dg, m in _MEMO_CASES}
     assert _word_class.cache_info().currsize > 0
     for dg, m in _MEMO_CASES:
         assert list(psi_chords(dg, m).items()) == list(cold[dg, m].items()), (dg, m)
     # the memo filled in the reverse order serves the same tallies
     _word_class.cache_clear()
+    _rotation_class.cache_clear()
     for dg, m in reversed(_MEMO_CASES):
         assert list(psi_chords(dg, m).items()) == list(cold[dg, m].items()), (dg, m)
         if dg.chords <= 2:
@@ -342,32 +345,36 @@ def test_tallies_do_not_depend_on_the_word_memo():
 
 def test_the_word_memo_keys_each_word_once_across_calls():
     _word_class.cache_clear()
+    _rotation_class.cache_clear()
+    met = set()
     for dg in all_diagrams(4):
-        psi_chords(dg, 3)
+        met.update(psi_chords(dg, 3))
     info = _word_class.cache_info()
-    # every word met is one of the 7!! = 105 matchings on 8 points
-    assert info.misses == info.currsize == len(_word_class.tables[8]) <= 105
+    # every word met is one of the 7!! = 105 matchings on 8 points, and each
+    # class, built once, one of the 18 diagrams of 4 chords
+    assert info.misses == info.currsize <= 105
+    classes = _rotation_class.cache_info()
+    assert classes.misses == classes.currsize == len(met) <= len(all_diagrams(4)) == 18
     for dg in all_diagrams(4):
         psi_chords(dg, 3)
     again = _word_class.cache_info()
     assert (again.misses, again.currsize) == (info.misses, info.currsize)
     assert again.hits > info.hits
+    # every word of the second round was known, so no class was looked up
+    assert _rotation_class.cache_info() == classes
 
 
 def test_the_word_memo_stays_within_its_bound(monkeypatch):
     want = {(dg, m): psi_chords(dg, m) for dg, m in _MEMO_CASES}
-    _word_class.cache_clear()
-    monkeypatch.setattr(qskein.chords, "LIFT_TABLE_ROWS", 7)
-    for dg, m in _MEMO_CASES:
-        assert psi_chords(dg, m) == want[dg, m], (dg, m)
-        assert all(len(table) <= 7 for table in _word_class.tables.values())
-    assert len(_word_class.tables[8]) == 7
-    # past the bound every call keys its words afresh and keeps none
-    monkeypatch.setattr(qskein.chords, "LIFT_TABLE_ROWS", 0)
-    _word_class.cache_clear()
-    for dg, m in _MEMO_CASES:
-        assert psi_chords(dg, m) == want[dg, m], (dg, m)
-    assert _word_class.cache_info().currsize == 0
+    for size in (7, 0):
+        memo = lru_cache(maxsize=size)(_word_class.__wrapped__)
+        monkeypatch.setattr(qskein.chords, "_word_class", memo)
+        for dg, m in _MEMO_CASES:
+            assert psi_chords(dg, m) == want[dg, m], (dg, m)
+            assert memo.cache_info().currsize <= size
+        info = memo.cache_info()
+        # past the bound the least recently used words were evicted
+        assert info.currsize == size < info.misses
 
 
 def test_weight_system_values():

@@ -1,7 +1,6 @@
 """End-to-end command line checks, run in process through main()."""
 
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -260,26 +259,41 @@ def test_products_of_long_literals_are_refused_at_the_operator(capsys, monkeypat
     def mul_under_the_cap(a, b):
         out = real_mul(a, b)
         parts = [Fraction(c) for sc in out.terms.values() for p in (sc.num, sc.den) for c in p.terms.values()]
-        if max(abs(k).bit_length() for c in parts for k in (c.numerator, c.denominator)) > (
-                COEFFICIENT_DIGITS_CAP * math.log2(10)):
+        if max(abs(k) for c in parts for k in (c.numerator, c.denominator)) >= 10 ** COEFFICIENT_DIGITS_CAP:
             raise AssertionError("multiplied past the cap")
         return out
 
     monkeypatch.setattr(CPoly, "__mul__", mul_under_the_cap)
     nines = "9" * INTEGER_DIGITS_CAP
-    # five factors of 1,000 digits each: the fourth operator would pass the
-    # cap, and is refused at its position
-    for prefix, factor, op, name in ((("", nines, "*", "product"), ("", "(%s*s+1)" % nines, "*", "product"),
-                                      ("1/", nines, "/", "quotient"))):
+    # five factors of 1,000 digits each, refused at the operator that would
+    # pass the cap: the fourth, as 9...9^4 has exactly 4,000 digits, but the
+    # third for (9...9*s+1), whose bound 10^4000 has 4,001
+    for prefix, factor, op, name, before in (("", nines, "*", "product", 4),
+                                             ("", "(%s*s+1)" % nines, "*", "product", 3),
+                                             ("1/", nines, "/", "quotient", 4)):
         code, out, err = run(capsys, "theta", prefix + op.join([factor] * 5))
         assert (code, out) == (2, "")
         assert err.startswith("error: the %s's coefficients would have up to " % name)
-        at = len(prefix) + 3 * len(factor) + 2
+        at = len(prefix) + before * (len(factor) + 1) - 1
         assert " digits, over the cap of %d at position %d\n" % (COEFFICIENT_DIGITS_CAP, at) in err
     # a product of 3,999 digits prints
     code, out, err = run(capsys, "theta", "*".join([nines] * 3 + ["9" * 999]))
     assert (code, err) == (0, "")
     assert len(out) == 3999 + 1
+
+
+def test_coefficients_of_exactly_the_digit_cap_print(capsys):
+    from qskein.parsing import COEFFICIENT_DIGITS_CAP, _coefficient_digits
+
+    nines = "9" * INTEGER_DIGITS_CAP
+    want = str((10 ** INTEGER_DIGITS_CAP - 1) ** 4)
+    assert len(want) == COEFFICIENT_DIGITS_CAP
+    for text in (nines + "^4", "*".join([nines] * 4), "(%s)^2*%s^2" % (nines, nines)):
+        assert run(capsys, "theta", text) == (0, want + "\n", ""), text[-20:]
+    # exact on both sides of the cap, where log2 reads 4000.0 for each
+    assert _coefficient_digits(10 ** INTEGER_DIGITS_CAP - 1, 4) == COEFFICIENT_DIGITS_CAP
+    assert _coefficient_digits(10 ** INTEGER_DIGITS_CAP, 4) == COEFFICIENT_DIGITS_CAP + 1
+    assert _coefficient_digits(10, COEFFICIENT_DIGITS_CAP) == COEFFICIENT_DIGITS_CAP + 1
 
 
 def test_powers_under_the_size_cap_run(capsys):
@@ -402,13 +416,12 @@ def test_power_size_bounds_the_result(text):
 
     base = parse_cpoly(text)
     for n in (1, 2, 5, 9):
-        size, longest = _power_size(base, n)
+        size, bound = _power_size(base, n)
         bits = 0.0
         for key, c in (base ** n).terms.items():
             for k in c.num.terms.values():
-                coefficient = log2(abs(k.numerator)) + log2(k.denominator)
-                assert coefficient <= longest, (text, n)
-                bits += coefficient + 64 * len(key)
+                assert abs(k.numerator) * k.denominator <= bound ** n, (text, n)
+                bits += log2(abs(k.numerator)) + log2(k.denominator) + 64 * len(key)
         assert bits <= size, (text, n)
 
 

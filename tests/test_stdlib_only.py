@@ -1,12 +1,17 @@
 """The package imports nothing outside the standard library, imports only
-at module top, memoises through functools.cache only, keeps no private
+at module top, memoises through functools caches only, keeps no private
 module-level name that nothing else in it refers to, and imports no private
 name from one of its modules into another."""
 
 import ast
+import functools
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
+
+import qskein
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qskein"
 
@@ -42,6 +47,15 @@ def test_only_the_named_memo_dicts_remain():
                 if isinstance(target, ast.Name) and re.fullmatch(r"_\w*_cache", target.id):
                     found.add(target.id)
     assert found == HAND_ROLLED_MEMOS
+
+
+def test_every_memo_is_a_functools_cache():
+    wrapper = type(functools.cache(len))
+    modules = [qskein] + [importlib.import_module("qskein." + info.name) for info in pkgutil.iter_modules(qskein.__path__)]
+    memos = {(module.__name__, name): obj for module in modules for name, obj in vars(module).items()
+             if hasattr(obj, "cache_clear")}
+    assert memos
+    assert sorted(key for key, obj in memos.items() if type(obj) is not wrapper) == []
 
 
 def test_imports_sit_at_module_top():
