@@ -31,7 +31,7 @@ from .hecke import BraidWord, HeckeElement, alpha, check_enumeration_cap, check_
 from .linear import Polynomial, add_shifted, join_raw, linear_map, multiset_text, split_raw
 from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
-from .scalars import Z_LP, LaurentPoly, Scalar, scalar_sum
+from .scalars import DELTA_LP, Z_LP, LaurentPoly, Scalar, scalar_sum
 
 
 class AnnulusElement(Polynomial):
@@ -242,4 +242,4 @@ def epsilon_plane(e: AnnulusElement) -> Scalar:
 @cache
 def _loops(k: int, top: int) -> LaurentPoly:
     """(v^-1 - v)^k (s - s^-1)^(top - k): delta^k times Z^top."""
-    return LaurentPoly({(0, -1, 0): 1, (0, 1, 0): -1}) ** k * Z_LP ** (top - k)
+    return DELTA_LP ** k * Z_LP ** (top - k)

@@ -13,8 +13,8 @@ so up to LIFT_TABLE_ROWS of them are built once per number of points and
 shared by every diagram of that size (_lift_table).  Nor does the class of
 a lifted word, a matching on the lifted points, so the LIFT_TABLE_ROWS
 words met last keep their canonical ChordDiagram across calls
-(_word_class), and each class is built once for all its words
-(_rotation_class).
+(_word_class).  One routine, _canonical, gives the canonical form both of a
+diagram built from its pairs and of a lifted word.
 """
 
 from fractions import Fraction
@@ -32,25 +32,24 @@ from .perms import cycles
 # 39,914,763 and are refused.  The count is made before any enumeration.
 LIFT_CAP = 2_000_000
 
-# Most rows _lift_table keeps for one size, and most entries each of
-# _word_class and _rotation_class keeps over all sizes, least recently used
-# evicted first.  A row costs 340-410 bytes at 8-12 points: 4 chords at m = 3
-# keep 1,312 rows in 0.45 MB, 5 chords at m = 3 keep 15,111 in 5.7 MB, and
-# all 16 tables the bound admits (up to 7 chords, at m = 2) hold 46,359 rows
-# in 17 MB.  A larger count is walked afresh by each call in O(2n) memory, as
-# any count up to LIFT_CAP may be.  A word is one of the (2n - 1)!! matchings
-# on 2n points, so up to 6 chords all 11,464 words fit, and only from 7
-# chords on (135,135 matchings) are words evicted and keyed again when next
-# met.  Measured with tracemalloc at 14 points, 20,000 words take 5.7-6.4 MB
-# and all 9,749 classes of 7 chords 7.9 MB; 20,000 classes of 8 chords take
-# 17.9 MB, so both memos full hold about 24 MB.
+# Most rows _lift_table keeps for one size, and most entries _word_class
+# keeps over all sizes, least recently used evicted first.  A row costs
+# 340-410 bytes at 8-12 points: 4 chords at m = 3 keep 1,312 rows in 0.45 MB,
+# 5 chords at m = 3 keep 15,111 in 5.7 MB, and all 16 tables the bound admits
+# (up to 7 chords, at m = 2) hold 46,359 rows in 17 MB.  A larger count is
+# walked afresh by each call in O(2n) memory, as any count up to LIFT_CAP may
+# be.  A word is one of the (2n - 1)!! matchings on 2n points, so up to 6
+# chords all 11,464 words fit, and only from 7 chords on (135,135 matchings)
+# are words evicted and keyed again when next met.  Each word keeps its own
+# ChordDiagram: measured with tracemalloc, the memo full of 20,000 random
+# words of 7 chords holds 15.5 MB.
 LIFT_TABLE_ROWS = 20_000
 
 # Most chords parse_matching admits; it refuses an endpoint past 2 * CHORD_CAP
 # as it reads it.  Canonicalising a diagram costs O(n) per rotation it
 # compares, and a diagram with many least-offset chords and no rotational
 # symmetry compares about n of them: 998 short chords and two others take
-# about 0.3 s.
+# about 0.03 s.
 CHORD_CAP = 1000
 
 
@@ -62,25 +61,28 @@ def _partners(pairs, points: int) -> list[int]:
     return partner
 
 
-def _canonical(pairs, points):
-    """The least, over the rotations of the circle, of the sorted pairs.
+def _canonical(partner: list[int]) -> tuple:
+    """The least, over the rotations of the circle, of the sorted pairs of
+    the matching with partner[k] the other end of the chord at point k.
 
     Sorted pairs start with (0, partner of 0), so only a rotation that takes
     a point of least offset (the distance mod 2n to its partner) to 0 can
-    win.  The rotated pairs are (i, i + o) for each offset o at rotated
-    position i that does not wrap, and rotations one period of the offset
-    word apart give the same pairs, so only the least-offset points within
-    one period are tried."""
+    win, and only those within one period of the offset word differ.  They
+    are compared by rotated offset word: where two words first differ, both
+    start a chord, as a chord ending there starts where they agree, so the
+    lesser offset gives the lesser pairs.  The least word becomes the pairs
+    (i, i + o) for each offset o at point i that does not wrap."""
+    points = len(partner)
     if not points:
         return ()
-    offsets = [(q - k) % points for k, q in enumerate(_partners(pairs, points))]
+    offsets = [(q - k) % points for k, q in enumerate(partner)]
     # a rotation that fixes the word is a multiple of its period, which
     # divides 2n; testing divisors only keeps this O(n) per divisor
     period = next(p for p in range(1, points + 1)
                   if not points % p and offsets[p:] + offsets[:p] == offsets)
     least = min(offsets)
-    return min(tuple((i, i + o) for i, o in enumerate(offsets[k:] + offsets[:k]) if i + o < points)
-               for k in range(period) if offsets[k] == least)
+    word = min(offsets[k:] + offsets[:k] for k in range(period) if offsets[k] == least)
+    return tuple((i, i + o) for i, o in enumerate(word) if i + o < points)
 
 
 class ChordDiagram:
@@ -100,7 +102,7 @@ class ChordDiagram:
         points = 2 * len(pairs)
         if sorted(q for p in pairs for q in p) != list(range(points)):
             raise ValueError("matching must use each of the 2n points exactly once")
-        self.pairs = _canonical(pairs, points)
+        self.pairs = _canonical(_partners(pairs, points))
 
     @property
     def chords(self) -> int:
@@ -183,15 +185,18 @@ def _order_weights(points: int, m: int) -> list[int]:
 
 
 def _lift_orders(points: int, m: int):
-    """Yield (order, d) for each order of the points 0..points-1 that starts
-    at 0 and has d < m descents; order[k] is the point at lifted position k.
+    """Yield (order, lifted, d) for each order of the points 0..points-1
+    that starts at 0 and has d < m descents: the order as an itemgetter, so
+    order(t)[k] = t[order[k]] with order[k] the point at lifted position k,
+    and its inverse, the lifted position lifted[p] of each point p.  Neither
+    depends on the diagram being lifted.
 
     The orders are built by inserting 1, 2, ..., points - 1 in turn.  The
     new largest value adds a descent unless it goes at the end or inside a
     descent, and it never removes one, so every order kept can be completed.
-    One list is reused for every order: read it before asking for the next.
     """
     top = points - 1
+    span = range(points)
     order = [0]
     placed = []  # (slot, descents before it) of each value placed below the current one
     value, slot, d = 1, 1, 0
@@ -201,7 +206,7 @@ def _lift_orders(points: int, m: int):
                 grown = d if slot == top or order[slot - 1] > order[slot] else d + 1
                 if grown < m:
                     order.insert(slot, top)
-                    yield order, grown
+                    yield itemgetter(*order), tuple(sorted(span, key=order.__getitem__)), grown
                     del order[slot]
         elif slot <= value:
             grown = d if slot == value or order[slot - 1] > order[slot] else d + 1
@@ -220,44 +225,23 @@ def _lift_orders(points: int, m: int):
         slot += 1
 
 
-def _lift_rows(points: int, m: int):
-    """Yield (order, lifted, d) for each order _lift_orders yields: the order
-    as an itemgetter, so order(t)[k] = t[order[k]], and its inverse, the
-    lifted position lifted[p] of each point p.  Neither depends on the
-    diagram being lifted."""
-    span = range(points)
-    for order, d in _lift_orders(points, m):
-        yield itemgetter(*order), tuple(sorted(span, key=order.__getitem__)), d
-
-
 @cache
 def _lift_table(points: int, m: int) -> tuple:
-    """Every row of _lift_rows(points, m), kept for the next diagram of the
+    """Every row of _lift_orders(points, m), kept for the next diagram of the
     same size: called only for m <= points - 1 (larger m admits no more
     orders) and for at most LIFT_TABLE_ROWS rows."""
-    return tuple(_lift_rows(points, m))
+    return tuple(_lift_orders(points, m))
 
 
 @lru_cache(maxsize=LIFT_TABLE_ROWS)
 def _word_class(word: tuple) -> ChordDiagram:
     """The ChordDiagram of a lifted word, a matching on the lifted points
-    with word[k] the partner of point k; it does not depend on the diagram
-    lifted, so it is kept for every later call.  Two matchings agree up to
-    rotation exactly when their offset words, the distance mod 2n from each
-    point to its partner, do, so the word is keyed by the least rotation of
-    its offset word."""
-    points = len(word)
-    offsets = tuple((q - k) % points for k, q in enumerate(word))
-    doubled = offsets + offsets
-    return _rotation_class(min(doubled[r:r + points] for r in range(points)))
-
-
-@lru_cache(maxsize=LIFT_TABLE_ROWS)
-def _rotation_class(key: tuple) -> ChordDiagram:
-    """The ChordDiagram of a least-rotation offset word, built once for all
-    the words that share it."""
-    points = len(key)
-    return ChordDiagram((i, i + step) for i, step in enumerate(key) if i + step < points)
+    with word[k] the partner of point k.  A lift is a matching, so the word
+    skips ChordDiagram's check; it does not depend on the diagram lifted,
+    so it is kept for every later call."""
+    diagram = ChordDiagram.__new__(ChordDiagram)
+    diagram.pairs = _canonical(word)
+    return diagram
 
 
 def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
@@ -284,8 +268,9 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     same for every diagram with 2n points, so for up to LIFT_TABLE_ROWS
     orders they are read from a table built once per size (_lift_table).
     Each distinct word then takes its class from a bounded memo shared by
-    every call (_word_class), which builds one ChordDiagram per class
-    (_rotation_class), and the words' weights are summed by class.
+    every call (_word_class), which canonicalises it by the routine every
+    ChordDiagram uses (_canonical), and the words' weights are summed by
+    class.
 
     >>> psi_chords(ChordDiagram([(0, 1)]), 3)
     {ChordDiagram([(0, 1)]): 9}
@@ -307,7 +292,7 @@ def psi_chords(diagram: ChordDiagram, m: int) -> dict[ChordDiagram, int]:
     # the lifted position of the partner of the point at lifted position k
     across = itemgetter(*partner)
     weights = [m * w for w in _order_weights(points, m)]
-    rows = _lift_table(points, min(m, points - 1)) if orders <= LIFT_TABLE_ROWS else _lift_rows(points, m)
+    rows = _lift_table(points, min(m, points - 1)) if orders <= LIFT_TABLE_ROWS else _lift_orders(points, m)
     words: dict[tuple, int] = {}
     for order, lifted, d in rows:
         word = order(across(lifted))

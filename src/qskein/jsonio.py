@@ -33,7 +33,7 @@ from .annulus import AnnulusElement, closure, closure_word
 from .diagram_ring import CPoly, DiagramVector
 from .hecke import BraidWord, decorate
 from .linear import add_term
-from .parsing import parse_braid_word, parse_matching, parse_scalar
+from .parsing import parse_braid_word, parse_matching, parse_rational, parse_scalar
 from .partitions import Partition
 from .scalars import LaurentPoly, Scalar, TFraction
 
@@ -47,9 +47,9 @@ def encode_coeff(c):
 
 def decode_coeff(obj) -> Fraction:
     if isinstance(obj, str):
-        p, q = obj.split("/")
-        return Fraction(int(p), int(q))
-    if isinstance(obj, int):
+        return parse_rational(obj)
+    # JSON true and false read as bools, which isinstance takes for ints
+    if type(obj) is int:
         return Fraction(obj)
     raise ValueError("coefficient must be an int or 'p/q' string, got %r" % (obj,))
 
@@ -77,10 +77,10 @@ def encode_scalar(sc: Scalar) -> dict:
 def decode_scalar(obj) -> Scalar:
     if isinstance(obj, dict):
         return Scalar(decode_poly(_entry(obj, "num", "scalar")), decode_poly(_entry(obj, "den", "scalar")))
-    if isinstance(obj, (int, str)):
-        # conveniences for hand-written files
-        if isinstance(obj, int):
-            return Scalar(obj)
+    # conveniences for hand-written files, refusing bools as decode_coeff does
+    if type(obj) is int:
+        return Scalar(obj)
+    if isinstance(obj, str):
         return parse_scalar(obj)
     raise ValueError("scalar must be a num/den record, int, or expression string")
 

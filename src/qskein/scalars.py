@@ -260,6 +260,7 @@ def _terms_repr(p: LaurentPoly) -> str:
 
 ONE_LP = LaurentPoly.one()
 Z_LP = LaurentPoly({(0, 0, 1): 1, (0, 0, -1): -1})  # s - s^-1
+DELTA_LP = LaurentPoly({(0, -1, 0): 1, (0, 1, 0): -1})  # v^-1 - v
 
 
 # [i] has i terms; a larger i is refused before any term is built.
@@ -872,7 +873,7 @@ def delta() -> Scalar:
 
 
 Z = Scalar.from_poly(Z_LP)
-DELTA = Scalar(LaurentPoly({(0, -1, 0): 1, (0, 1, 0): -1}), Z_LP)
+DELTA = Scalar(DELTA_LP, Z_LP)
 
 
 # ---------------------------------------------------------------------------

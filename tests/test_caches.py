@@ -15,7 +15,7 @@ from qskein.adams_skein import (
     P, _hook_numerators, a_braid, cycle_closure, negative_cycle_expansion, positive_cycle_expansion,
 )
 from qskein.annulus import Q, _closure_step, _loops, _theta_key, a_in_Q_basis, closed_idempotent
-from qskein.chords import LIFT_TABLE_ROWS, _lift_table, _rotation_class, _word_class
+from qskein.chords import LIFT_TABLE_ROWS, _lift_table, _word_class
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import _symmetric_group, e_lambda
 from qskein.partitions import Partition
@@ -56,7 +56,6 @@ CASES = [
     (_symmetric_group, (4,)),
     (_lift_table, (8, 3)),
     (_word_class, ((3, 4, 5, 0, 1, 2),)),
-    (_rotation_class, ((1, 5, 1, 5, 1, 5),)),
     (_loops, (2, 3)),
 ]
 IDS = [fn.__name__ + str(args[0] if len(args) == 1 else args) for fn, args in CASES]
@@ -89,10 +88,9 @@ def test_cold_value_equals_warm(fn, args):
 
 
 def test_every_cached_function_reports_its_table():
-    # the two chord-word memos are the only bounded ones
-    bounded = {_word_class, _rotation_class}
+    # the chord-word memo is the only bounded one
     for fn in CACHED:
-        want = LIFT_TABLE_ROWS if fn in bounded else None
+        want = LIFT_TABLE_ROWS if fn is _word_class else None
         assert fn.cache_info().maxsize == want, fn.__name__
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qskein.chords
 from qskein.chords import (
     CROSSING, PARALLEL, LIFT_CAP, LIFT_TABLE_ROWS, ChordDiagram, _lift_order_count, _lift_orders,
-    _lift_table, _order_weights, _rotation_class, _word_class, all_diagrams, psi_chords, weight_system,
+    _lift_table, _order_weights, _partners, _word_class, all_diagrams, psi_chords, weight_system,
 )
 
 
@@ -100,6 +100,22 @@ def tiled_matchings(draw):
 def test_canonical_form_matches_all_rotations(drawn):
     pairs, points = drawn
     assert ChordDiagram(pairs).pairs == _canonical_by_all_rotations(pairs, points)
+
+
+def test_every_small_matching_takes_the_least_rotation_by_every_route():
+    # every matching on up to 12 points, built from its pairs and as a lifted
+    # word: 12 points are the fewest where two least-offset rotations agree
+    # on the first half of their offset words and differ after it
+    for points in range(0, 13, 2):
+        for pairs in _matchings(list(range(points))):
+            want = _canonical_by_all_rotations(pairs, points)
+            dg = ChordDiagram(pairs)
+            assert dg.pairs == want, pairs
+            assert _word_class(tuple(_partners(pairs, points))).pairs == want, pairs
+            # and from every rotation, for the 1,070 matchings on up to 10 points
+            if points <= 10:
+                for r in range(points):
+                    assert dg.rotated(r).pairs == want, (pairs, r)
 
 
 def test_canonical_form():
@@ -205,7 +221,7 @@ def _descents(order):
 @pytest.mark.parametrize("points", [2, 4, 6, 8, 10])
 def test_lift_orders_follow_eulerian_and_worpitzky(points):
     for m in range(1, 7):
-        per_d = Counter(d for _, d in _lift_orders(points, m))
+        per_d = Counter(d for _, _, d in _lift_orders(points, m))
         assert per_d == Counter({d: _eulerian(points - 1, d) for d in range(min(m, points))}), (points, m)
         assert _lift_order_count(points, m) == sum(per_d.values())
         # Worpitzky: the weights count every sheet assignment with point 0 on sheet 0 once
@@ -216,7 +232,11 @@ def test_lift_orders_follow_eulerian_and_worpitzky(points):
 @pytest.mark.parametrize("points", [2, 3, 4, 5, 6, 7])
 def test_lift_orders_are_the_orders_with_few_descents(points):
     for m in range(1, points + 1):
-        got = [(tuple(order), d) for order, d in _lift_orders(points, m)]
+        span = range(points)
+        rows = [(order(span), lifted, d) for order, lifted, d in _lift_orders(points, m)]
+        # each row's lifted positions invert its order
+        assert all(tuple(order[p] for p in lifted) == tuple(span) for order, lifted, _ in rows)
+        got = [(order, d) for order, _, d in rows]
         assert all(d == _descents(order) for order, d in got)
         want = {(0,) + rest for rest in permutations(range(1, points)) if _descents(rest) < m}
         assert len(got) == len(want) and {order for order, _ in got} == want, (points, m)
@@ -329,14 +349,12 @@ _MEMO_CASES = [(dg, m) for n in (1, 2, 3, 4) for dg in all_diagrams(n) for m in 
 
 def test_tallies_do_not_depend_on_the_word_memo():
     _word_class.cache_clear()
-    _rotation_class.cache_clear()
     cold = {(dg, m): psi_chords(dg, m) for dg, m in _MEMO_CASES}
     assert _word_class.cache_info().currsize > 0
     for dg, m in _MEMO_CASES:
         assert list(psi_chords(dg, m).items()) == list(cold[dg, m].items()), (dg, m)
     # the memo filled in the reverse order serves the same tallies
     _word_class.cache_clear()
-    _rotation_class.cache_clear()
     for dg, m in reversed(_MEMO_CASES):
         assert list(psi_chords(dg, m).items()) == list(cold[dg, m].items()), (dg, m)
         if dg.chords <= 2:
@@ -345,23 +363,19 @@ def test_tallies_do_not_depend_on_the_word_memo():
 
 def test_the_word_memo_keys_each_word_once_across_calls():
     _word_class.cache_clear()
-    _rotation_class.cache_clear()
     met = set()
     for dg in all_diagrams(4):
         met.update(psi_chords(dg, 3))
     info = _word_class.cache_info()
     # every word met is one of the 7!! = 105 matchings on 8 points, and each
-    # class, built once, one of the 18 diagrams of 4 chords
+    # class one of the 18 diagrams of 4 chords
     assert info.misses == info.currsize <= 105
-    classes = _rotation_class.cache_info()
-    assert classes.misses == classes.currsize == len(met) <= len(all_diagrams(4)) == 18
+    assert met <= set(all_diagrams(4)) and len(all_diagrams(4)) == 18
     for dg in all_diagrams(4):
         psi_chords(dg, 3)
     again = _word_class.cache_info()
     assert (again.misses, again.currsize) == (info.misses, info.currsize)
     assert again.hits > info.hits
-    # every word of the second round was known, so no class was looked up
-    assert _rotation_class.cache_info() == classes
 
 
 def test_the_word_memo_stays_within_its_bound(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import log10
 
 import pytest
 from hypothesis import given, settings
@@ -294,6 +295,32 @@ def test_coefficients_of_exactly_the_digit_cap_print(capsys):
     assert _coefficient_digits(10 ** INTEGER_DIGITS_CAP - 1, 4) == COEFFICIENT_DIGITS_CAP
     assert _coefficient_digits(10 ** INTEGER_DIGITS_CAP, 4) == COEFFICIENT_DIGITS_CAP + 1
     assert _coefficient_digits(10, COEFFICIENT_DIGITS_CAP) == COEFFICIENT_DIGITS_CAP + 1
+
+
+def test_a_refused_size_names_no_more_digits_than_the_result_has(capsys):
+    from qskein.parsing import COEFFICIENT_DIGITS_CAP, _coefficient_digits
+
+    # (10^1000 - 1)^5 has 5,000 digits, and log2 reads 5000.0 for it
+    text = "9" * INTEGER_DIGITS_CAP + "^5"
+    code, out, err = run(capsys, "theta", text)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == ("error: the power's coefficients would have up to 5000 digits, "
+                                   "over the cap of %d at position %d" % (COEFFICIENT_DIGITS_CAP, len(text) - 1))
+    # past the cap the count is exact just under and just over a power of
+    # ten, where floats read an integer: (10^k - 1)^n has kn digits, and
+    # (10^k)^n and (10^k + 1)^n one more
+    for k, ns in ((INTEGER_DIGITS_CAP, (5, 6, 9, 40)), (100, (45, 46)), (7, (600, 5000))):
+        for n in ns:
+            for off, exact in ((-1, k * n), (0, k * n + 1), (1, k * n + 1)):
+                assert _coefficient_digits(10 ** k + off, n) == exact, (k, off, n)
+    # elsewhere it is the exact one or one less: 2^n, 3^n and 99^n of 4,002
+    # to 4,290 digits
+    cases = [(b, n) for b in (2, 3, 99) for n in range(int(4002 / log10(b)), int(4290 / log10(b)), 5)]
+    assert len(cases) > 100
+    for base, n in cases:
+        exact = len(str(base ** n))
+        assert exact > COEFFICIENT_DIGITS_CAP + 1
+        assert exact - 1 <= _coefficient_digits(base, n) <= exact, (base, n)
 
 
 def test_powers_under_the_size_cap_run(capsys):
@@ -613,14 +640,42 @@ def test_solve_pattern_reads_annulus_keys_in_any_order(tmp_path, capsys):
     {"target": {"word": [1], "strands": 2, "colour": [1.5]}, "patterns": [{"word": [1], "strands": 2}]},
     {"target": [[[1], {"num": [["a", 0, 0, 1]], "den": [[0, 0, 0, 1]]}]], "patterns": [[[[1], 1]]]},
     {"target": [[[1], 1, 2]], "patterns": [[[[1], 1]]]},
+    {"target": [[[1], True]], "patterns": [[[[1], 1]]]},
 ], ids=["strands-not-an-int", "scalar-without-den", "key-not-an-index", "letter-not-an-int",
-        "colour-not-ints", "exponent-not-an-int", "term-not-a-pair"])
+        "colour-not-ints", "exponent-not-an-int", "term-not-a-pair", "scalar-is-true"])
 def test_solve_pattern_refuses_a_malformed_record(tmp_path, capsys, payload):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "solve-pattern", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("coeff,reason", [
+    ("1/0", "the denominator is zero at position 2"),
+    ("1/2/3", "unexpected trailing input at position 3"),
+    ("7" * 5000 + "/3", "an integer of 5000 digits is over the cap of 4300 digits at position 0"),
+    (True, "coefficient must be an int or 'p/q' string, got True"),
+], ids=["zero-denominator", "two-slashes", "5000-digit-numerator", "json-true"])
+def test_solve_pattern_refuses_a_bad_coefficient(tmp_path, capsys, coeff, reason):
+    path = tmp_path / "system.json"
+    scalar = {"num": [[0, 0, 0, coeff]], "den": [[0, 0, 0, 1]]}
+    path.write_text(json.dumps({"target": [[[1], scalar]], "patterns": [[[[1], 1]]]}))
+    code, out, err = run(capsys, "solve-pattern", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: " + reason
+    assert max(map(len, err.splitlines())) <= ECHO_WIDTH + 8
+
+
+def test_a_long_rational_coefficient_reads_back_from_the_json_printed(tmp_path, capsys):
+    # 1/(10^1000 - 1)^2 prints a denominator of 2,000 digits, past the cap
+    # on typed integers
+    text = "s/(%s^2)" % ("9" * INTEGER_DIGITS_CAP)
+    code, out, _ = run(capsys, "theta", text, "--json")
+    assert code == 0 and len(json.loads(out)[0][1]["num"][0][3]) == 2002
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"target": json.loads(out), "patterns": [json.loads(out)]}))
+    assert run(capsys, "solve-pattern", str(path)) == (0, "solution [1]\n", "")
 
 
 def test_solve_pattern_refuses_a_colour_past_the_cap(tmp_path, capsys):

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qskein import jsonio
 from qskein.adams_skein import torus_invariant
@@ -18,6 +20,26 @@ from qskein.scalars import LaurentPoly, Scalar, h_expand
 
 def round_trip(encode, decode, value):
     return decode(json.loads(json.dumps(encode(value))))
+
+
+# the longest integer Python prints, 4,300 digits unless changed
+LONGEST = 10 ** 4300 - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-LONGEST, LONGEST), st.integers(1, LONGEST))
+@example(-LONGEST, LONGEST - 1)
+@example(LONGEST, 1)
+@example(1, (10 ** 1000 - 1) ** 2)
+def test_every_coefficient_encode_coeff_writes_decodes(p, q):
+    c = Fraction(p, q)
+    assert round_trip(jsonio.encode_coeff, jsonio.decode_coeff, c) == c
+
+
+def test_a_malformed_coefficient_is_refused():
+    for obj in ("1/0", "1/2/3", "1/", "/2", "1.5", "x", "", True, False, 1.0, None, [1]):
+        with pytest.raises(ValueError):
+            jsonio.decode_coeff(obj)
 
 
 def test_cpoly_round_trip():

@@ -2,13 +2,16 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qskein.chords import ChordDiagram
 from qskein.diagram_ring import CPoly
 from qskein.hecke import BraidWord
-from qskein.parsing import parse_braid_word, parse_cpoly, parse_matching, parse_partition, parse_scalar
+from qskein.parsing import (
+    ParseError, parse_braid_word, parse_cpoly, parse_matching, parse_partition, parse_rational, parse_scalar,
+)
 from qskein.partitions import Partition
 from qskein.scalars import LaurentPoly, Scalar, quantum_int
 
@@ -78,3 +81,15 @@ def test_braid_words_print_back_with_their_strand_count(w):
 def test_chord_diagrams_print_back_to_themselves(points):
     diagram = ChordDiagram(zip(points[::2], points[1::2]))
     assert parse_matching(str(diagram)) == diagram
+
+
+@given(st.fractions())
+def test_rationals_print_back_to_themselves(c):
+    assert parse_rational(str(c)) == c
+
+
+def test_a_rational_is_refused_at_the_offending_position():
+    for text, pos in (("1/0", 2), ("1/ 0", 3), ("1/2/3", 3), ("1/", 2), ("/2", 0), ("1.5", 1), ("", 0)):
+        with pytest.raises(ParseError) as refused:
+            parse_rational(text)
+        assert refused.value.pos == pos, text
