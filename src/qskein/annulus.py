@@ -28,7 +28,7 @@ from math import comb, prod
 
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
 from .hecke import BraidWord, HeckeElement, alpha, check_enumeration_cap, check_strand_cap, e_lambda
-from .linear import Polynomial, add_shifted, join_raw, linear_map, multiset_text, split_raw
+from .linear import Polynomial, join_raw, linear_map, multiset_text, split_raw
 from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
 from .scalars import DELTA_LP, Z_LP, LaurentPoly, Scalar, scalar_sum
@@ -72,7 +72,7 @@ def _closure_step(pi: Perm):
     cyc = cycles(pi)
     if length == len(pi) - len(cyc):
         return length, tuple(sorted(map(len, cyc), reverse=True)), None, None
-    visited = [pi]
+    visited, seen = [pi], {pi}
     for u in visited:
         for i in range(len(pi) - 1):
             w = swap_positions(u, i)
@@ -86,26 +86,50 @@ def _closure_step(pi: Perm):
                 v = tuple(v)
                 if not steps_up:
                     return length, None, w, v
-                if v not in visited:
+                if v not in seen:
+                    seen.add(v)
                     visited.append(v)
 
 
 def _push_down(terms: dict) -> dict:
     """Raw closure of {perm: polynomial}: each coefficient moves to shorter
-    permutations, longest first, until it reaches a winding key."""
+    permutations, longest first, until it reaches a winding key.  The input's
+    polynomials are copied once; every later one is owned, so a level's
+    polynomials are updated in place and a minimal one is adopted."""
     levels = [{} for _ in range(1 + max((_closure_step(pi)[0] for pi in terms), default=-1))]
     for pi, p in terms.items():
-        add_shifted(levels[_closure_step(pi)[0]], pi, p, 0, 0, 0, 1)
+        levels[_closure_step(pi)[0]][pi] = p.copy()
     out: dict = {}
     for length in range(len(levels) - 1, -1, -1):
         for pi, p in levels[length].items():
             _, key, shorter, shortest = _closure_step(pi)
             if key is not None:
-                add_shifted(out, key, p, 0, 0, 0, 1)
-            else:
-                add_shifted(levels[length - 1], shorter, p, 1, 0, 1, 1)
-                add_shifted(levels[length - 1], shorter, p, 1, 0, -1, -1)
-                add_shifted(levels[length - 2], shortest, p, 2, 0, 0, 1)
+                q = out.setdefault(key, p)
+                if q is not p:
+                    for e, m in p.items():
+                        if v := q.get(e, 0) + m:
+                            q[e] = v
+                        else:
+                            del q[e]
+                continue
+            q = levels[length - 1].setdefault(shorter, {})
+            r = levels[length - 2].setdefault(shortest, {})
+            for (e1, e2, e3), m in p.items():
+                e = (e1 + 1, e2, e3 + 1)
+                if v := q.get(e, 0) + m:
+                    q[e] = v
+                else:
+                    del q[e]
+                e = (e1 + 1, e2, e3 - 1)
+                if v := q.get(e, 0) - m:
+                    q[e] = v
+                else:
+                    del q[e]
+                e = (e1 + 2, e2, e3)
+                if v := r.get(e, 0) + m:
+                    r[e] = v
+                else:
+                    del r[e]
     return out
 
 

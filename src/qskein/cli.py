@@ -20,7 +20,7 @@ from .chords import psi_chords
 from .diagram_ring import DiagramVector, psi
 from .hecke import alpha
 from .partitions import lr_product
-from .parsing import ParseError, parse_braid_word, parse_cpoly, parse_matching, parse_partition
+from .parsing import ParseError, parse_braid_word, parse_cpoly, parse_matching, parse_partition, parse_rational
 from .scalars import PoleError, Scalar, SpecializationError, format_terms, h_expand, quantum_int
 from .verify import DEFAULT_MAX, SUITE_ORDER, run_suite, suite_names
 
@@ -90,8 +90,9 @@ def _cmd_torus(args):
 
 
 def _cmd_solve_pattern(args):
+    # an integer past Python's conversion limit is refused as a rational one is
     with open(args.file, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, parse_int=lambda text: parse_rational(text).numerator)
     return _emit(args, solve_pattern(jsonio.decode_pattern_system(obj)), jsonio.encode_outcome)
 
 

@@ -26,7 +26,7 @@ from functools import cache
 from math import factorial, prod
 from operator import itemgetter
 
-from .linear import FormalSum, add_shifted, join_raw, split_raw
+from .linear import FormalSum, join_raw, split_raw
 from .partitions import Partition, hook_content_product, transpose_permutation
 from .perms import Perm, all_perms, identity, inverse, inversions, reduced_word, swap_positions
 from .scalars import Scalar
@@ -165,22 +165,44 @@ _COL_Q = (-1, 0, -1, -1)                                  # -x^-1 s^-1
 def _right_word(terms: dict, n: int, letters) -> dict:
     """Raw kernel: terms times each letter in turn, refused past
     ENUMERATION_CAP! terms.  T_i^e sends T_pi to T_(pi s_i) when that is e
-    steps longer, and otherwise to x^(2e) T_(pi s_i) + e x^e z T_pi."""
+    steps longer, and otherwise to x^(2e) T_(pi s_i) + e x^e z T_pi.  So of
+    each pair {r, l = r s_i}, r the one that T_i^e lengthens, the output at r
+    is x^(2e) p_l and at l is p_r + e x^e z p_l: each key is written once.
+    The input's polynomials are copied before they are kept or changed; after
+    the first letter the kernel owns every one and adopts or updates it."""
+    owned = False
     for j in letters:
         i = abs(j) - 1
         if j == 0 or i >= n - 1:
             raise ValueError(f"letter {j} out of range for {n} strands")
-        e = 1 if j > 0 else -1
+        up = j > 0
+        e = 1 if up else -1
         acc: dict = {}
         for pi, p in terms.items():
             flipped = pi[:i] + (pi[i + 1], pi[i]) + pi[i + 2:]
-            if (pi[i] < pi[i + 1]) == (j > 0):
-                add_shifted(acc, flipped, p, 0, 0, 0, 1)
-            else:
-                add_shifted(acc, pi, p, e, 0, 1, e)
-                add_shifted(acc, pi, p, e, 0, -1, -e)
-                add_shifted(acc, flipped, p, 2 * e, 0, 0, 1)
+            if (pi[i] < pi[i + 1]) == up:
+                if flipped not in terms:  # otherwise written from flipped
+                    acc[flipped] = p if owned else p.copy()
+                continue
+            acc[flipped] = {(e1 + 2 * e, e2, e3): m for (e1, e2, e3), m in p.items()}
+            q = terms.get(flipped)
+            q = {} if q is None else q if owned else q.copy()
+            for (e1, e2, e3), m in p.items():
+                m *= e
+                k = (e1 + e, e2, e3 + 1)
+                if v := q.get(k, 0) + m:
+                    q[k] = v
+                else:
+                    del q[k]
+                k = (e1 + e, e2, e3 - 1)
+                if v := q.get(k, 0) - m:
+                    q[k] = v
+                else:
+                    del q[k]
+            if q:
+                acc[pi] = q
         terms = acc
+        owned = True
         _check_support(n, len(terms))
     return terms
 
@@ -220,8 +242,14 @@ def _mul(terms: dict, n: int, rhos: dict) -> dict:
     acc: dict = {}
     for rho, q in rhos.items():
         for pi, p in _right_word(terms, n, [i + 1 for i in reduced_word(rho)]).items():
+            r = acc.setdefault(pi, {})
             for (a, b, c), k in q.items():
-                add_shifted(acc, pi, p, a, b, c, k)
+                for (e1, e2, e3), m in p.items():
+                    e = (e1 + a, e2 + b, e3 + c)
+                    if v := r.get(e, 0) + m * k:
+                        r[e] = v
+                    else:
+                        del r[e]
     return acc
 
 
@@ -306,8 +334,8 @@ def _right_young(terms: dict, n: int, blocks, offset: int, q) -> dict:
     g_d = sum_sigma (q x^2)^l(sigma) h_(d sigma): one pass over h folds it
     onto the g_d, and the output has exactly len(g) * prod r! terms, refused
     past ENUMERATION_CAP! before any S_r table or output term is built.
-    The g_d are then spread over their cosets one block at a time.
-    One-strand blocks are skipped."""
+    The g_d are then spread over their cosets one block at a time, each
+    new polynomial adopted at tau = 1.  One-strand blocks are skipped."""
     spans = []
     for r in blocks:
         if r > 1:
@@ -323,7 +351,19 @@ def _right_young(terms: dict, n: int, blocks, offset: int, q) -> dict:
             block = pi[lo:hi]
             l += inversions(block)
             d = d[:lo] + tuple(sorted(block)) + d[hi:]
-        add_shifted(folded, d, p, (a + 2) * l, b * l, c * l, k ** l)
+        sa, sb, sc, m = (a + 2) * l, b * l, c * l, k ** l
+        g = folded.get(d)
+        if g is None:
+            folded[d] = {(e1 + sa, e2 + sb, e3 + sc): v * m for (e1, e2, e3), v in p.items()}
+            continue
+        for (e1, e2, e3), t in p.items():
+            e = (e1 + sa, e2 + sb, e3 + sc)
+            if v := g.get(e, 0) + t * m:
+                g[e] = v
+            else:
+                del g[e]
+        if not g:
+            del folded[d]
     _check_support(n, len(folded) * prod(factorial(hi - lo) for lo, hi in spans))
     if not folded:
         return folded  # the count bounds no S_r table for a zero element
@@ -335,7 +375,7 @@ def _right_young(terms: dict, n: int, blocks, offset: int, q) -> dict:
             for get, l in _symmetric_group(hi - lo):
                 sa, sb, sc, m = shifts[l]
                 spread[head + get(block) + tail] = {(e1 + sa, e2 + sb, e3 + sc): v * m
-                                                    for (e1, e2, e3), v in p.items()}
+                                                    for (e1, e2, e3), v in p.items()} if l else p
         folded = spread
     return folded
 

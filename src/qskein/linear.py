@@ -9,8 +9,13 @@ ring (AnnulusElement) both are: they differ only in how a monomial prints.
 The raw coefficient format of the Hecke kernels and the annulus closure
 also lives here: split_raw takes an element apart into one
 {key: {(a, b, c): coeff}} dict of numerators per denominator, the kernels
-accumulate into such dicts with add_shifted, and join_raw sums the pieces
-back into Scalars.
+accumulate into such dicts in place, and join_raw sums the pieces back
+into Scalars.  split_raw hands out the outer dict new but each numerator
+dict as the LaurentPoly.terms of the input Scalar, so a kernel copies an
+input numerator before it keeps or changes one.  Every dict a kernel
+builds it owns: it may update it in place or adopt it, under one key, into
+its output.  join_raw adopts the numerators it is given and drops the
+zero ones, so a kernel whose output goes only to join_raw may leave them.
 """
 
 from __future__ import annotations
@@ -49,24 +54,6 @@ def add_term(acc: dict, key, coeff) -> None:
 def sum_collected(acc: dict) -> dict:
     """{key: sum of its list of addends}, dropping the keys that cancel."""
     return {key: total for key, coeffs in acc.items() if (total := scalar_sum(coeffs))}
-
-
-def add_shifted(acc: dict, key, p: dict, a: int, b: int, c: int, k) -> None:
-    """acc[key] += k x^a v^b s^c p on raw polynomials, in place: acc owns
-    every polynomial it holds and holds no zero one; p is not kept."""
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = {(e1 + a, e2 + b, e3 + c): m * k for (e1, e2, e3), m in p.items()}
-        return
-    for (e1, e2, e3), m in p.items():
-        e = (e1 + a, e2 + b, e3 + c)
-        m = cur.get(e, 0) + m * k
-        if m:
-            cur[e] = m
-        else:
-            del cur[e]
-    if not cur:
-        del acc[key]
 
 
 def split_raw(element) -> list:

@@ -374,14 +374,15 @@ def parse_braid_word(text: str, strands: int | None = None) -> BraidWord:
 
 def parse_matching(text: str) -> ChordDiagram:
     """Parse a chord matching literal like "1-3,2-4" (1-based endpoints),
-    refusing an endpoint past 2 * CHORD_CAP as soon as it is read.
+    refusing an endpoint past 2 * CHORD_CAP as soon as it is read, and one
+    past twice the number of chords at the end.
 
     >>> str(parse_matching("2-4,1-3"))
     '1-3,2-4'
     """
     sc = _Scanner(text)
     pairs = []
-    seen = set()
+    seen: dict[int, int] = {}
     while True:
         start = sc.pos
         a = sc.integer()
@@ -395,7 +396,7 @@ def parse_matching(text: str) -> ChordDiagram:
                 sc.error("endpoint %d needs more chords than the cap of %d" % (endpoint, CHORD_CAP), where)
             if endpoint in seen:
                 sc.error("endpoint %d matched twice" % endpoint, where)
-            seen.add(endpoint)
+            seen[endpoint] = where
         pairs.append((a - 1, b - 1))
         if sc.peek() == ",":
             sc.take()
@@ -403,8 +404,9 @@ def parse_matching(text: str) -> ChordDiagram:
         break
     if not sc.at_end():
         sc.error("unexpected trailing input")
-    # 2n distinct endpoints: one past 2n leaves one of 1..2n unmatched
-    missing = sorted(set(range(1, 2 * len(pairs) + 1)) - seen)
-    if missing:
-        sc.error("endpoint %d is unmatched" % missing[0], len(sc.text))
+    # 2n distinct endpoints, none past 2n, are each of 1..2n
+    n = len(pairs)
+    for endpoint, where in seen.items():
+        if endpoint > 2 * n:
+            sc.error("endpoint %d is out of range for %d chord%s" % (endpoint, n, "s" * (n != 1)), where)
     return ChordDiagram(pairs)

@@ -16,11 +16,6 @@ def identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """(p then q): i -> q[p[i]]."""
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
 def inverse(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, j in enumerate(p):

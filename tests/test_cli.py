@@ -667,6 +667,26 @@ def test_solve_pattern_refuses_a_bad_coefficient(tmp_path, capsys, coeff, reason
     assert max(map(len, err.splitlines())) <= ECHO_WIDTH + 8
 
 
+def test_solve_pattern_refuses_a_json_integer_past_the_conversion_limit(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    scalar = '{"num": [[0, 0, 0, %s]], "den": [[0, 0, 0, 1]]}' % ("7" * 5000)
+    path.write_text('{"target": [[[1], %s]], "patterns": [[[[1], 1]]]}' % scalar)
+    code, out, err = run(capsys, "solve-pattern", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == "error: an integer of 5000 digits is over the cap of 4300 digits at position 0"
+    assert "set_int_max_str_digits" not in err
+    assert max(map(len, err.splitlines())) <= ECHO_WIDTH + 8
+
+
+def test_psi_chords_names_an_endpoint_past_twice_the_chord_count(capsys):
+    for literal, reason in [("1-4", "endpoint 4 is out of range for 1 chord at position 2"),
+                            ("5-1,2-3", "endpoint 5 is out of range for 2 chords at position 0"),
+                            ("1-2,3-6,4-5,9-7", "endpoint 9 is out of range for 4 chords at position 12")]:
+        code, out, err = run(capsys, "psi-chords", literal, "2")
+        assert (code, out) == (2, ""), literal
+        assert err.splitlines()[0] == "error: " + reason
+
+
 def test_a_long_rational_coefficient_reads_back_from_the_json_printed(tmp_path, capsys):
     # 1/(10^1000 - 1)^2 prints a denominator of 2,000 digits, past the cap
     # on typed integers

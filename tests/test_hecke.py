@@ -27,12 +27,11 @@ from qskein.hecke import (
     right_e_lambda,
     tensor,
 )
-from qskein.linear import add_shifted
 from qskein.parsing import ParseError, parse_braid_word
 from qskein.partitions import Partition, partitions_of, transpose_permutation
 from qskein.perms import all_perms, identity, inverse, reduced_word
 from qskein.scalars import Scalar, Z, quantum_int
-from test_kernels import SCALAR_KINDS, elements
+from test_kernels import SCALAR_KINDS, add_shifted, elements
 
 
 def rand_word(rng, n, length):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qskein.annulus import closure, closure_word, epsilon_plane
+from qskein.annulus import AnnulusElement, _closure_step, closure, closure_word, epsilon_plane
 from qskein.hecke import (
     BraidWord,
     HeckeElement,
@@ -18,12 +18,14 @@ from qskein.hecke import (
     a_element,
     alpha,
     decorate,
+    e_lambda,
     from_word,
     mul,
+    right_e_lambda,
     tensor,
 )
-from qskein.linear import add_term
-from qskein.partitions import Partition
+from qskein.linear import add_term, join_raw, split_raw
+from qskein.partitions import Partition, all_partitions_up_to
 from qskein.perms import all_perms, swap_positions
 from qskein.scalars import LaurentPoly, Scalar, Z, delta, quantum_int
 
@@ -54,6 +56,44 @@ def right_letter_reference(h: HeckeElement, j: int) -> HeckeElement:
             else:
                 add_term(acc, flipped, c)
     return HeckeElement._from(h.n, acc)
+
+
+def add_shifted(acc: dict, key, p: dict, a: int, b: int, c: int, k) -> None:
+    """acc[key] += k x^a v^b s^c p on raw polynomials, in place: acc owns
+    every polynomial it holds and holds no zero one; p is not kept.  The
+    helper the raw kernels called once per term before they merged in place."""
+    cur = acc.get(key)
+    if cur is None:
+        acc[key] = {(e1 + a, e2 + b, e3 + c): m * k for (e1, e2, e3), m in p.items()}
+        return
+    for (e1, e2, e3), m in p.items():
+        e = (e1 + a, e2 + b, e3 + c)
+        m = cur.get(e, 0) + m * k
+        if m:
+            cur[e] = m
+        else:
+            del cur[e]
+    if not cur:
+        del acc[key]
+
+
+def push_down_reference(terms: dict) -> dict:
+    """The closure push-down one add_shifted call per term, longest
+    permutations first: the loop the in-place kernel replaced, kept as its oracle."""
+    levels = [{} for _ in range(1 + max((_closure_step(pi)[0] for pi in terms), default=-1))]
+    for pi, p in terms.items():
+        add_shifted(levels[_closure_step(pi)[0]], pi, p, 0, 0, 0, 1)
+    out: dict = {}
+    for length in range(len(levels) - 1, -1, -1):
+        for pi, p in levels[length].items():
+            _, key, shorter, shortest = _closure_step(pi)
+            if key is not None:
+                add_shifted(out, key, p, 0, 0, 0, 1)
+            else:
+                add_shifted(levels[length - 1], shorter, p, 1, 0, 1, 1)
+                add_shifted(levels[length - 1], shorter, p, 1, 0, -1, -1)
+                add_shifted(levels[length - 2], shortest, p, 2, 0, 0, 1)
+    return out
 
 
 polys = st.dictionaries(
@@ -226,3 +266,43 @@ def test_decorated_closures_keep_their_recorded_text():
         assert text(n, word, colour) == want, (word, colour)
     for (n, word), colour, want in DECORATED_SHA256:
         assert hashlib.sha256(text(n, word, colour).encode()).hexdigest() == want, (word, colour)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_closure_matches_the_push_down_by_add_shifted(data):
+    h = data.draw(elements(terms=(1, 8)))
+    want = AnnulusElement._from(join_raw((den, push_down_reference(terms)) for den, terms in split_raw(h)))
+    assert closure(h) == want
+
+
+def coefficient_snapshot(h):
+    return {key: (dict(c.num.terms), dict(c.den.terms)) for key, c in h.terms.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_kernels_leave_their_inputs_unchanged(data):
+    h = data.draw(elements(terms=(1, 8)))
+    k = data.draw(elements(h.n, (1, 8)))
+    word = data.draw(letters(h.n, 6))
+    lam = data.draw(st.sampled_from([lam for lam in all_partitions_up_to(h.n) if lam.size]))
+    offset = data.draw(st.integers(0, h.n - lam.size))
+    before, before_k = coefficient_snapshot(h), coefficient_snapshot(k)
+    h.right_word(word)
+    mul(h, k)
+    mul(k, h)
+    right_e_lambda(h, lam, offset)
+    closure(h)
+    closure(h.right_word(word))
+    assert coefficient_snapshot(h) == before
+    assert coefficient_snapshot(k) == before_k
+
+
+def test_the_cached_idempotents_close_the_same_way_twice():
+    for lam in all_partitions_up_to(5):
+        if lam.size:
+            e = e_lambda(lam)
+            before = coefficient_snapshot(e)
+            assert closure(e) == closure(e), lam
+            assert coefficient_snapshot(e) == before, lam

@@ -36,8 +36,13 @@ from qskein.partitions import (
     row_column_imbalance,
     transpose_permutation,
 )
-from qskein.perms import compose, identity, inverse
+from qskein.perms import identity, inverse
 from qskein.scalars import LaurentPoly, quantum_int
+
+
+def compose(p, q):
+    """(p then q): i -> q[p[i]]."""
+    return tuple(q[p[i]] for i in range(len(p)))
 
 
 def count_lattice_tableaux(nu: Partition, lam: Partition, mu: Partition) -> int:
