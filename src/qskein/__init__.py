@@ -37,7 +37,6 @@ from .hecke import (
     alpha,
     b_element,
     cable_word,
-    decorate,
     e_lambda,
     from_word,
     mul,
@@ -51,6 +50,7 @@ from .annulus import (
     closed_idempotent,
     closure,
     closure_word,
+    decorated_closure,
     epsilon_plane,
     q_hook,
     theta,
@@ -80,7 +80,7 @@ __all__ = [
     "a_braid", "a_element", "a_gen", "a_in_Q_basis", "all_diagrams",
     "all_partitions_up_to", "alpha", "b_element", "cable_counterexample",
     "cable_word", "closed_idempotent", "closure", "closure_word", "cycle_closure", "d",
-    "decorate", "delta", "e_lambda", "epsilon_plane", "framing_factor",
+    "decorated_closure", "delta", "e_lambda", "epsilon_plane", "framing_factor",
     "from_word", "gen",
     "h_expand", "hook_content_closed", "hook_content_product", "lr_product",
     "mul", "partitions_of", "phi", "phi_inverse", "power_sum_image", "psi",

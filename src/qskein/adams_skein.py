@@ -8,15 +8,17 @@ that sums its coefficients, graded by weighted degree: products are
 ordinary ring products cut back to the order, and two series are compared
 by the least degree at which they differ.  Every cycle braid is closed
 through the memoised cycle_closure, and P is memoised on top of it, so a
-session closes each cycle braid once.
+session closes each cycle braid once.  The coloured patterns of
+cable_counterexample are annulus.decorated_closure satellites, with one
+idempotent per closed component.
 """
 
 import math
 from functools import cache
 
-from .annulus import AnnulusElement, closure, closure_word, epsilon_plane, Q, theta
+from .annulus import AnnulusElement, closure_word, decorated_closure, epsilon_plane, Q, theta
 from .diagram_ring import CPoly, d, gen, psi
-from .hecke import BraidWord, decorate
+from .hecke import BraidWord
 from .linear import Polynomial
 from .partitions import Partition, hook_framing_root
 from .scalars import ONE_LP, Z_LP, LaurentPoly, Scalar, exact_quo, quantum_int, slices, specialize_sln, unslice
@@ -426,7 +428,7 @@ def cable_counterexample(colour: Partition = Partition((1, 1))) -> PatternSystem
     2-cables with the given colour."""
     target = Q(Partition((4,))) - Q(Partition((2, 1, 1))) + Q(Partition((2, 2)))
     pats = [
-        closure(decorate(BraidWord(2, (1,)), colour)),
-        closure(decorate(BraidWord(2, (-1,)), colour)),
+        decorated_closure(BraidWord(2, (1,)), colour),
+        decorated_closure(BraidWord(2, (-1,)), colour),
     ]
     return PatternSystem(target, pats)

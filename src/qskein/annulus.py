@@ -11,6 +11,8 @@ shifts u -> s_i u s_i, which keep the closure, has s_i u s_i two shorter,
 and T_i^2 = xz T_i + x^2 gives cl(u) = xz cl(u s_i) + x^2 cl(s_i u s_i).
 closure pushes raw polynomial coefficients down these steps, longest
 permutations first; the step from each permutation is memoised.
+decorated_closure closes a braid coloured by a partition: the satellite
+with one idempotent per closed component of the cabled braid.
 
 On top of the closure sit the normalized idempotent closures Q, the
 column isomorphism theta from the diagram ring, the triangular change of
@@ -27,7 +29,17 @@ from functools import cache
 from math import comb, prod
 
 from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
-from .hecke import BraidWord, HeckeElement, alpha, check_enumeration_cap, check_strand_cap, e_lambda
+from .hecke import (
+    BraidWord,
+    HeckeElement,
+    alpha,
+    cable_word,
+    check_enumeration_cap,
+    check_strand_cap,
+    e_lambda,
+    from_word,
+    right_e_lambda,
+)
 from .linear import Polynomial, join_raw, linear_map, multiset_text, split_raw
 from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
@@ -149,6 +161,27 @@ def closure_word(w: BraidWord) -> AnnulusElement:
     moved = HeckeElement.unit(len(rank)).right_word([rank[j] if j > 0 else -rank[-j] for j in w.letters])
     free = (1,) * (w.strand_count - len(rank))
     return AnnulusElement._from({key + free: c for key, c in closure(moved).terms.items()})
+
+
+def decorated_closure(w: BraidWord, lam: Partition) -> AnnulusElement:
+    """Closure of w with every component coloured by Q(lam): the satellite
+    of w with pattern e_lambda / alpha(lam).  w is cabled by |lam|, and the
+    cable is multiplied by e_lambda on one |lam|-strand bundle per component,
+    the bundle of the least strand of each cycle of w's permutation.  An
+    idempotent slides around its closed component and e_lambda^2 =
+    alpha(lam) e_lambda (Aiston-Morton 1998), so one bundle per component
+    closes to the same element as e_lambda on every bundle, divided by
+    alpha(lam) once per component.  A colour with a row or column past
+    ENUMERATION_CAP is refused before the cable is built."""
+    k = lam.size
+    if k < 1:
+        raise ValueError("decoration partition must be nonempty")
+    check_enumeration_cap(max(lam.parts[0], len(lam.parts)))
+    h = from_word(cable_word(w, k))
+    components = cycles(w.permutation())
+    for cycle in components:
+        h = right_e_lambda(h, lam, cycle[0] * k)
+    return closure(h).scale(Scalar.one() / alpha(lam) ** len(components))
 
 
 @cache

@@ -5,7 +5,8 @@ Basis elements are labelled by permutations in one-line notation; a
 braid word acts on the right one letter at a time through the quadratic
 relation x^-1*s_i - x*s_i^-1 = z.  On top of the algebra sit the full
 symmetrizer-style sums a_n and b_n, the quasi-idempotents e_lambda
-(Aiston-Morton 1998), and the cabling used to decorate braids by partitions.
+(Aiston-Morton 1998), and the cabling that annulus.decorated_closure
+colours by a partition.
 A product by e_lambda multiplies by the row and column Young-subgroup sums
 sum_tau q^l(tau) T_tau, q = x^-1 s for rows and -x^-1 s^-1 for columns, by
 cosets: T_pi = T_d T_sigma with d the least element of pi S (Dipper-James
@@ -425,14 +426,3 @@ def cable_word(w: BraidWord, k: int) -> BraidWord:
         letters += block
     return BraidWord(w.strand_count * k, letters)
 
-
-def decorate(w: BraidWord, lam: Partition) -> HeckeElement:
-    """Cable a braid word by |lam| and attach a normalized idempotent to
-    every cabled strand."""
-    k = lam.size
-    if k < 1:
-        raise ValueError("decoration partition must be nonempty")
-    out = from_word(cable_word(w, k))
-    for b in range(w.strand_count):
-        out = right_e_lambda(out, lam, b * k)
-    return out.scale(Scalar.one() / alpha(lam) ** w.strand_count)

@@ -29,9 +29,9 @@ import json
 from fractions import Fraction
 
 from .adams_skein import Inconsistent, PatternSystem, Solution
-from .annulus import AnnulusElement, closure, closure_word
+from .annulus import AnnulusElement, closure_word, decorated_closure
 from .diagram_ring import CPoly, DiagramVector
-from .hecke import BraidWord, decorate
+from .hecke import BraidWord
 from .linear import add_term
 from .parsing import parse_braid_word, parse_matching, parse_rational, parse_scalar
 from .partitions import Partition
@@ -248,7 +248,7 @@ def decode_pattern_element(obj) -> AnnulusElement:
         colour = obj.get("colour")
         if colour is None:
             return closure_word(braid)
-        return closure(decorate(braid, Partition(tuple(_ints(colour, "colour")))))
+        return decorated_closure(braid, Partition(tuple(_ints(colour, "colour"))))
     raise ValueError("pattern element must be an annulus record or a braid record")
 
 

@@ -126,7 +126,8 @@ class _Scanner:
 # over POWER_SIZE_CAP bits, counted over the powers of bases with more than
 # one term, or whose longest coefficient it puts over COEFFICIENT_DIGITS_CAP
 # decimal digits: Python refuses to print an int of more than 4,300 digits.
-# A product or quotient is held to the same digit cap, before it is taken.
+# A product or quotient is held to the same digit cap, before it is taken,
+# and a sum or difference once it is taken.
 
 EXPONENT_CAP = 5000
 POWER_SIZE_CAP = 2_000_000
@@ -252,6 +253,14 @@ def _term(sc: _Scanner) -> CPoly:
             value = value.scale(Scalar.one() / _scalar_part(sc.text, operand, start))
 
 
+def _longest_integer(value: CPoly) -> int:
+    """The largest integer value prints: a numerator or denominator of a
+    coefficient of any numerator or denominator polynomial."""
+    return max((max(abs(k.numerator), k.denominator)
+                for c in value.terms.values() for poly in (c.num, c.den) for k in poly.terms.values()),
+               default=1)
+
+
 def _expr(sc: _Scanner) -> CPoly:
     if sc.peek() == "-":
         sc.take()
@@ -260,14 +269,20 @@ def _expr(sc: _Scanner) -> CPoly:
         value = _term(sc)
     while True:
         c = sc.peek()
-        if c == "+":
-            sc.take()
-            value = value + _term(sc)
-        elif c == "-":
-            sc.take()
-            value = value - _term(sc)
-        else:
+        if c not in ("+", "-"):
             return value
+        at = sc.pos
+        sc.take()
+        operand = _term(sc)
+        value = value + operand if c == "+" else value - operand
+        # a sum of operands under the cap costs no more than a product of
+        # them, so its coefficients are measured once it is taken: a bound
+        # from the operands would refuse sums that print, since a common
+        # denominator multiplies what the sum's reduction then cancels
+        digits = _coefficient_digits(_longest_integer(value), 1)
+        if digits > COEFFICIENT_DIGITS_CAP:
+            sc.error("the %s's coefficients would have up to %d digits, over the cap of %d"
+                     % ("sum" if c == "+" else "difference", digits, COEFFICIENT_DIGITS_CAP), at)
 
 
 def parse_cpoly(text: str) -> CPoly:

@@ -18,12 +18,13 @@ from qskein.annulus import (
     closed_idempotent,
     closure,
     closure_word,
+    decorated_closure,
     epsilon_plane,
     q_hook,
     theta,
 )
 from qskein.diagram_ring import CPoly, DiagramVector, d, gen
-from qskein.hecke import BraidWord, HeckeElement, alpha, decorate, e_lambda, from_word
+from qskein.hecke import BraidWord, HeckeElement, alpha, e_lambda, from_word
 from qskein.partitions import Partition, all_partitions_up_to, partitions_of
 from qskein.perms import cycles, reduced_word
 from qskein.scalars import LaurentPoly, Scalar, Z, delta, quantum_int
@@ -353,7 +354,7 @@ def test_winding_in_column_basis():
 
 def test_decorated_closure_matches_plain():
     w = BraidWord(2, (1, -1, 1))
-    assert closure(decorate(w, Partition((1,)))) == closure_word(w)
+    assert decorated_closure(w, Partition((1,))) == closure_word(w)
 
 
 def test_theta_memoises_whole_keys_only():

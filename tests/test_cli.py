@@ -283,6 +283,27 @@ def test_products_of_long_literals_are_refused_at_the_operator(capsys, monkeypat
     assert len(out) == 3999 + 1
 
 
+def test_sums_of_long_reciprocals_are_refused_at_the_operator(capsys):
+    from qskein.parsing import COEFFICIENT_DIGITS_CAP
+
+    p, q = "9" * INTEGER_DIGITS_CAP, "8" * (INTEGER_DIGITS_CAP - 1) + "7"
+    # four reciprocals share a denominator of 3,998 digits and print; the
+    # fifth reaches 4,999 digits, refused at its plus with a clipped echo
+    head = "1/%s + 1/%s + 1/(%s+2) + 1/(%s+2)" % (p, q, p, q)
+    code, out, err = run(capsys, "theta", head)
+    assert (code, err) == (0, "")
+    for op, name in (("+", "sum"), ("-", "difference")):
+        code, out, err = run(capsys, "theta", "%s %s 1/(%s+4)" % (head, op, p))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == ("error: the %s's coefficients would have up to 4999 digits, "
+                                       "over the cap of %d at position %d" % (name, COEFFICIENT_DIGITS_CAP, len(head) + 1))
+        assert "set_int_max_str_digits" not in err
+        assert max(map(len, err.splitlines()[1:])) <= ECHO_WIDTH + 8
+    # sums of long integers stay as long as their longest term
+    code, out, err = run(capsys, "theta", " + ".join([p] * 5))
+    assert (code, out, err) == (0, "4" + "9" * (INTEGER_DIGITS_CAP - 1) + "5\n", "")
+
+
 def test_coefficients_of_exactly_the_digit_cap_print(capsys):
     from qskein.parsing import COEFFICIENT_DIGITS_CAP, _coefficient_digits
 
@@ -615,12 +636,20 @@ def test_solve_pattern_inconsistent_json(tmp_path, capsys):
     }
     path = tmp_path / "cable.json"
     path.write_text(json.dumps(payload))
+    # both outputs as printed before decorated_closure replaced the
+    # all-bundles decoration
     code, out, _ = run(capsys, "solve-pattern", str(path))
     assert code == 0
-    assert out.startswith("inconsistent: unknown 0 is ")
+    assert out == ("inconsistent: unknown 0 is 0 from {A4, A3*A1} but "
+                   "(4*x^-4*s^4 + 2*x^-4*s^2)/(3*s^6 + 3*s^4 + s^2 + 1) from {A2^2, A3*A1}\n")
 
     code, out, _ = run(capsys, "solve-pattern", str(path), "--json")
     assert code == 0
+    assert out == (
+        '{"status": "inconsistent", "unknown": 0, '
+        '"first": {"equations": [[4], [3, 1]], "value": {"num": [], "den": [[0, 0, 0, 1]]}}, '
+        '"second": {"equations": [[2, 2], [3, 1]], "value": {"num": [[-4, 0, 2, 2], [-4, 0, 4, 4]], '
+        '"den": [[0, 0, 0, 1], [0, 0, 2, 1], [0, 0, 4, 3], [0, 0, 6, 3]]}}}\n')
     outcome = decode_outcome(json.loads(out))
     assert isinstance(outcome, Inconsistent)
 

@@ -5,7 +5,7 @@ import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qskein.hecke import (
@@ -20,13 +20,13 @@ from qskein.hecke import (
     alpha,
     b_element,
     cable_word,
-    decorate,
     e_lambda,
     from_word,
     mul,
     right_e_lambda,
     tensor,
 )
+from qskein.annulus import closure, decorated_closure
 from qskein.parsing import ParseError, parse_braid_word
 from qskein.partitions import Partition, partitions_of, transpose_permutation
 from qskein.perms import all_perms, identity, inverse, reduced_word
@@ -203,7 +203,8 @@ def test_cabling():
 
 def test_decorate_trivial_colour():
     w = BraidWord(2, (1, 1, 1))
-    assert decorate(w, Partition((1,))) == from_word(w)
+    assert decorated_closure(w, Partition((1,))) == closure(from_word(w))
+    assert decorated_closure(w, Partition((1,))) == closure(_decorate_oracle(w, Partition((1,))))
 
 
 def test_enumeration_cap_guard():
@@ -235,8 +236,9 @@ def _e_lambda_oracle(lam: Partition) -> HeckeElement:
 
 
 def _decorate_oracle(w: BraidWord, lam: Partition) -> HeckeElement:
-    """decorate as the product of the cabled braid with the juxtaposed
-    normalized idempotents, through tensor and mul."""
+    """The cabled braid with a normalized idempotent on every bundle, as its
+    product with the juxtaposed enumerated idempotents through tensor and
+    mul: its closure is the all-bundles reference for decorated_closure."""
     k = lam.size
     if k < 1:
         raise ValueError("decoration partition must be nonempty")
@@ -319,10 +321,31 @@ def test_decorate_matches_tensor_and_mul():
     for w in (BraidWord(2, (1,)), BraidWord(2, (-1,)), BraidWord(2, (1, -1, 1))):
         for k in range(1, 4):
             for lam in partitions_of(k):
-                assert decorate(w, lam) == _decorate_oracle(w, lam), (w, lam)
+                assert decorated_closure(w, lam) == closure(_decorate_oracle(w, lam)), (w, lam)
     for w in (BraidWord(2, (-1, -1)), BraidWord(3, (1, -2))):
         for lam in partitions_of(2):
-            assert decorate(w, lam) == _decorate_oracle(w, lam), (w, lam)
+            assert decorated_closure(w, lam) == closure(_decorate_oracle(w, lam)), (w, lam)
+
+
+@st.composite
+def coloured_braids(draw):
+    """A colour of at most 3 cells and a word of at most 5 letters on 1-3
+    strands, so a knot or a link of up to 3 components, with a cable of at
+    most 6 strands: on 9 the oracle's product takes seconds to minutes."""
+    lam = draw(st.sampled_from([lam for k in range(1, 4) for lam in partitions_of(k)]))
+    n = draw(st.integers(1, min(3, 6 // lam.size)))
+    letters = draw(st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+                            max_size=5)) if n > 1 else []
+    return BraidWord(n, letters), lam
+
+
+@settings(max_examples=30, deadline=None)
+@given(coloured_braids())
+@example((BraidWord(3, (2, 2, -1)), Partition((1, 1))))  # a second component from strand 1
+@example((BraidWord(3, ()), Partition((2,))))            # three components
+def test_one_idempotent_per_component_closes_as_one_on_every_bundle(args):
+    w, lam = args
+    assert decorated_closure(w, lam) == closure(_decorate_oracle(w, lam))
 
 
 def test_word_support_cap(monkeypatch):
@@ -378,7 +401,11 @@ def test_young_by_cosets_equals_the_letter_passes(kind, data):
     assert young(h, blocks, offset, q) == h._apply(_young_by_letters, blocks, offset, q)
 
 
-def test_decorate_refuses_a_colour_past_the_cap():
+def test_decorate_refuses_a_colour_past_the_cap(monkeypatch):
+    def no_cable(*args):
+        raise AssertionError("the cable was built")
+
+    monkeypatch.setattr("qskein.annulus.cable_word", no_cable)
     for colour in ((9,), (1,) * 9):
-        with pytest.raises(ValueError, match="exceeds the cap 8"):
-            decorate(BraidWord(1, ()), Partition(colour))
+        with pytest.raises(ValueError, match="enumeration over 9 strands exceeds the cap 8"):
+            decorated_closure(BraidWord(2, (1,) * 40), Partition(colour))

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from qskein import jsonio
 from qskein.adams_skein import torus_invariant
-from qskein.annulus import AnnulusElement, closure
+from qskein.annulus import AnnulusElement, closure, decorated_closure
 from qskein.chords import CROSSING, PARALLEL, all_diagrams, psi_chords
 from qskein.diagram_ring import DiagramVector, psi
-from qskein.hecke import BraidWord, decorate
+from qskein.hecke import BraidWord
 from qskein.parsing import parse_cpoly
 from qskein.partitions import Partition
 from qskein.scalars import LaurentPoly, Scalar, h_expand
+from test_hecke import _decorate_oracle
 
 
 def round_trip(encode, decode, value):
@@ -95,16 +96,17 @@ def test_chord_tally_round_trip():
 def test_equal_pattern_specs_share_one_closure(monkeypatch):
     calls = []
 
-    def counted(h):
-        calls.append(h)
-        return closure(h)
+    def counted(w, lam):
+        calls.append((w, lam))
+        return decorated_closure(w, lam)
 
-    monkeypatch.setattr(jsonio, "closure", counted)
+    monkeypatch.setattr(jsonio, "decorated_closure", counted)
     braid = {"word": [1], "strands": 2, "colour": [1, 1]}
     system = jsonio.decode_pattern_system({
         "target": braid,
         "patterns": [dict(reversed(list(braid.items()))), {"word": [-1], "strands": 2, "colour": [1, 1]}, braid],
     })
     assert len(calls) == 2
-    assert system.patterns[0] == system.target == closure(decorate(BraidWord(2, (1,)), Partition((1, 1))))
+    oracle = closure(_decorate_oracle(BraidWord(2, (1,)), Partition((1, 1))))
+    assert system.patterns[0] == system.target == oracle
     assert system.patterns[2] == system.target

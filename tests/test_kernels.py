@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qskein.annulus import AnnulusElement, _closure_step, closure, closure_word, epsilon_plane
+from qskein.annulus import AnnulusElement, _closure_step, closure, closure_word, decorated_closure, epsilon_plane
 from qskein.hecke import (
     BraidWord,
     HeckeElement,
@@ -17,7 +17,6 @@ from qskein.hecke import (
     _right_reduce,
     a_element,
     alpha,
-    decorate,
     e_lambda,
     from_word,
     mul,
@@ -259,8 +258,13 @@ DECORATED_SHA256 = [
 
 
 def test_decorated_closures_keep_their_recorded_text():
+    from test_hecke import _decorate_oracle  # test_hecke imports this module
+
     def text(n, word, colour):
-        return str(closure(decorate(BraidWord(n, word), Partition(colour))))
+        w, lam = BraidWord(n, word), Partition(colour)
+        got = decorated_closure(w, lam)
+        assert got == closure(_decorate_oracle(w, lam)), (word, colour)
+        return str(got)
 
     for (n, word), colour, want in DECORATED_TEXT:
         assert text(n, word, colour) == want, (word, colour)
