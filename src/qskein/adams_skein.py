@@ -8,8 +8,10 @@ that sums its coefficients, graded by weighted degree: products are
 ordinary ring products cut back to the order, and two series are compared
 by the least degree at which they differ.  Every cycle braid is closed
 through the memoised cycle_closure, and P is memoised on top of it, so a
-session closes each cycle braid once.  The coloured patterns of
-cable_counterexample are annulus.decorated_closure satellites, with one
+session closes each cycle braid once.  torus_invariant returns the planar
+Scalar only; its sl(N) value and h-expansion are scalars.specialize_sln and
+h_expand of it, the one route every invariant takes.  The coloured patterns
+of cable_counterexample are annulus.decorated_closure satellites, with one
 idempotent per closed component.
 """
 
@@ -21,7 +23,7 @@ from .diagram_ring import CPoly, d, gen, psi
 from .hecke import BraidWord
 from .linear import Polynomial
 from .partitions import Partition, hook_framing_root
-from .scalars import ONE_LP, Z_LP, LaurentPoly, Scalar, exact_quo, quantum_int, slices, specialize_sln, unslice
+from .scalars import ONE_LP, Z_LP, LaurentPoly, Scalar, exact_quo, quantum_int, slices, unslice
 
 
 def a_braid(i: int, j: int) -> BraidWord:
@@ -263,14 +265,14 @@ def _torus_knot(m: int, p: int) -> Scalar:
     return Scalar(num, Z_LP)
 
 
-def torus_invariant(m: int, p: int, sl: int | None = None, normalize: bool = False):
+def torus_invariant(m: int, p: int, normalize: bool = False) -> Scalar:
     """Planar evaluation of the closed (m, p) torus braid: by the planar
     Rosso-Jones sum for a knot (_torus_knot), and by closing the braid for a
     link.
 
     With normalize, the writhe correction (x v^-1)^(-p(m-1)) is applied so the
-    value is the unframed invariant.  With sl=N the result is specialized to a
-    one-variable fraction.
+    value is the unframed invariant.  The sl(N) value is
+    scalars.specialize_sln of this one.
     """
     if m >= 1 and p >= 1 and math.gcd(m, p) == 1:
         value = _torus_knot(m, p)
@@ -279,8 +281,6 @@ def torus_invariant(m: int, p: int, sl: int | None = None, normalize: bool = Fal
     if normalize:
         w = p * (m - 1)
         value = value * Scalar.monomial(-w, w, 0)
-    if sl is not None:
-        return specialize_sln(value, sl)
     return value
 
 
@@ -422,11 +422,12 @@ def solve_pattern(system: PatternSystem):
     return Inconsistent(0, (pivot_tags, values[0]), ((violated,), None))
 
 
-def cable_counterexample(colour: Partition = Partition((1, 1))) -> PatternSystem:
+def cable_counterexample() -> PatternSystem:
     """The weighted-degree-4 system asking whether the Adams square of the
     second column generator is a combination of the two 1-crossing connected
-    2-cables with the given colour."""
+    2-cables coloured (1, 1)."""
     target = Q(Partition((4,))) - Q(Partition((2, 1, 1))) + Q(Partition((2, 2)))
+    colour = Partition((1, 1))
     pats = [
         decorated_closure(BraidWord(2, (1,)), colour),
         decorated_closure(BraidWord(2, (-1,)), colour),

@@ -21,7 +21,7 @@ from .diagram_ring import DiagramVector, psi
 from .hecke import alpha
 from .partitions import lr_product
 from .parsing import ParseError, parse_braid_word, parse_cpoly, parse_matching, parse_partition, parse_rational
-from .scalars import PoleError, Scalar, SpecializationError, format_terms, h_expand, quantum_int
+from .scalars import PoleError, Scalar, SpecializationError, format_terms, h_expand, quantum_int, specialize_sln
 from .verify import DEFAULT_MAX, SUITE_ORDER, run_suite, suite_names
 
 
@@ -80,13 +80,13 @@ def _cmd_pm(args):
 def _cmd_torus(args):
     if args.h_order is not None and args.sl is None:
         raise ValueError("--h-order needs --sl")
-    value = torus_invariant(args.m, args.p, sl=args.sl, normalize=args.normalize)
+    value = torus_invariant(args.m, args.p, normalize=args.normalize)
+    if args.sl is None:
+        return _emit(args, value, jsonio.encode_scalar)
+    value = specialize_sln(value, args.sl)
     if args.h_order is not None:
-        coeffs = h_expand(value, args.sl, args.h_order)
-        return _emit(args, coeffs, jsonio.encode_hseries, _format_hseries)
-    if args.sl is not None:
-        return _emit(args, value, jsonio.encode_tfraction)
-    return _emit(args, value, jsonio.encode_scalar)
+        return _emit(args, h_expand(value, args.sl, args.h_order), jsonio.encode_hseries, _format_hseries)
+    return _emit(args, value, jsonio.encode_tfraction)
 
 
 def _cmd_solve_pattern(args):

@@ -69,11 +69,6 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strand_count, [-j for j in reversed(self.letters)])
 
-    def concat(self, other: "BraidWord") -> "BraidWord":
-        if self.strand_count != other.strand_count:
-            raise ValueError("strand counts differ")
-        return BraidWord(self.strand_count, self.letters + other.letters)
-
     def permutation(self) -> Perm:
         perm = identity(self.strand_count)
         for j in self.letters:

@@ -6,7 +6,6 @@ the adjacent transposition s_i swaps the entries at positions i and i+1.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import permutations as _permutations
 
 Perm = tuple[int, ...]
@@ -50,7 +49,6 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
     return out
 
 
-@cache
 def reduced_word(p: Perm) -> tuple[int, ...]:
     """A reduced word (i_1, ..., i_k) with p = s_{i_1} ... s_{i_k}.
 

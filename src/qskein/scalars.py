@@ -133,18 +133,7 @@ class LaurentPoly:
         return LaurentPoly._raw(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            if acc is None:
-                out[e] = -c
-            else:
-                acc = acc - c
-                if acc:
-                    out[e] = acc
-                else:
-                    del out[e]
-        return LaurentPoly._raw(out)
+        return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._raw({e: -c for e, c in self.terms.items()})

@@ -69,7 +69,15 @@ from .partitions import (
     partitions_of,
 )
 from .perms import all_perms, reduced_word
-from .scalars import Scalar, Z, delta, h_expand, quantum_int
+from .scalars import Scalar, Z, delta, h_expand, quantum_int, specialize_sln
+
+# monomials of x and s that the series factorizations and the Hecke rows share
+X = Scalar.monomial(1, 0, 0)
+XINV = Scalar.monomial(-1, 0, 0)
+XS = Scalar.monomial(1, 0, 1)
+XINV_S = Scalar.monomial(-1, 0, 1)
+XINV_SINV = Scalar.monomial(-1, 0, -1)
+
 
 def _suite_xbiff(cap):
     rows = []
@@ -186,22 +194,16 @@ def _suite_series(cap):
     def product(a, b):
         return truncate(a * b, order)
 
-    x = Scalar.monomial(1, 0, 0)
-    xinv = Scalar.monomial(-1, 0, 0)
-    xs = Scalar.monomial(1, 0, 1)
-    xinv_s = Scalar.monomial(-1, 0, 1)
-    xinv_sinv = Scalar.monomial(-1, 0, -1)
-
     C, Cq = series_c(order), reweight(series_c(order + 1), quantum_int)
     D, Dq = series_d(order), reweight(series_d(order + 1), quantum_int)
     plus = series_plus(order)
     minus = series_minus(order)
-    series_row("plus-factorization", plus, -theta(product(substitute(Cq, x, 1), substitute(D, xs, 0))))
-    series_row("minus-factorization", minus, theta(product(substitute(C, xinv_s, 0), substitute(Dq, xinv, 1))))
+    series_row("plus-factorization", plus, -theta(product(substitute(Cq, X, 1), substitute(D, XS, 0))))
+    series_row("minus-factorization", minus, theta(product(substitute(C, XINV_S, 0), substitute(Dq, XINV, 1))))
     series_row(
         "minus-factorization-mirror",
         minus,
-        -theta(product(substitute(Cq, xinv, 1), substitute(D, xinv_sinv, 0))),
+        -theta(product(substitute(Cq, XINV, 1), substitute(D, XINV_SINV, 0))),
     )
 
     psi_series = series_power_sums(order)
@@ -237,7 +239,7 @@ def _suite_rosso_jones(cap):
     )
     rows.append((trefoil == want, "rosso-jones trefoil-value"))
 
-    series = h_expand(torus_invariant(2, 3, sl=2, normalize=True), 2, 4)
+    series = h_expand(specialize_sln(trefoil, 2), 2, 4)
     rows.append((series[0] == Fraction(2), "rosso-jones trefoil-h-constant"))
     return rows
 
@@ -306,9 +308,6 @@ def _suite_ring(cap):
 
 def _suite_hecke(cap):
     rows = []
-    x = Scalar.monomial(1, 0, 0)
-    xinv = Scalar.monomial(-1, 0, 0)
-    xs = Scalar.monomial(1, 0, 1)
     neg_xsinv = Scalar.monomial(1, 0, -1, -1)
 
     for n in range(2, cap + 1):
@@ -328,7 +327,7 @@ def _suite_hecke(cap):
             for j in range(i + 2, n):
                 ok = ok and from_word(BraidWord(n, (i, j))) == from_word(BraidWord(n, (j, i)))
         for i in range(1, n):
-            lhs = from_word(BraidWord(n, (i,))).scale(xinv) - from_word(BraidWord(n, (-i,))).scale(x)
+            lhs = from_word(BraidWord(n, (i,))).scale(XINV) - from_word(BraidWord(n, (-i,))).scale(X)
             ok = ok and lhs == HeckeElement.unit(n).scale(Z)
         rows.append((ok, "hecke braid-relations n=%d" % n))
 
@@ -338,15 +337,15 @@ def _suite_hecke(cap):
         ok = True
         for i in range(1, n):
             sigma = from_word(BraidWord(n, (i,)))
-            ok = ok and a.right_word([i]) == a.scale(xs)
-            ok = ok and mul(sigma, a) == a.scale(xs)
+            ok = ok and a.right_word([i]) == a.scale(XS)
+            ok = ok and mul(sigma, a) == a.scale(XS)
             ok = ok and b.right_word([i]) == b.scale(neg_xsinv)
             ok = ok and mul(sigma, b) == b.scale(neg_xsinv)
         rows.append((ok, "hecke absorb n=%d" % n))
 
     # a_l and b_k from one size down, with q = x^-1 s for rows and -x^-1 s^-1 for columns
-    for label, element, q in (("row-decomposition l", a_element, Scalar.monomial(-1, 0, 1)),
-                              ("column-decomposition k", b_element, Scalar.monomial(-1, 0, -1, -1))):
+    for label, element, q in (("row-decomposition l", a_element, XINV_S),
+                              ("column-decomposition k", b_element, -XINV_SINV)):
         for l in range(2, cap + 1):
             emb = tensor(element(l - 1), element(1))
             acc = emb

@@ -36,7 +36,7 @@ from qskein.hecke import (
 )
 from qskein.partitions import Partition, all_partitions_up_to, lr_product, partitions_of
 from qskein.perms import all_perms, reduced_word
-from qskein.scalars import Scalar, Z, delta, h_expand, quantum_int
+from qskein.scalars import Scalar, Z, delta, h_expand, quantum_int, specialize_sln
 from qskein.verify import run_suite
 
 
@@ -145,7 +145,7 @@ def test_07_torus_knots_match_hook_expansion():
     want = delta() * (
         Scalar.monomial(0, 2, 0, 2) - Scalar.monomial(0, 4, 0) + Scalar.monomial(0, 2, 0) * Z * Z)
     assert trefoil == want
-    assert h_expand(torus_invariant(2, 3, sl=2, normalize=True), 2, 1)[0] == Fraction(2)
+    assert h_expand(specialize_sln(torus_invariant(2, 3, normalize=True), 2), 2, 1)[0] == Fraction(2)
     report(7, "torus closures agree with the hook-basis closed form")
 
 

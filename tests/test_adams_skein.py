@@ -34,7 +34,7 @@ from qskein.annulus import Q, a_gen, closure_word, epsilon_plane
 from qskein.diagram_ring import CPoly, gen
 from qskein.hecke import BraidWord
 from qskein.partitions import Partition
-from qskein.scalars import Scalar, Z, delta, h_expand
+from qskein.scalars import Scalar, Z, delta, h_expand, specialize_sln
 from qskein.verify import run_suite
 
 
@@ -153,7 +153,7 @@ def test_torus_invariant_normalization():
         Scalar.monomial(0, 2, 0, 2) - Scalar.monomial(0, 4, 0) + Scalar.monomial(0, 2, 0) * Z * Z
     )
     assert normalized == want
-    series = h_expand(torus_invariant(2, 3, sl=2, normalize=True), 2, 3)
+    series = h_expand(specialize_sln(torus_invariant(2, 3, normalize=True), 2), 2, 3)
     assert series == [2, 0, Fraction(-23, 4), 12]
 
 
@@ -185,7 +185,7 @@ def test_a_torus_knot_never_closes_its_braid(monkeypatch):
     monkeypatch.setattr(qskein.adams_skein, "closure_word", no_closure)
     assert torus_invariant(2, 3, normalize=True) * Scalar.monomial(3, -3, 0) == torus_invariant(2, 3)
     for m, p in ((12, 5), (5, 12), (7, 20), (1, 7), (7, 1), (1000, 1)):
-        assert not torus_invariant(m, p, sl=3, normalize=True).is_zero()
+        assert not specialize_sln(torus_invariant(m, p, normalize=True), 3).is_zero()
     with pytest.raises(AssertionError, match="closed the braid"):
         torus_invariant(2, 4)
 

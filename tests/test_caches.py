@@ -19,7 +19,6 @@ from qskein.chords import LIFT_TABLE_ROWS, _lift_table, _word_class
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import _symmetric_group, e_lambda
 from qskein.partitions import Partition
-from qskein.perms import reduced_word
 from qskein.scalars import cyclotomic_factors
 from qskein.verify import DEFAULT_MAX, run_suite
 
@@ -51,7 +50,6 @@ CASES = [
     (a_in_Q_basis, (4,)),
     (cyclotomic_factors, ((-1, 0, 0, 0, 1),)),
     (cyclotomic_factors, ((1, 3, 1),)),
-    (reduced_word, ((2, 0, 3, 1),)),
     (_closure_step, ((3, 2, 0, 1),)),
     (_symmetric_group, (4,)),
     (_lift_table, (8, 3)),

@@ -283,6 +283,41 @@ def test_products_of_long_literals_are_refused_at_the_operator(capsys, monkeypat
     assert len(out) == 3999 + 1
 
 
+def test_products_of_many_terms_are_refused_at_the_operator(capsys, monkeypatch):
+    from qskein.diagram_ring import CPoly
+    from qskein.parsing import PRODUCT_PAIRS_CAP
+
+    # (s+1)^50*(v+1)^50 and (s+1)^100*(v+1)^100 print every term
+    for n in (50, 100):
+        code, out, err = run(capsys, "theta", "(s+1)^%d*(v+1)^%d" % (n, n))
+        assert (code, err) == (0, "")
+        assert out.count(" + ") + 1 == (n + 1) ** 2
+        assert out.startswith("v^%d*s^%d + %d*v^%d*s^%d + " % (n, n, n, n, n - 1))
+    # the third factor would make 2,060,451 terms: refused at its operator,
+    # counting the 40,401 + 1 terms of the left side against the 51 + 1 of the right
+    text = "(s+1)^200*(v+1)^200*(x+1)^50"
+    code, out, err = run(capsys, "theta", text)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == ("error: the product would multiply %d pairs of terms, over the cap of %d "
+                                   "at position %d" % (40402 * 52, PRODUCT_PAIRS_CAP, text.rindex("*")))
+    text = "x/(s+1)^-400/(v+1)^-400"
+    code, out, err = run(capsys, "theta", text)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == ("error: the quotient would multiply %d pairs of terms, over the cap of %d "
+                                   "at position %d" % (402 * 402, PRODUCT_PAIRS_CAP, text.rindex("/")))
+
+    def no_product(*args):
+        raise AssertionError("multiplied past the cap")
+
+    # negative powers of scalars are built without a column-polynomial
+    # product, so the refused product is the only one
+    monkeypatch.setattr(CPoly, "__mul__", no_product)
+    code, out, err = run(capsys, "theta", "(s+1)^-600*(v+1)^-600")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the product would multiply %d pairs of terms, over the cap of %d at position 10\n"
+                          % (602 * 602, PRODUCT_PAIRS_CAP))
+
+
 def test_sums_of_long_reciprocals_are_refused_at_the_operator(capsys):
     from qskein.parsing import COEFFICIENT_DIGITS_CAP
 
@@ -456,11 +491,14 @@ def test_a_colour_past_the_support_cap_writes_one_error_line(capsys):
     assert err.endswith(" terms, over the cap of 8! = 40320\n")
 
 
-@pytest.mark.parametrize("text", ["s+1", "x+v+s", "s+s^-1+2", "2*s+3/7", "c1+s*c2", "c1*c2+x*c3-1", "10^400/3+s"])
+POWER_TEXTS = ["s+1", "x+v+s", "s+s^-1+2", "2*s+3/7", "c1+s*c2", "c1*c2+x*c3-1", "10^400/3+s"]
+
+
+@pytest.mark.parametrize("text", POWER_TEXTS)
 def test_power_size_bounds_the_result(text):
     from math import log2
 
-    from qskein.parsing import _power_size, parse_cpoly
+    from qskein.parsing import _power_size, _term_count, parse_cpoly
 
     base = parse_cpoly(text)
     for n in (1, 2, 5, 9):
@@ -471,6 +509,11 @@ def test_power_size_bounds_the_result(text):
                 assert abs(k.numerator) * k.denominator <= bound ** n, (text, n)
                 bits += log2(abs(k.numerator)) + log2(k.denominator) + 64 * len(key)
         assert bits <= size, (text, n)
+    # a product's pair count bounds the terms it holds, with every other text
+    for other in POWER_TEXTS:
+        for n, m in ((1, 1), (2, 5), (5, 2)):
+            left, right = base ** n, parse_cpoly(other) ** m
+            assert _term_count(left * right) <= _term_count(left) * _term_count(right), (text, other, n, m)
 
 
 def test_recursion_error_is_reported(capsys, monkeypatch):

@@ -43,7 +43,6 @@ def test_braid_word_basics():
     assert w.letters == (1, -2)
     assert w.writhe == 0
     assert w.inverse().letters == (2, -1)
-    assert w.concat(w).letters == (1, -2, 1, -2)
     assert BraidWord(2, (1,)).permutation() == (1, 0)
     assert BraidWord(3, (1, 2)).permutation() == (1, 2, 0)
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from qskein.diagram_ring import DiagramVector, psi
 from qskein.hecke import BraidWord
 from qskein.parsing import parse_cpoly
 from qskein.partitions import Partition
-from qskein.scalars import LaurentPoly, Scalar, h_expand
+from qskein.scalars import LaurentPoly, Scalar, h_expand, specialize_sln
 from test_hecke import _decorate_oracle
 
 
@@ -75,13 +75,13 @@ def test_diagrams_round_trip():
 
 def test_tfraction_round_trip():
     for m, p, sl in ((2, 3, 2), (3, 2, 3), (2, 4, 2)):
-        f = torus_invariant(m, p, sl=sl, normalize=True)
+        f = specialize_sln(torus_invariant(m, p, normalize=True), sl)
         assert round_trip(jsonio.encode_tfraction, jsonio.decode_tfraction, f) == f, (m, p, sl)
 
 
 def test_hseries_round_trip():
     for m, p, sl in ((2, 3, 2), (2, 4, 2), (3, 2, 3)):
-        coeffs = h_expand(torus_invariant(m, p, sl=sl, normalize=True), sl, 4)
+        coeffs = h_expand(specialize_sln(torus_invariant(m, p, normalize=True), sl), sl, 4)
         assert round_trip(jsonio.encode_hseries, jsonio.decode_hseries, coeffs) == coeffs
     assert round_trip(jsonio.encode_hseries, jsonio.decode_hseries, []) == []
 

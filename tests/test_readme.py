@@ -82,3 +82,33 @@ def test_every_memo_the_readme_names_is_a_functools_cache():
         (obj,) = found.values()
         # the one name in the list that is not a memo is the chord-word memo's bound
         assert type(obj) is wrapper or name == "chords.LIFT_TABLE_ROWS", name
+
+
+# module-level caps the README need not name, each with the reason
+UNNAMED_CAPS = {
+    "scalars.CYCLOTOMIC_ORDER_CAP": "it picks the route a denominator's arithmetic takes and refuses nothing",
+}
+
+
+def _constant_mentions():
+    """(module, name, value) for each "`qskein.<module>.<NAME>` (N" in the README."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    return [(module, name, int(value.replace(",", "")))
+            for module, name, value in re.findall(r"`qskein\.(\w+)\.([A-Z_]+)` \((\d[\d,]*\d|\d)", text)]
+
+
+def test_every_constant_the_readme_quotes_has_that_value():
+    mentions = _constant_mentions()
+    assert len(mentions) >= 19
+    for module, name, value in mentions:
+        assert getattr(importlib.import_module("qskein." + module), name) == value, (module, name)
+
+
+def test_the_readme_names_every_cap():
+    named = {"%s.%s" % (module, name) for module, name, _ in _constant_mentions()}
+    defined = set()
+    for info in pkgutil.iter_modules(qskein.__path__):
+        source = Path(importlib.import_module("qskein." + info.name).__file__).read_text(encoding="utf-8")
+        defined.update("%s.%s" % (info.name, name) for name in re.findall(r"^([A-Z_]+_CAP) *=", source, re.M))
+    assert len(defined) >= 18 and set(UNNAMED_CAPS) <= defined
+    assert defined - set(UNNAMED_CAPS) <= named, sorted(defined - set(UNNAMED_CAPS) - named)
