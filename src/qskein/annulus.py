@@ -17,9 +17,11 @@ with one idempotent per closed component of the cabled braid.
 On top of the closure sit the normalized idempotent closures Q, the
 column isomorphism theta from the diagram ring, the triangular change of
 basis back from Q-monomials to the winding basis, and the planar
-evaluation.  AnnulusElement is a linear.Polynomial, as the column ring
-is, and theta memoises its image of each whole column monomial, as
-diagram_ring.phi does.
+evaluation epsilon_plane, a ring homomorphism taken as one sum over the
+keys: k curls winding w times in all give delta^k (x v^-1)^(w - k).
+AnnulusElement is a linear.Polynomial, as the column ring is, and theta
+memoises its image of each whole column monomial, as diagram_ring.phi
+does.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .hecke import (
 from .linear import Polynomial, join_raw, linear_map, multiset_text, split_raw
 from .partitions import Partition, partitions_of
 from .perms import Perm, cycles, inversions, swap_positions
-from .scalars import DELTA_LP, Z_LP, LaurentPoly, Scalar, scalar_sum
+from .scalars import DELTA, Scalar, scalar_sum
 
 
 class AnnulusElement(Polynomial):
@@ -158,7 +160,7 @@ def closure_word(w: BraidWord) -> AnnulusElement:
     check_strand_cap(w.strand_count)
     gens = {abs(j) for j in w.letters}
     rank = {s: r for r, s in enumerate(sorted(gens | {g + 1 for g in gens}), 1)}
-    moved = HeckeElement.unit(len(rank)).right_word([rank[j] if j > 0 else -rank[-j] for j in w.letters])
+    moved = HeckeElement.one(len(rank)).right_word([rank[j] if j > 0 else -rank[-j] for j in w.letters])
     free = (1,) * (w.strand_count - len(rank))
     return AnnulusElement._from({key + free: c for key, c in closure(moved).terms.items()})
 
@@ -281,22 +283,11 @@ def epsilon_plane(e: AnnulusElement) -> Scalar:
     """Evaluate an annulus element in the plane.
 
     Ring homomorphism determined by the value of a single winding-m
-    curve: delta times the curl monomial to the power m-1.
+    curve: delta times the curl monomial to the power m-1, so a key of k
+    curls winding w times in all goes to delta^k (x v^-1)^(w - k).
     """
-    # delta^k = (v^-1 - v)^k / Z^k with Z = s - s^-1: the terms with k
-    # components are added first, then all over Z^K for the largest K
-    by_count: dict[int, list] = {}
+    terms = []
     for key, c in e.terms.items():
         exp = sum(key) - len(key)
-        by_count.setdefault(len(key), []).append(c * Scalar.monomial(exp, -exp, 0))
-    if not by_count:
-        return Scalar.zero()
-    top = max(by_count)
-    acc = scalar_sum([scalar_sum(terms) * _loops(k, top) for k, terms in by_count.items()])
-    return acc / Scalar.from_poly(Z_LP**top)
-
-
-@cache
-def _loops(k: int, top: int) -> LaurentPoly:
-    """(v^-1 - v)^k (s - s^-1)^(top - k): delta^k times Z^top."""
-    return DELTA_LP ** k * Z_LP ** (top - k)
+        terms.append(c * DELTA ** len(key) * Scalar.monomial(exp, -exp, 0))
+    return scalar_sum(terms)

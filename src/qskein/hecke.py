@@ -62,10 +62,6 @@ class BraidWord:
         self.strand_count = strand_count
         self.letters = letters
 
-    @property
-    def writhe(self) -> int:
-        return sum(1 if j > 0 else -1 for j in self.letters)
-
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strand_count, [-j for j in reversed(self.letters)])
 
@@ -124,8 +120,16 @@ class HeckeElement(FormalSum):
         return other
 
     @classmethod
-    def unit(cls, n: int) -> "HeckeElement":
+    def zero(cls, n: int) -> "HeckeElement":
+        return cls._from(n, {})
+
+    @classmethod
+    def one(cls, n: int) -> "HeckeElement":
         return cls._from(n, {identity(n): Scalar.one()})
+
+    @classmethod
+    def term(cls, n: int, key: Perm, coeff=1) -> "HeckeElement":
+        return cls(n, {key: coeff})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, HeckeElement) and other.n != self.n:
@@ -206,7 +210,7 @@ def _right_word(terms: dict, n: int, letters) -> dict:
 def from_word(w: BraidWord) -> HeckeElement:
     """Image of a braid word in the Hecke algebra, refused past STRAND_CAP strands."""
     check_strand_cap(w.strand_count)
-    return HeckeElement.unit(w.strand_count).right_word(w.letters)
+    return HeckeElement.one(w.strand_count).right_word(w.letters)
 
 
 def mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -399,7 +403,7 @@ def e_lambda(lam: Partition) -> HeckeElement:
     sums, applied by cosets (_right_young), not enumerated and multiplied."""
     if lam.size < 1:
         raise ValueError("partition must be nonempty")
-    return right_e_lambda(HeckeElement.unit(lam.size), lam, 0)
+    return right_e_lambda(HeckeElement.one(lam.size), lam, 0)
 
 
 def alpha(lam: Partition) -> Scalar:

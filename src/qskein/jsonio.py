@@ -87,8 +87,8 @@ def decode_scalar(obj) -> Scalar:
 
 def _encode_sum(element) -> list:
     out = []
-    for key, sc in sorted(element.terms.items(), key=lambda t: _plain_key(t[0])):
-        out.append([_plain_key(key), encode_scalar(sc)])
+    for key, sc in sorted(element.terms.items(), key=lambda t: list(t[0])):
+        out.append([list(key), encode_scalar(sc)])
     return out
 
 
@@ -133,12 +133,6 @@ def _decode_sum(cls, obj, decode_key):
             raise ValueError("formal sum term must be [key, scalar], got %r" % (pair,))
         add_term(acc, decode_key(pair[0]), decode_scalar(pair[1]))
     return cls._from(acc)
-
-
-def _plain_key(key):
-    if isinstance(key, Partition):
-        return list(key.parts)
-    return list(key)
 
 
 def encode_cpoly(p: CPoly) -> list:

@@ -81,8 +81,8 @@ class FormalSum:
     and the print order.  terms maps key -> nonzero Scalar.  Every result
     is built through _like, so a space that depends on a parameter (the
     strand count of the Hecke algebra) overrides that hook and reads its
-    unit key from the instance; the classmethod constructors serve the
-    parameter-free spaces only.
+    unit key from the instance, and its zero, one and term constructors
+    take the parameter first.
     """
 
     __slots__ = ("terms",)
@@ -169,10 +169,7 @@ class FormalSum:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(acc, k, -c)
-        return self._like(acc)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -11,7 +11,7 @@ from .chords import CHORD_CAP, ChordDiagram
 from .diagram_ring import CPoly, gen
 from .hecke import BraidWord
 from .partitions import Partition
-from .scalars import Scalar
+from .scalars import LaurentPoly, Scalar
 
 
 # Longest input ParseError.annotated echoes whole; a longer one is echoed as
@@ -134,6 +134,12 @@ class _Scanner:
 # terms it holds.  (s+1)^300*(v+1)^300 multiplies 91,204 pairs in about
 # 0.5 s; (s+1)^200*(v+1)^200*(x+1)^50 would multiply 2,100,904 at its
 # second product, building 2 million terms in about 8.5 s and 1.1 GB.
+# A result over a denominator in s may cancel a common factor, which fills
+# in an (x, v)-slice up to its s-span + 1 terms: (s^90000 - 1)/(s - 1) has
+# 90,000.  So any of the four operators is refused before it is taken when
+# the cancellation would multiply more than PRODUCT_PAIRS_CAP pairs of
+# terms, each of those filled slices by each term of the denominator
+# (_cancel_pairs).
 
 EXPONENT_CAP = 5000
 POWER_SIZE_CAP = 2_000_000
@@ -243,6 +249,78 @@ def _term_count(value: CPoly) -> int:
     return sum(len(c.num.terms) + len(c.den.terms) for c in value.terms.values())
 
 
+def _fraction_shape(pairs) -> tuple[int, int, int, int, int]:
+    """The (numerator, denominator) pairs of a value's coefficients as one
+    fraction N/D over the product D of their distinct denominators, each
+    column monomial in its own (x, v)-slices: (N's slices, N's least and
+    greatest power of s, D's slices, D's s-span).  A denominator in normal
+    form has least power s^0, so N's part from a coefficient over d is its
+    numerator times D/d, whose s-span is D's less d's."""
+    dens = {den: (_slice_count(den), _s_span(den)) for _, den in pairs}
+    dslices, dspan = prod(n for n, _ in dens.values()), sum(w for _, w in dens.values())
+    slices = sum(_slice_count(num) * dslices // dens[den][0] for num, den in pairs)
+    lo = min((min(e[2] for e in num.terms) for num, _ in pairs), default=0)
+    hi = max((max(e[2] for e in num.terms) + dspan - dens[den][1] for num, den in pairs), default=0)
+    return slices, lo, hi, dslices, dspan
+
+
+def _slice_count(p: LaurentPoly) -> int:
+    return len({e[:2] for e in p.terms})
+
+
+def _s_span(p: LaurentPoly) -> int:
+    return max(e[2] for e in p.terms) - min(e[2] for e in p.terms)
+
+
+def _cancel_pairs(a, b, op: str) -> int:
+    """Pairs of terms the cancellation in the result of a op b could
+    multiply, from the operands' _fraction_shape; 0 when its denominator
+    has no s-span, so nothing can cancel in s.  A product's numerator has
+    at most the product of both sides' slices and the sum of their s-spans,
+    a sum's is N_a D_b + N_b D_a; each slice of the reduced numerator holds
+    at most its s-span + 1 terms, and each of those meets every term of the
+    denominator, at most its s-span + 1, in the long division."""
+    sa, loa, hia, dsa, dwa = a
+    sb, lob, hib, dsb, dwb = b
+    if op in "*/":
+        slices, lo, hi = sa * sb, loa + lob, hia + hib
+    else:
+        slices, lo, hi = sa * dsb + sb * dsa, min(loa, lob), max(hia + dwb, hib + dwa)
+    dspan = dwa + dwb
+    return slices * (hi - lo + 1) * (dspan + 1) if dspan else 0
+
+
+def _cancel_count(value: CPoly, operand: CPoly, op: str) -> int:
+    """Pairs of terms the cancellations in value op operand could multiply
+    (_cancel_pairs).  A sum adds coefficients key by key, and a product by a
+    scalar, a quotient among them, multiplies each coefficient by it, so
+    these count coefficient by coefficient; a product of two column
+    polynomials merges keys, so each side counts as one fraction."""
+    left = {k: [(c.num, c.den)] for k, c in value.terms.items()}
+    if op == "/":
+        c = operand.coeff(())
+        right = {(): [(c.den, c.num)]}
+    else:
+        right = {k: [(c.num, c.den)] for k, c in operand.terms.items()}
+    if op in "+-":
+        groups = [(left[k], right[k]) for k in left.keys() & right.keys()]
+    elif set(left) <= {()} or set(right) <= {()}:
+        groups = [(a, b) for a in left.values() for b in right.values()]
+    else:
+        groups = [(sum(left.values(), []), sum(right.values(), []))]
+    return sum(_cancel_pairs(_fraction_shape(a), _fraction_shape(b), op) for a, b in groups)
+
+
+def _check_cancel(sc: _Scanner, value: CPoly, operand: CPoly, op: str, at: int) -> None:
+    """Refuse value op operand, the operator at position at, past
+    PRODUCT_PAIRS_CAP pairs of terms in its cancellations."""
+    pairs = _cancel_count(value, operand, op)
+    if pairs > PRODUCT_PAIRS_CAP:
+        name = {"*": "product", "/": "quotient", "+": "sum", "-": "difference"}[op]
+        sc.error("the %s's cancellation would multiply %d pairs of terms, over the cap of %d"
+                 % (name, pairs, PRODUCT_PAIRS_CAP), at)
+
+
 def _term(sc: _Scanner) -> CPoly:
     value = _factor(sc)
     while True:
@@ -264,9 +342,13 @@ def _term(sc: _Scanner) -> CPoly:
             sc.error("the %s would multiply %d pairs of terms, over the cap of %d"
                      % ("product" if c == "*" else "quotient", pairs, PRODUCT_PAIRS_CAP), at)
         if c == "*":
+            _check_cancel(sc, value, operand, c, at)
             value = value * operand
         else:
-            value = value.scale(Scalar.one() / _scalar_part(sc.text, operand, start))
+            divisor = _scalar_part(sc.text, operand, start)
+            if divisor:  # Scalar division refuses a zero divisor
+                _check_cancel(sc, value, operand, c, at)
+            value = value.scale(Scalar.one() / divisor)
 
 
 def _longest_integer(value: CPoly) -> int:
@@ -290,6 +372,7 @@ def _expr(sc: _Scanner) -> CPoly:
         at = sc.pos
         sc.take()
         operand = _term(sc)
+        _check_cancel(sc, value, operand, c, at)
         value = value + operand if c == "+" else value - operand
         # a sum of operands under the cap costs no more than a product of
         # them, so its coefficients are measured once it is taken: a bound

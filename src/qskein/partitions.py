@@ -70,17 +70,6 @@ class Partition:
         """Cells (row, col) in row-major order, 0-indexed."""
         return [(r, c) for r, p in enumerate(self.parts) for c in range(p)]
 
-    def hook_length(self, r: int, c: int) -> int:
-        """Arm + leg + 1 of the cell (r, c)."""
-        tr = self.transpose().parts
-        return self.parts[r] + tr[c] - r - c - 1
-
-    def content(self, r: int, c: int) -> int:
-        return c - r
-
-    def row_lengths_squared(self) -> int:
-        return sum(p * p for p in self.parts)
-
     def __str__(self) -> str:
         if not self.parts:
             return "(0)"
@@ -311,7 +300,7 @@ def hook_content_closed(k: int, l: int) -> LaurentPoly:
 
 def row_column_imbalance(lam: Partition) -> int:
     """Sum of squared row lengths minus sum of squared column lengths."""
-    return lam.row_lengths_squared() - lam.transpose().row_lengths_squared()
+    return sum(p * p for p in lam.parts) - sum(p * p for p in lam.transpose().parts)
 
 
 def framing_factor(lam: Partition) -> LaurentPoly:

@@ -187,10 +187,6 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def invert_variables(self) -> "LaurentPoly":
-        """Substitute x -> x^-1, v -> v^-1, s -> s^-1."""
-        return LaurentPoly._raw({(-a, -b, -c): k for (a, b, c), k in self.terms.items()})
-
     def sorted_terms(self):
         """Terms in the deterministic print order (descending exponent triples)."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)

@@ -69,7 +69,7 @@ from .partitions import (
     partitions_of,
 )
 from .perms import all_perms, reduced_word
-from .scalars import Scalar, Z, delta, h_expand, quantum_int, specialize_sln
+from .scalars import Scalar, Z, delta, h_expand, quantum_factorial, quantum_int, specialize_sln
 
 # monomials of x and s that the series factorizations and the Hecke rows share
 X = Scalar.monomial(1, 0, 0)
@@ -113,10 +113,7 @@ def _suite_hook(cap):
         got = Q(Partition((1,) * k)).coeff((k,))
         sign = Scalar.monomial(-(k - 1), 0, 0, (-1) ** (k - 1))
         lead_plain.append(got == sign / Scalar(quantum_int(k)))
-        fact = Scalar.one()
-        for i in range(1, k + 1):
-            fact = fact * Scalar(quantum_int(i))
-        lead_factorial.append(got == sign / fact)
+        lead_factorial.append(got == sign / Scalar(quantum_factorial(k)))
         rows.append((lead_plain[-1], "hook column-lead k=%d" % k))
     if all(lead_plain):
         resolved = "[k]"
@@ -143,16 +140,10 @@ def _suite_hook(cap):
             )
             rows.append((lhs == rhs, "hook weighted-split k=%d l=%d" % (k, l)))
 
-    def q_col(k):
-        return AnnulusElement.one() if k == 0 else Q(Partition((1,) * k))
-
-    def q_row(l):
-        return AnnulusElement.one() if l == 0 else Q(Partition((l,)))
-
     for m in range(1, cap + 1):
         acc = AnnulusElement.zero()
         for k in range(m + 1):
-            term = q_col(k) * q_row(m - k)
+            term = Q(Partition((1,) * k)) * Q(Partition((m - k,)))
             acc = acc + (-term if k % 2 else term)
         rows.append((acc.is_zero(), "hook reciprocal m=%d" % m))
 
@@ -328,7 +319,7 @@ def _suite_hecke(cap):
                 ok = ok and from_word(BraidWord(n, (i, j))) == from_word(BraidWord(n, (j, i)))
         for i in range(1, n):
             lhs = from_word(BraidWord(n, (i,))).scale(XINV) - from_word(BraidWord(n, (-i,))).scale(X)
-            ok = ok and lhs == HeckeElement.unit(n).scale(Z)
+            ok = ok and lhs == HeckeElement.one(n).scale(Z)
         rows.append((ok, "hecke braid-relations n=%d" % n))
 
     for n in range(1, cap + 1):

@@ -229,7 +229,7 @@ def test_11_hecke_structure():
         for i in range(1, n):
             lhs = from_word(BraidWord(n, (i,))).scale(xinv) - from_word(
                 BraidWord(n, (-i,))).scale(x)
-            assert lhs == HeckeElement.unit(n).scale(Z)
+            assert lhs == HeckeElement.one(n).scale(Z)
 
     xs = Scalar.monomial(1, 0, 1)
     neg_xsinv = Scalar.monomial(1, 0, -1, -1)

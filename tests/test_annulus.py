@@ -27,7 +27,7 @@ from qskein.diagram_ring import CPoly, DiagramVector, d, gen
 from qskein.hecke import BraidWord, HeckeElement, alpha, e_lambda, from_word
 from qskein.partitions import Partition, all_partitions_up_to, partitions_of
 from qskein.perms import cycles, reduced_word
-from qskein.scalars import LaurentPoly, Scalar, Z, delta, quantum_int
+from qskein.scalars import DELTA_LP, Z_LP, LaurentPoly, Scalar, Z, delta, quantum_int, scalar_sum
 
 # the two smoothing coefficients of the skein relation at a crossing
 _XZ = LaurentPoly({(1, 0, 1): 1, (1, 0, -1): -1})        # x(s - s^-1)
@@ -246,31 +246,20 @@ def test_plane_evaluation():
         assert val == delta() * curl ** (m - 1), m
 
 
-def test_the_division_by_z_power_multiplies_by_no_one(monkeypatch):
-    from qskein.adams_skein import torus_braid
-    from qskein.scalars import ONE_LP
-
-    closures = [closure_word(torus_braid(m, p)) for m, p in ((2, 3), (3, 4), (3, 3))]
-    want = [epsilon_plane(e) for e in closures]
-    real_mul = LaurentPoly.__mul__
-
-    def no_product_by_one(a, b):
-        if a is ONE_LP or b is ONE_LP:
-            raise AssertionError("multiplied by 1")
-        return real_mul(a, b)
-
-    monkeypatch.setattr(LaurentPoly, "__mul__", no_product_by_one)
-    assert [epsilon_plane(e) for e in closures] == want
-
-
-def _epsilon_plane_per_key(e):
-    """Oracle: the planar value as one rational sum per key,
-    c * delta^k * (x v^-1)^(sum(key) - k) for a key of k windings."""
-    acc = Scalar.zero()
+def _epsilon_plane_grouped(e):
+    """Oracle: the planar value with the keys grouped by their number k of
+    curls.  delta^k = (v^-1 - v)^k / Z^k with Z = s - s^-1, so each group's
+    sum is multiplied by (v^-1 - v)^k Z^(K - k) and the total divided by
+    Z^K once, for the largest K."""
+    by_count: dict[int, list] = {}
     for key, c in e.terms.items():
         exp = sum(key) - len(key)
-        acc = acc + c * delta() ** len(key) * Scalar.monomial(exp, -exp, 0)
-    return acc
+        by_count.setdefault(len(key), []).append(c * Scalar.monomial(exp, -exp, 0))
+    if not by_count:
+        return Scalar.zero()
+    top = max(by_count)
+    acc = scalar_sum([scalar_sum(terms) * (DELTA_LP ** k * Z_LP ** (top - k)) for k, terms in by_count.items()])
+    return acc / Scalar.from_poly(Z_LP ** top)
 
 
 _small_polys = st.dictionaries(
@@ -293,7 +282,8 @@ _annulus_elements = st.dictionaries(
 @settings(max_examples=100, deadline=None)
 @given(_annulus_elements)
 def test_epsilon_plane_matches_the_per_key_sum(e):
-    got, want = epsilon_plane(e), _epsilon_plane_per_key(e)
+    # epsilon_plane is the per-key sum; the grouped sum is its oracle
+    got, want = epsilon_plane(e), _epsilon_plane_grouped(e)
     assert got == want
     if not any(a or b for c in e.terms.values() for a, b, _ in c.den.terms):
         # denominators in s alone have one normal form
@@ -305,7 +295,15 @@ def test_epsilon_plane_of_closures_prints_as_the_per_key_sum():
     for n in (2, 3, 4):
         for _ in range(6):
             e = closure_word(BraidWord(n, rand_word(rng, n, 8)))
-            assert repr(epsilon_plane(e)) == repr(_epsilon_plane_per_key(e))
+            assert repr(epsilon_plane(e)) == repr(_epsilon_plane_grouped(e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_annulus_elements, _annulus_elements)
+def test_epsilon_plane_is_multiplicative(a, b):
+    # a ring homomorphism: the product's keys merge windings, which no
+    # single-key check of the sum sees
+    assert epsilon_plane(a * b) == epsilon_plane(a) * epsilon_plane(b)
 
 
 def test_q_normalization():

@@ -14,7 +14,7 @@ import qskein.verify
 from qskein.adams_skein import (
     P, _hook_numerators, a_braid, cycle_closure, negative_cycle_expansion, positive_cycle_expansion,
 )
-from qskein.annulus import Q, _closure_step, _loops, _theta_key, a_in_Q_basis, closed_idempotent
+from qskein.annulus import Q, _closure_step, _theta_key, a_in_Q_basis, closed_idempotent
 from qskein.chords import LIFT_TABLE_ROWS, _lift_table, _word_class
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import _symmetric_group, e_lambda
@@ -54,7 +54,6 @@ CASES = [
     (_symmetric_group, (4,)),
     (_lift_table, (8, 3)),
     (_word_class, ((3, 4, 5, 0, 1, 2),)),
-    (_loops, (2, 3)),
 ]
 IDS = [fn.__name__ + str(args[0] if len(args) == 1 else args) for fn, args in CASES]
 

@@ -318,6 +318,78 @@ def test_products_of_many_terms_are_refused_at_the_operator(capsys, monkeypatch)
                           % (602 * 602, PRODUCT_PAIRS_CAP))
 
 
+# inputs whose result cancels a short numerator into a dense one, each
+# refused at the operator named, and the operator's position
+SPREADING = [
+    ("((s^300)^300-1)/(s-1)", "quotient", 15),
+    ("((s^300)^300-1)*(1/(s-1))", "product", 15),
+    ("(s^300)^300/(s-1) - 1/(s-1)", "difference", 18),
+    ("((x+1)^30*(s^3000-1))/(s-1)", "quotient", 21),
+    ("((s^5000)^5000-1)/(s-1)", "quotient", 17),
+    ("c1*(s^300)^300/(s-1) + c1/(1-s)", "sum", 21),
+]
+
+
+def test_a_cancellation_that_would_spread_is_refused_at_the_operator(capsys, monkeypatch):
+    from qskein import scalars
+    from qskein.parsing import PRODUCT_PAIRS_CAP, _s_span
+
+    real_slices = scalars.slices
+
+    def short_slices(p):
+        # every cancellation in s cuts its numerator into dense slices first
+        if _s_span(p) > 10_000:
+            raise AssertionError("cancelled a slice of s-span %d" % _s_span(p))
+        return real_slices(p)
+
+    monkeypatch.setattr(scalars, "slices", short_slices)
+    for text, name, at in SPREADING:
+        code, out, err = run(capsys, "theta", text)
+        assert (code, out) == (2, ""), text
+        line = err.splitlines()[0]
+        assert line.startswith("error: the %s's cancellation would multiply " % name), text
+        assert line.endswith(" pairs of terms, over the cap of %d at position %d" % (PRODUCT_PAIRS_CAP, at)), text
+    # one slice of s-span 90,000 over the two terms of s - 1
+    assert run(capsys, "theta", SPREADING[0][0])[2].startswith(
+        "error: the quotient's cancellation would multiply %d pairs" % (90001 * 2))
+    # cancellations that stay small print
+    code, out, err = run(capsys, "theta", "(s^5000-1)/(s-1)")
+    assert (code, err) == (0, "") and out.count(" + ") + 1 == 5000
+    assert run(capsys, "theta", "(s - s^-1)/(v - v^-1)") == (0, "(v*s - v*s^-1)/(v^2 - 1)\n", "")
+    # a monomial power holds one term, and stays admitted on its own and
+    # beside a fraction of another column monomial, which nothing cancels
+    assert run(capsys, "theta", "(s^5000)^5000") == (0, "s^25000000\n", "")
+    code, out, err = run(capsys, "theta", "c1*(s^5000)^5000 + c2/(s-1)")
+    assert (code, err) == (0, "") and out.endswith(" + s^25000000*A1\n")
+
+
+FRACTION_TEXTS = ["s^7-1", "(s^7-1)/(s-1)", "1/(s+1)", "(x*s^5+v)/(s^2-1)", "(s^4-1)/(s^2+1)",
+                  "c1/(s-1) + c2", "x/(v+1)", "(s-1)/(v*s+1)", "s^-3+2"]
+
+
+@pytest.mark.parametrize("text", FRACTION_TEXTS)
+def test_the_cancellation_count_bounds_the_result(text):
+    from qskein.parsing import _cancel_count, _s_span, parse_cpoly
+
+    left = parse_cpoly(text)
+    for other in FRACTION_TEXTS:
+        right = parse_cpoly(other)
+        cases = [("*", left * right), ("+", left + right), ("-", left - right)]
+        if set(right.terms) == {()}:
+            cases.append(("/", left.scale(Scalar.one() / right.coeff(()))))
+        for op, result in cases:
+            pairs = _cancel_count(left, right, op)
+            # a sum copies the coefficient of a key on one side only
+            made = [c for k, c in result.terms.items() if op in "*/" or k in left.terms and k in right.terms]
+            # each term of a numerator over a denominator in s, times each
+            # term the denominator's s-span allows
+            cancelled = sum(len(c.num.terms) * (_s_span(c.den) + 1) for c in made if _s_span(c.den))
+            assert cancelled <= pairs, (text, op, other)
+    # no denominator with an s-span, nothing to cancel: (s+1)^300*(v+1)^300
+    # is held by the product's pair count alone
+    assert _cancel_count(parse_cpoly("(s+1)^300"), parse_cpoly("(v+1)^300"), "*") == 0
+
+
 def test_sums_of_long_reciprocals_are_refused_at_the_operator(capsys):
     from qskein.parsing import COEFFICIENT_DIGITS_CAP
 

@@ -41,7 +41,6 @@ def rand_word(rng, n, length):
 def test_braid_word_basics():
     w = parse_braid_word("1 -2", 3)
     assert w.letters == (1, -2)
-    assert w.writhe == 0
     assert w.inverse().letters == (2, -1)
     assert BraidWord(2, (1,)).permutation() == (1, 0)
     assert BraidWord(3, (1, 2)).permutation() == (1, 2, 0)
@@ -64,8 +63,8 @@ def test_module_operations_and_printing():
     assert str(h) == "w[2 1]"
     assert str(h.scale(2) + 1) == "w[1 2] + 2*w[2 1]"
     assert str(HeckeElement(2, {})) == "0"
-    assert repr(HeckeElement.unit(2)) == "HeckeElement(2, {(0, 1): Scalar({(0, 0, 0): 1}, {(0, 0, 0): 1})})"
-    assert h + 1 == h + HeckeElement.unit(2)
+    assert repr(HeckeElement.one(2)) == "HeckeElement(2, {(0, 1): Scalar({(0, 0, 0): 1}, {(0, 0, 0): 1})})"
+    assert h + 1 == h + HeckeElement.one(2)
     assert 1 + h == h + 1
     assert (h + 1).coeff(identity(2)) == Scalar.one()
     assert h - h == 0 and (h - h).n == 2
@@ -73,11 +72,25 @@ def test_module_operations_and_printing():
     assert h * 3 == 3 * h == h.scale(3)
     assert h * h == mul(h, h)
     assert h ** 2 == mul(h, h)
-    assert HeckeElement.unit(3) == 1
+    assert HeckeElement.one(3) == 1
+
+
+def test_constructors_take_the_strand_count_first():
+    for n in (1, 2, 4):
+        pi = tuple(reversed(range(n)))
+        for got, want in ((HeckeElement.zero(n), HeckeElement(n, {})),
+                          (HeckeElement.one(n), HeckeElement(n, {identity(n): 1})),
+                          (HeckeElement.term(n, pi), HeckeElement(n, {pi: 1})),
+                          (HeckeElement.term(n, pi, Z), HeckeElement(n, {pi: Z})),
+                          (HeckeElement.term(n, pi, 0), HeckeElement(n, {}))):
+            assert type(got) is HeckeElement and got.n == n
+            assert got == want and repr(got) == repr(want)
+    assert HeckeElement.zero(2) != HeckeElement.zero(3)
+    assert HeckeElement.one(3) * from_word(BraidWord(3, (1, -2))) == from_word(BraidWord(3, (1, -2)))
 
 
 def test_strand_counts_must_agree():
-    two, three = HeckeElement.unit(2), HeckeElement.unit(3)
+    two, three = HeckeElement.one(2), HeckeElement.one(3)
     with pytest.raises(ValueError, match="strand counts differ"):
         two + three
     with pytest.raises(ValueError, match="strand counts differ"):
@@ -89,7 +102,7 @@ def test_strand_counts_must_agree():
 
 
 def test_unit_and_basis_round_trip():
-    assert from_word(BraidWord(3, ())) == HeckeElement.unit(3)
+    assert from_word(BraidWord(3, ())) == HeckeElement.one(3)
     for n in range(2, 5):
         for pi in all_perms(n):
             w = BraidWord(n, [i + 1 for i in reduced_word(pi)])
@@ -111,7 +124,7 @@ def test_quadratic_relation():
     for n in range(2, 5):
         for i in range(1, n):
             lhs = from_word(BraidWord(n, (i,))).scale(xinv) - from_word(BraidWord(n, (-i,))).scale(x)
-            assert lhs == HeckeElement.unit(n).scale(Z)
+            assert lhs == HeckeElement.one(n).scale(Z)
 
 
 def test_inverse_words_cancel():
@@ -120,7 +133,7 @@ def test_inverse_words_cancel():
         for _ in range(4):
             letters = rand_word(rng, n, rng.randint(1, 5))
             w = BraidWord(n, letters)
-            assert mul(from_word(w), from_word(w.inverse())) == HeckeElement.unit(n)
+            assert mul(from_word(w), from_word(w.inverse())) == HeckeElement.one(n)
 
 
 def test_right_word_matches_mul():
@@ -134,7 +147,7 @@ def test_right_word_matches_mul():
 
 def test_row_and_column_symmetrizer_values():
     xs = Scalar.monomial(-1, 0, 1)
-    assert a_element(1) == HeckeElement.unit(1)
+    assert a_element(1) == HeckeElement.one(1)
     assert a_element(2) == HeckeElement(2, {(0, 1): Scalar.one(), (1, 0): xs})
     neg_xsinv = Scalar.monomial(-1, 0, -1, -1)
     assert b_element(2) == HeckeElement(2, {(0, 1): Scalar.one(), (1, 0): neg_xsinv})
@@ -282,15 +295,15 @@ def _young_by_letters(terms: dict, n: int, blocks, offset: int, q) -> dict:
 
 def test_young_factorisation_of_the_unit():
     for n in range(1, 7):
-        unit = HeckeElement.unit(n)
+        unit = HeckeElement.one(n)
         assert young(unit, (n,), 0, _ROW_Q) == a_element(n), n
         assert young(unit, (n,), 0, _COL_Q) == b_element(n), n
     blocks = tensor(tensor(a_element(2), a_element(3)), a_element(1))
-    assert young(HeckeElement.unit(6), (2, 3, 1), 0, _ROW_Q) == blocks
-    shifted = tensor(HeckeElement.unit(1), tensor(b_element(3), HeckeElement.unit(1)))
-    assert young(HeckeElement.unit(5), (3,), 1, _COL_Q) == shifted
+    assert young(HeckeElement.one(6), (2, 3, 1), 0, _ROW_Q) == blocks
+    shifted = tensor(HeckeElement.one(1), tensor(b_element(3), HeckeElement.one(1)))
+    assert young(HeckeElement.one(5), (3,), 1, _COL_Q) == shifted
     with pytest.raises(ValueError, match="a block of 3 strands at offset 4 does not fit 5 strands"):
-        young(HeckeElement.unit(5), (2, 1, 3), 1, _COL_Q)
+        young(HeckeElement.one(5), (2, 1, 3), 1, _COL_Q)
 
 
 @st.composite
@@ -310,9 +323,9 @@ def test_right_e_lambda_matches_mul(args):
     for lam in partitions_of(m):
         placed = _e_lambda_oracle(lam)
         if offset:
-            placed = tensor(HeckeElement.unit(offset), placed)
+            placed = tensor(HeckeElement.one(offset), placed)
         if h.n > placed.n:
-            placed = tensor(placed, HeckeElement.unit(h.n - placed.n))
+            placed = tensor(placed, HeckeElement.one(h.n - placed.n))
         assert right_e_lambda(h, lam, offset) == mul(h, placed), lam
 
 
@@ -359,7 +372,7 @@ def test_word_support_cap(monkeypatch):
 def test_young_sums_check_the_support(monkeypatch):
     # the unit folds onto one coset, which spreads to 4! terms: refused before the spread
     monkeypatch.setattr("qskein.hecke.ENUMERATION_CAP", 3)
-    h = HeckeElement.unit(4)
+    h = HeckeElement.one(4)
     assert len(young(h, (3,), 0, _ROW_Q).terms) == 6
     with pytest.raises(ValueError, match=r"on 4 strands reached 24 terms, over the cap of 3! = 6"):
         young(h, (4,), 0, _ROW_Q)
@@ -367,7 +380,7 @@ def test_young_sums_check_the_support(monkeypatch):
 
 def test_young_sums_are_refused_before_any_allocation(monkeypatch):
     monkeypatch.setattr("qskein.hecke.ENUMERATION_CAP", 7)
-    h = HeckeElement.unit(8)
+    h = HeckeElement.one(8)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"on 8 strands reached 40320 terms, over the cap of 7! = 5040"):

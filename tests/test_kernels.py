@@ -177,7 +177,7 @@ def test_markov_stabilisation_after_the_plane_evaluation(data):
     n = h.n
     curl = Scalar.monomial(1, -1, 0)
     base = epsilon_plane(closure(h))
-    grown = tensor(h, HeckeElement.unit(1))
+    grown = tensor(h, HeckeElement.one(1))
     assert epsilon_plane(closure(grown.right_word((n,)))) == base * curl
     assert epsilon_plane(closure(grown.right_word((-n,)))) == base / curl
     w = data.draw(letters(n) if n > 1 else st.just([]))

@@ -47,6 +47,11 @@ def rand_poly(rng, max_terms=4, span=2):
     return LaurentPoly(terms)
 
 
+def _invert_variables(p):
+    """p with x -> x^-1, v -> v^-1, s -> s^-1."""
+    return LaurentPoly({(-a, -b, -c): k for (a, b, c), k in p.terms.items()})
+
+
 def test_quantum_integers():
     assert str(quantum_int(0)) == "0"
     assert str(quantum_int(1)) == "1"
@@ -57,7 +62,7 @@ def test_quantum_integers():
         quantum_int(-1)
     # palindromic in s <-> s^-1
     for i in range(8):
-        assert quantum_int(i).invert_variables() == quantum_int(i)
+        assert _invert_variables(quantum_int(i)) == quantum_int(i)
 
 
 def test_quantum_product_rule():
@@ -77,8 +82,6 @@ def test_poly_ring_axioms():
         assert a * b == b * a
         assert a + b == b + a
         assert (a - b) + b == a
-        assert a.invert_variables().invert_variables() == a
-        assert (a * b).invert_variables() == a.invert_variables() * b.invert_variables()
 
 
 def test_poly_monomial_shift():
