@@ -21,7 +21,7 @@ from functools import cache
 from .annulus import AnnulusElement, closure_word, decorated_closure, epsilon_plane, Q, theta
 from .diagram_ring import CPoly, d, gen, psi
 from .hecke import BraidWord
-from .linear import Polynomial
+from .linear import Polynomial, sum_collected
 from .partitions import Partition, hook_framing_root
 from .scalars import ONE_LP, Z_LP, LaurentPoly, Scalar, exact_quo, quantum_int, slices, unslice
 
@@ -79,12 +79,28 @@ def power_sum_image(m: int) -> AnnulusElement:
 # element a_0 + a_1 + ... + a_(n-1).  Each a_i is homogeneous of weighted
 # degree i + shift, so a key of weighted degree w sits at X^(w - shift).  The
 # shift is 0 for C and D and 1 for psi, the derivatives (reweight) and the
-# cycle-closure series.  Series multiply as elements; the product is cut back to order.
+# cycle-closure series.  Series multiply as elements, cut back to the order;
+# truncated_product forms only the pairs of terms that the cut keeps.
 
 
 def truncate(e: Polynomial, n: int) -> Polynomial:
     """The part of e of weighted degree at most n."""
     return e._like({k: c for k, c in e.terms.items() if sum(k) <= n})
+
+
+def truncated_product(a: Polynomial, b: Polynomial, n: int) -> Polynomial:
+    """truncate(a * b, n), forming only the pairs of terms it keeps: the
+    part of a of weighted degree j is multiplied by truncate(b, n - j)."""
+    groups: dict[int, dict] = {}
+    for k, c in a.terms.items():
+        j = sum(k)
+        if j <= n:
+            groups.setdefault(j, {})[k] = c
+    acc: dict = {}
+    for j, terms in groups.items():
+        for k, c in (a._like(terms) * truncate(b, n - j)).terms.items():
+            acc.setdefault(k, []).append(c)
+    return a._like(sum_collected(acc))
 
 
 def substitute(e: Polynomial, a: Scalar, shift: int) -> Polynomial:

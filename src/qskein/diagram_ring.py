@@ -4,7 +4,9 @@ DiagramVector is the free module on partitions with the induced
 multiplication; CPoly is the polynomial ring on column generators c_k, a
 linear.Polynomial like the annulus ring.  The two sides are identified by
 phi, which sends c_k to the single column with k cells; its image of a
-monomial is memoised per whole monomial, as annulus.theta's is.  d gives
+monomial is memoised per whole monomial, as annulus.theta's is.  That image
+has integer coefficients, Littlewood-Richardson (Pieri) counts, so it is
+accumulated in integers and made Scalar only once per monomial.  d gives
 the single-row elements through the alternating recurrence, and psi the
 power-sum analogues, in both presentations.
 """
@@ -54,12 +56,20 @@ def gen(k: int) -> CPoly:
 
 @cache
 def _column_product(key: tuple[int, ...]) -> DiagramVector:
-    """Image of the monomial with index multiset `key` under phi: its
-    columns multiplied on from the last, memoised per whole key."""
-    out = DiagramVector.one()
+    """Image of the monomial with index multiset `key` under phi, memoised
+    per whole key.  Its columns are multiplied on from the last, each step
+    summing the Littlewood-Richardson counts of lr_product(lam, (1^k)) over
+    the diagrams lam so far in integers; each count becomes a Scalar once,
+    when the entry is built."""
+    counts = {EMPTY: 1}
     for k in reversed(key):
-        out = out * DiagramVector.term(Partition((1,) * k))
-    return out
+        column = Partition((1,) * k)
+        nxt: dict[Partition, int] = {}
+        for lam, n in counts.items():
+            for mu, m in lr_product(lam, column).items():
+                nxt[mu] = nxt.get(mu, 0) + n * m
+        counts = nxt
+    return DiagramVector._from({mu: Scalar.monomial(0, 0, 0, n) for mu, n in counts.items()})
 
 
 def phi(p: CPoly) -> DiagramVector:

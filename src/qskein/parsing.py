@@ -11,7 +11,7 @@ from .chords import CHORD_CAP, ChordDiagram
 from .diagram_ring import CPoly, gen
 from .hecke import BraidWord
 from .partitions import Partition
-from .scalars import LaurentPoly, Scalar
+from .scalars import LaurentPoly, Scalar, uncancelled_lcm_span
 
 
 # Longest input ParseError.annotated echoes whole; a longer one is echoed as
@@ -139,7 +139,10 @@ class _Scanner:
 # 90,000.  So any of the four operators is refused before it is taken when
 # the cancellation would multiply more than PRODUCT_PAIRS_CAP pairs of
 # terms, each of those filled slices by each term of the denominator
-# (_cancel_pairs).
+# (_cancel_pairs).  A sum over denominators that are products of Phi_d(s)
+# cancels only the factors both sides hold as often as their lcm does
+# (scalars._sum_over_lcm); when there are none, nothing fills in, so
+# (s^300)^300/(s-1) - 1/(s+1) is counted by its four terms and prints.
 
 EXPONENT_CAP = 5000
 POWER_SIZE_CAP = 2_000_000
@@ -274,20 +277,45 @@ def _s_span(p: LaurentPoly) -> int:
 
 def _cancel_pairs(a, b, op: str) -> int:
     """Pairs of terms the cancellation in the result of a op b could
-    multiply, from the operands' _fraction_shape; 0 when its denominator
-    has no s-span, so nothing can cancel in s.  A product's numerator has
-    at most the product of both sides' slices and the sum of their s-spans,
-    a sum's is N_a D_b + N_b D_a; each slice of the reduced numerator holds
-    at most its s-span + 1 terms, and each of those meets every term of the
-    denominator, at most its s-span + 1, in the long division."""
-    sa, loa, hia, dsa, dwa = a
-    sb, lob, hib, dsb, dwb = b
+    multiply, from the (numerator, denominator) pairs of each side; 0 when
+    its denominator has no s-span, so nothing can cancel in s.  A product's
+    numerator has at most the product of both sides' slices and the sum of
+    their s-spans, a sum's is N_a D_b + N_b D_a; each slice of the reduced
+    numerator holds at most its s-span + 1 terms, and each of those meets
+    every term of the denominator, at most its s-span + 1, in the long
+    division.  A sum that cancels nothing holds no more terms than
+    _uncancelled_sum_terms counts."""
+    sa, loa, hia, dsa, dwa = _fraction_shape(a)
+    sb, lob, hib, dsb, dwb = _fraction_shape(b)
     if op in "*/":
         slices, lo, hi = sa * sb, loa + lob, hia + hib
     else:
         slices, lo, hi = sa * dsb + sb * dsa, min(loa, lob), max(hia + dwb, hib + dwa)
     dspan = dwa + dwb
-    return slices * (hi - lo + 1) * (dspan + 1) if dspan else 0
+    if not dspan:
+        return 0
+    terms = slices * (hi - lo + 1)
+    if op in "+-":
+        sparse = _uncancelled_sum_terms(a[0], b[0])
+        if sparse is not None:
+            terms = min(terms, sparse)
+    return terms * (dspan + 1)
+
+
+def _uncancelled_sum_terms(a, b) -> int | None:
+    """Terms of the sum of the fractions a and b, (numerator, denominator)
+    pairs, when their denominators factor into Phi_d(s) and no factor is
+    held by both as often as the lcm holds it: the sum then goes over the
+    lcm and cancels nothing (scalars._sum_over_lcm), each numerator only
+    multiplied by the factors its denominator misses.  For numerators of
+    ta and tb terms over denominators of s-spans wa and wb, with an lcm of
+    s-span L, that is at most ta (L - wa + 1) + tb (L - wb + 1).  None
+    when a factor may cancel or a denominator does not factor."""
+    (na, da), (nb, db) = a, b
+    lcm_span = uncancelled_lcm_span(da, db)
+    if lcm_span is None:
+        return None
+    return len(na.terms) * (lcm_span - _s_span(da) + 1) + len(nb.terms) * (lcm_span - _s_span(db) + 1)
 
 
 def _cancel_count(value: CPoly, operand: CPoly, op: str) -> int:
@@ -308,7 +336,7 @@ def _cancel_count(value: CPoly, operand: CPoly, op: str) -> int:
         groups = [(a, b) for a in left.values() for b in right.values()]
     else:
         groups = [(sum(left.values(), []), sum(right.values(), []))]
-    return sum(_cancel_pairs(_fraction_shape(a), _fraction_shape(b), op) for a, b in groups)
+    return sum(_cancel_pairs(a, b, op) for a, b in groups)
 
 
 def _check_cancel(sc: _Scanner, value: CPoly, operand: CPoly, op: str, at: int) -> None:

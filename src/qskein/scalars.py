@@ -852,6 +852,20 @@ def _den_factors(den: LaurentPoly) -> tuple[tuple[int, int], ...] | None:
     return cyclotomic_factors(tuple(key))
 
 
+def uncancelled_lcm_span(b: LaurentPoly, d: LaurentPoly) -> int | None:
+    """The s-span of the lcm that a sum over the normal-form denominators b
+    and d is taken over, when both factor into Phi_d(s) and no factor is
+    held by both as often as the lcm holds it, so that _sum_over_lcm
+    cancels nothing; else None."""
+    fb, fd = _den_factors(b), _den_factors(d)
+    if fb is None or fd is None:
+        return None
+    mb, md = dict(fb), dict(fd)
+    if any(md.get(k) == m for k, m in mb.items()):
+        return None
+    return sum((len(cyclotomic(k)) - 1) * max(mb.get(k, 0), md.get(k, 0)) for k in mb.keys() | md.keys())
+
+
 def delta() -> Scalar:
     """Skein value of one 0-framed loop in the plane: (v^-1 - v)/(s - s^-1)."""
     return DELTA

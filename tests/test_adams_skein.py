@@ -4,6 +4,8 @@ pattern solver."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qskein.adams_skein
 from qskein.adams_skein import (
@@ -29,12 +31,13 @@ from qskein.adams_skein import (
     torus_braid,
     torus_invariant,
     truncate,
+    truncated_product,
 )
-from qskein.annulus import Q, a_gen, closure_word, epsilon_plane
+from qskein.annulus import AnnulusElement, Q, a_gen, closure_word, epsilon_plane
 from qskein.diagram_ring import CPoly, gen
 from qskein.hecke import BraidWord
-from qskein.partitions import Partition
-from qskein.scalars import Scalar, Z, delta, h_expand, specialize_sln
+from qskein.partitions import Partition, all_partitions_up_to
+from qskein.scalars import LaurentPoly, Scalar, Z, delta, h_expand, quantum_int, specialize_sln
 from qskein.verify import run_suite
 
 
@@ -95,6 +98,26 @@ def test_truncate_keeps_weighted_degree_at_most_n():
     assert truncate(e, 3) == e
     assert truncate(e, -1) == CPoly.zero()
     assert truncate(a_gen(2) * a_gen(1) + a_gen(1), 2) == a_gen(1)
+
+
+# monomial keys of weighted degree at most 10, and coefficients that are
+# monomials over 1 or over a quantum integer
+SERIES_KEYS = [lam.parts for lam in all_partitions_up_to(10)]
+series_coefficients = st.builds(
+    lambda a, c, k, q: Scalar(LaurentPoly.monomial(a, 0, c, k), quantum_int(q)),
+    st.integers(-2, 2), st.integers(-3, 3), st.integers(-3, 3).filter(bool), st.integers(1, 4),
+)
+
+
+def series_terms():
+    return st.dictionaries(st.sampled_from(SERIES_KEYS), series_coefficients, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([CPoly, AnnulusElement]), series_terms(), series_terms(), st.integers(-1, 12))
+def test_truncated_product_is_the_cut_product(cls, a, b, n):
+    a, b = cls(a), cls(b)
+    assert truncated_product(a, b, n) == truncate(a * b, n)
 
 
 def test_substitute_scales_by_degree_less_shift_and_inverts():

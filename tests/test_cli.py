@@ -363,6 +363,32 @@ def test_a_cancellation_that_would_spread_is_refused_at_the_operator(capsys, mon
     assert (code, err) == (0, "") and out.endswith(" + s^25000000*A1\n")
 
 
+def test_a_sum_over_coprime_cyclotomic_denominators_counts_only_what_it_can_cancel(capsys, monkeypatch):
+    from qskein import scalars
+    from qskein.parsing import _s_span
+
+    real_slices = scalars.slices
+
+    def short_slices(p):
+        if _s_span(p) > 10_000:
+            raise AssertionError("cut a slice of s-span %d" % _s_span(p))
+        return real_slices(p)
+
+    monkeypatch.setattr(scalars, "slices", short_slices)
+    # s - 1 and s + 1 share no factor: the difference goes over their
+    # product, cancels nothing and keeps its four terms
+    assert run(capsys, "theta", "(s^300)^300/(s-1) - 1/(s+1)") == (
+        0, "(s^90001 + s^90000 - s + 1)/(s^2 - 1)\n", "")
+    # s - 2 is no product of Phi_d(s), so that difference would take the
+    # dense gcd; over one denominator, s - 1 cancels and fills 90,000 terms
+    for text in ("(s^300)^300/(s-2) - 1/(s+2)", "(s^300)^300/(s-1) - 1/(s-1)"):
+        code, out, err = run(capsys, "theta", text)
+        assert (code, out) == (2, ""), text
+        line = err.splitlines()[0]
+        assert line.startswith("error: the difference's cancellation would multiply "), text
+        assert line.endswith(" at position %d" % (text.index(" - ") + 1)), text
+
+
 FRACTION_TEXTS = ["s^7-1", "(s^7-1)/(s-1)", "1/(s+1)", "(x*s^5+v)/(s^2-1)", "(s^4-1)/(s^2+1)",
                   "c1/(s-1) + c2", "x/(v+1)", "(s-1)/(v*s+1)", "s^-3+2"]
 

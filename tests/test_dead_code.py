@@ -1,7 +1,9 @@
 """No dead definitions in the package: every module-level function or
 class, and every method that is not a dunder, is read somewhere in the
 package outside its own body and outside __init__.py, exported in
-qskein.__all__, or a public function of the JSON API."""
+qskein.__all__, or a public function of the JSON API.  So is every name a
+module-level assignment binds, __version__ and __all__ aside: each
+constant is defined in one place and used."""
 
 import ast
 from pathlib import Path
@@ -28,6 +30,21 @@ def _definitions(tree):
                         yield item.name, item
 
 
+def _constants(tree):
+    """(name, node) for each name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    yield name.id, node
+
+
 def _loads(trees):
     """name -> [(file, line)] of every Name or Attribute read outside __init__.py."""
     out: dict = {}
@@ -47,13 +64,13 @@ def _json_api():
             if callable(obj) and not name.startswith("_") and getattr(obj, "__module__", None) == "qskein.jsonio"}
 
 
-def dead_definitions():
+def dead_definitions(definitions=_definitions, kept=()):
     trees = _trees()
     loads = _loads(trees)
-    kept = set(qskein.__all__) | _json_api()
+    kept = set(qskein.__all__) | _json_api() | set(kept)
     dead = []
     for file, tree in trees.items():
-        for name, node in _definitions(tree):
+        for name, node in definitions(tree):
             if name in kept:
                 continue
             own = range(node.lineno, node.end_lineno + 1)
@@ -76,3 +93,16 @@ def test_the_scan_sees_definitions_and_their_reads():
 
 def test_every_definition_is_used_exported_or_json_api():
     assert dead_definitions() == []
+
+
+def test_the_scan_sees_module_constants():
+    trees = _trees()
+    names = {name for tree in trees.values() for name, _ in _constants(tree)}
+    assert {"PSI_TERM_CAP", "LR_STRIP_CAP", "ONE_LP", "Triple", "_SUITES", "__version__"} <= names
+    tree = ast.parse("A = 1\nB: int = A\nC, (D, E) = 2, (3, 4)\nF = {}\nF[0] = 1\n")
+    assert [name for name, _ in _constants(tree)] == ["A", "B", "C", "D", "E", "F"]
+
+
+def test_every_module_constant_is_used_or_exported():
+    # __all__ is the export list itself
+    assert dead_definitions(_constants, kept={"__version__", "__all__"}) == []

@@ -8,6 +8,7 @@ import qskein.diagram_ring
 from qskein.diagram_ring import (
     PSI_TERM_CAP, CPoly, DiagramVector, _column_product, _over_term_cap, d, gen, phi, phi_inverse, psi,
 )
+from qskein.linear import FormalSum
 from qskein.partitions import Partition, partitions_of
 from qskein.scalars import Scalar
 
@@ -181,6 +182,35 @@ def test_phi_matches_the_suffix_memo():
     for n in range(8):
         for lam in partitions_of(n):
             assert phi(CPoly.term(lam.parts)) == _column_product_by_suffixes(lam.parts), lam
+
+
+def _column_product_by_scalar_products(key):
+    """phi of a column monomial as the unit times each column from the last,
+    every product a Scalar-coefficient FormalSum product: the oracle for
+    the integer counts of _column_product."""
+    out = DiagramVector.one()
+    for k in reversed(key):
+        out = out * DiagramVector.term(Partition((1,) * k))
+    return out
+
+
+def test_column_product_equals_the_scalar_product_route():
+    for n in range(9):
+        for lam in partitions_of(n):
+            assert _column_product(lam.parts) == _column_product_by_scalar_products(lam.parts), lam
+
+
+def test_column_product_builds_without_scalar_products(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("multiplied Scalars or formal sums")
+
+    want = _column_product_by_scalar_products((4, 3, 1))
+    _column_product.cache_clear()
+    monkeypatch.setattr(Scalar, "__mul__", no_product)
+    monkeypatch.setattr(FormalSum, "__mul__", no_product)
+    value = _column_product((4, 3, 1))
+    monkeypatch.undo()
+    assert value == want
 
 
 def test_column_product_memoises_whole_keys_only(monkeypatch):
