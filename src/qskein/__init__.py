@@ -46,7 +46,6 @@ from .annulus import (
     AnnulusElement,
     Q,
     a_gen,
-    a_in_Q_basis,
     closed_idempotent,
     closure,
     closure_word,
@@ -77,7 +76,7 @@ __all__ = [
     "DiagramVector", "EMPTY", "HeckeElement", "Inconsistent",
     "LaurentPoly", "P", "PARALLEL", "Partition", "PatternSystem", "PoleError",
     "Q", "Scalar", "Solution", "SpecializationError", "TFraction", "Z",
-    "a_braid", "a_element", "a_gen", "a_in_Q_basis", "all_diagrams",
+    "a_braid", "a_element", "a_gen", "all_diagrams",
     "all_partitions_up_to", "alpha", "b_element", "cable_counterexample",
     "cable_word", "closed_idempotent", "closure", "closure_word", "cycle_closure", "d",
     "decorated_closure", "delta", "e_lambda", "epsilon_plane", "framing_factor",

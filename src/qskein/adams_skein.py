@@ -344,7 +344,9 @@ class Solution:
 
 class Inconsistent:
     """Certificate of failure: two equation subsets force different values of
-    the same unknown.  Equations are labelled by their A-monomial keys."""
+    the same unknown.  Equations are labelled by their A-monomial keys.  A
+    second value of None means the second subset is one monomial that the
+    target holds and no pattern holds."""
 
     __slots__ = ("unknown", "first", "second")
 
@@ -355,6 +357,8 @@ class Inconsistent:
 
     def __str__(self):
         (keys1, v1), (keys2, v2) = self.first, self.second
+        if v2 is None:
+            return "inconsistent: the target holds %s, which no pattern holds" % AnnulusElement.term(keys2[0])
         def name(keys):
             return "{" + ", ".join(str(AnnulusElement.term(k)) for k in keys) + "}"
         return "inconsistent: unknown %d is %s from %s but %s from %s" % (

@@ -15,8 +15,7 @@ decorated_closure closes a braid coloured by a partition: the satellite
 with one idempotent per closed component of the cabled braid.
 
 On top of the closure sit the normalized idempotent closures Q, the
-column isomorphism theta from the diagram ring, the triangular change of
-basis back from Q-monomials to the winding basis, and the planar
+column isomorphism theta from the diagram ring, and the planar
 evaluation epsilon_plane, a ring homomorphism taken as one sum over the
 keys: k curls winding w times in all give delta^k (x v^-1)^(w - k).
 AnnulusElement is a linear.Polynomial, as the column ring is, and theta
@@ -30,7 +29,7 @@ from collections import Counter
 from functools import cache
 from math import comb, prod
 
-from .diagram_ring import CPoly, DiagramVector, gen, phi_inverse
+from .diagram_ring import DiagramVector, phi_inverse
 from .hecke import (
     BraidWord,
     HeckeElement,
@@ -253,30 +252,6 @@ def theta(p) -> AnnulusElement:
     if isinstance(p, DiagramVector):
         p = phi_inverse(p)
     return linear_map(p, _theta_key, AnnulusElement)
-
-
-@cache
-def a_in_Q_basis(n: int) -> CPoly:
-    """Express the winding generator A_n in the column generators, so
-    that theta of the result is exactly A_n.
-
-    Triangular: Q of the n-cell column contains A_n with an invertible
-    leading coefficient; everything else involves smaller winding
-    numbers only.
-    """
-    if n < 1:
-        raise ValueError("winding index must be positive")
-    qn = _theta_key((n,))
-    lead = qn.coeff((n,))
-    acc = gen(n)
-    for key, c in qn.terms.items():
-        if key == (n,):
-            continue
-        correction = CPoly.one()
-        for m in key:
-            correction = correction * a_in_Q_basis(m)
-        acc = acc - correction * c
-    return acc.scale(Scalar.one() / lead)
 
 
 def epsilon_plane(e: AnnulusElement) -> Scalar:

@@ -184,13 +184,10 @@ def main(argv=None) -> int:
     except ParseError as err:
         print("error: " + err.annotated(), file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
     except (SpecializationError, PoleError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, RecursionError, MemoryError) as err:
+    except (OSError, ValueError, ZeroDivisionError, RecursionError, MemoryError) as err:
         print("error: %s" % (str(err) or type(err).__name__), file=sys.stderr)
         return 2
 

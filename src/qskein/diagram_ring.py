@@ -79,8 +79,6 @@ def phi(p: CPoly) -> DiagramVector:
 
 @cache
 def _phi_inverse_partition(lam: Partition) -> CPoly:
-    if lam.size == 0:
-        return CPoly.one()
     cols = tuple(lam.transpose().parts)
     expansion = _column_product(cols)
     assert expansion.coeff(lam) == 1

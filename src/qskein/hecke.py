@@ -32,8 +32,7 @@ from .partitions import Partition, hook_content_product, transpose_permutation
 from .perms import Perm, all_perms, identity, inverse, inversions, reduced_word, swap_positions
 from .scalars import Scalar
 
-# S_n sums refuse to enumerate beyond this many strands; raise it at your
-# own risk (terms grow like n!)
+# S_n sums refuse to enumerate beyond this many strands (terms grow like n!)
 ENUMERATION_CAP = 8
 
 # from_word and annulus.closure_word refuse a braid on more strands than
@@ -282,10 +281,7 @@ def check_strand_cap(n: int) -> None:
 def check_enumeration_cap(n: int) -> None:
     """Refuse a sum over S_n, or a block of one, past ENUMERATION_CAP strands."""
     if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration over {n} strands exceeds the cap {ENUMERATION_CAP}; "
-            "raise hecke.ENUMERATION_CAP to force it"
-        )
+        raise ValueError(f"enumeration over {n} strands exceeds the cap {ENUMERATION_CAP}")
 
 
 def _enumerated_sum(n: int, q) -> HeckeElement:

@@ -16,7 +16,9 @@ back to equal values:
   solution      {"status": "solution", "values": [scalar, ...], "free": [i, ...]}
   inconsistent  {"status": "inconsistent", "unknown": i,
                  "first": {"equations": [key, ...], "value": scalar},
-                 "second": ...}   equation keys are winding multisets
+                 "second": ...}   equation keys are winding multisets;
+                 a null second value means its one key is held by the
+                 target and by no pattern
 
 Pattern-system files hold {"target": element, "patterns": [element, ...]}
 where an element is either an annulus record or {"word": "1", "strands": 2,

@@ -1007,7 +1007,7 @@ class TFraction:
 
 
 def specialize_sln(value, n: int) -> TFraction:
-    """Specialise a Scalar (or LaurentPoly) at sl(N): s = t^N, x = t^-1, v = t^(-N^2).
+    """Specialise a Scalar at sl(N): s = t^N, x = t^-1, v = t^(-N^2).
 
     Distinct monomials can collide and cancel after substitution; if the
     whole denominator cancels the result is no longer defined and a
@@ -1015,8 +1015,6 @@ def specialize_sln(value, n: int) -> TFraction:
     """
     if n < 2:
         raise ValueError("specialize_sln needs N >= 2")
-    if isinstance(value, LaurentPoly):
-        value = Scalar.from_poly(value)
     num = value.num.to_t(n)
     den = value.den.to_t(n)
     if not den:

@@ -280,8 +280,6 @@ def _suite_ring(cap):
         for a in range(1, n - 1):
             for b in range(1, n - a):
                 c = n - a - b
-                if c < 1:
-                    continue
                 for lam in partitions_of(a):
                     for mu in partitions_of(b):
                         for nu in partitions_of(c):

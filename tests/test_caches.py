@@ -14,7 +14,7 @@ import qskein.verify
 from qskein.adams_skein import (
     P, _hook_numerators, a_braid, cycle_closure, negative_cycle_expansion, positive_cycle_expansion,
 )
-from qskein.annulus import Q, _closure_step, _theta_key, a_in_Q_basis, closed_idempotent
+from qskein.annulus import Q, _closure_step, _theta_key, closed_idempotent
 from qskein.chords import LIFT_TABLE_ROWS, _lift_table, _word_class
 from qskein.diagram_ring import _column_product, d
 from qskein.hecke import _symmetric_group, e_lambda
@@ -47,7 +47,6 @@ CASES = [
     (e_lambda, (Partition((2, 1)),)),
     (e_lambda, (Partition((3, 1)),)),
     (d, (5,)),
-    (a_in_Q_basis, (4,)),
     (cyclotomic_factors, ((-1, 0, 0, 0, 1),)),
     (cyclotomic_factors, ((1, 3, 1),)),
     (_closure_step, ((3, 2, 0, 1),)),

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from qskein.chords import CHORD_CAP
 from qskein.cli import _format_hseries, main
 from qskein.diagram_ring import DiagramVector
-from qskein.jsonio import decode_annulus, decode_diagrams, decode_outcome
+from qskein.jsonio import decode_annulus, decode_diagrams, decode_outcome, encode_outcome
 from qskein.parsing import ECHO_WIDTH, INTEGER_DIGITS_CAP
 from qskein.partitions import Partition, lr_product
-from qskein.scalars import Scalar
+from qskein.scalars import Z_LP, LaurentPoly, Scalar
 from qskein.adams_skein import Inconsistent
 
 
@@ -795,6 +795,46 @@ def test_solve_pattern_inconsistent_json(tmp_path, capsys):
     assert isinstance(outcome, Inconsistent)
 
 
+def test_solve_pattern_names_a_target_monomial_no_pattern_holds(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"target": [[[3], 1]], "patterns": [[[[2, 1], 1]], [[[1, 1, 1], 1]]]}))
+    text = "inconsistent: the target holds A3, which no pattern holds\n"
+    assert run(capsys, "solve-pattern", str(path)) == (0, text, "")
+
+    code, out, _ = run(capsys, "solve-pattern", str(path), "--json")
+    assert code == 0
+    assert out == (
+        '{"status": "inconsistent", "unknown": 0, '
+        '"first": {"equations": [[2, 1], [1, 1, 1]], "value": {"num": [], "den": [[0, 0, 0, 1]]}}, '
+        '"second": {"equations": [[3]], "value": null}}\n')
+    assert str(decode_outcome(json.loads(out))) + "\n" == text
+
+
+def test_solve_pattern_reports_a_free_unknown(tmp_path, capsys):
+    # scalars written as expression strings, as hand-written files may
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"target": [[[1, 1], "2*(s - s^-1)"]],
+                                "patterns": [[[[1, 1], "s - s^-1"]], [[[1, 1], "s - s^-1"]]]}))
+    text = "solution [2, 0] with free unknowns [1]\n"
+    assert run(capsys, "solve-pattern", str(path)) == (0, text, "")
+
+    code, out, _ = run(capsys, "solve-pattern", str(path), "--json")
+    assert code == 0
+    outcome = decode_outcome(json.loads(out))
+    assert str(outcome) + "\n" == text
+    assert json.dumps(encode_outcome(outcome)) + "\n" == out
+
+
+def test_solve_pattern_reads_braid_words_as_strings(tmp_path, capsys):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({
+        "target": {"word": "1 1 1", "strands": 2},
+        "patterns": [{"word": w, "strands": 2} for w in ("1", "-1", "")],
+    }))
+    assert run(capsys, "solve-pattern", str(path)) == (
+        0, "solution [x^2*s^2 + x^2*s^-2, -x^4, 0] with free unknowns [2]\n", "")
+
+
 def test_solve_pattern_reads_annulus_keys_in_any_order(tmp_path, capsys):
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"target": [[[1, 2], 1]], "patterns": [[[[2, 1], 1]]]}))
@@ -905,6 +945,17 @@ def test_torus_knots_past_the_caps_exit_2(capsys):
     assert run(capsys, "torus", str(top), "2") == (
         2, "", "error: the (%d, 2) torus knot has estimated work %d, over the cap of %d\n"
         % (top, 8 * top, TORUS_WORK_CAP))
+
+
+@pytest.mark.parametrize("den,argv,message", [
+    (Z_LP, ("--h-order", "2"), "pole at h = 0: denominator vanishes to order 1, numerator does not"),
+    (LaurentPoly({(-4, 1, 0): 1, (0, 0, 0): -1}), (), "denominator vanishes identically at N = 2"),
+], ids=["pole", "collapsing"])
+def test_a_value_that_does_not_specialise_exits_1(monkeypatch, capsys, den, argv, message):
+    # every torus value specialises and expands, so a stand-in value pins
+    # the exit code cli.main documents for these errors
+    monkeypatch.setattr("qskein.cli.torus_invariant", lambda m, p, normalize: Scalar(1, den))
+    assert run(capsys, "torus", "2", "3", "--sl", "2", *argv) == (1, "", "error: %s\n" % message)
 
 
 def test_torus_knots_that_used_to_hang_answer(capsys):

@@ -23,6 +23,9 @@ def test_default_report_passes_and_repeats():
     rows2 = run_suite("all")
     assert rows1 == rows2
     assert all(ok for ok, label in rows1), [label for ok, label in rows1 if not ok]
+    assert len(rows1) == 283
+    digest = hashlib.sha256("\n".join(label for _, label in rows1).encode()).hexdigest()
+    assert digest == "dbce9d1accf45fd8607653a52e642754dd47b201913c0b32187289c9e9fa7a70"
 
 
 def test_report_at_size_four():
